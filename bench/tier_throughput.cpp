@@ -1,16 +1,16 @@
-// Measures the Tier-2 threaded-code engine (DESIGN.md §15) against the
-// Tier-1 interpreter: per-kernel Minstr/s Tier-1-forced vs tiered across the
-// full Fig. 11 workload suite plus the app-pipeline stages, with promotion
-// and fusion counts alongside.
+// Measures the kernel execution engine (DESIGN.md §15) against the Tier-1
+// reference interpreter: per-kernel Minstr/s of Interpreter::run_reference
+// vs Interpreter::run across the full Fig. 11 workload suite plus the
+// app-pipeline stages, with compile and fusion counts alongside.
 //
 //   tier_throughput [--n SIZE] [--reps R] [--json PATH] [--trace PATH]
 //
-// Every tiered run is differenced against the Tier-1 profile AND the final
-// memory image (full-space hash) — any mismatch makes the bench exit
+// Every engine run is differenced against the reference profile AND the
+// final memory image (full-space hash) — any mismatch makes the bench exit
 // nonzero, so the speedup numbers can never outlive the byte-exactness
-// contract they advertise. Promotion bookkeeping (promoted flag, compiles,
-// fused superinstructions per kernel) is a pure function of the launch
-// stream; scripts/bench_regression_check.py compares it exactly.
+// contract they advertise. The compile and fused-superinstruction counts per
+// kernel are pure functions of the launch stream;
+// scripts/bench_regression_check.py compares them exactly.
 
 #include <algorithm>
 #include <chrono>
@@ -55,7 +55,6 @@ struct UnitResult {
   std::string kernel;
   std::uint64_t n = 0;
   std::uint64_t instrs = 0;
-  bool promoted = false;
   std::uint64_t compiles = 0;
   std::uint64_t fused = 0;
   double t1_minstr_s = 0.0;
@@ -63,9 +62,11 @@ struct UnitResult {
   double speedup = 0.0;
 };
 
-/// One launch on fresh memory; returns the profile, the post-run full-space
-/// memory hash, and the wall-clock of the `run` call alone.
-DynamicProfile one_run(const BenchUnit& u, double& wall_ms, std::uint64_t& mem_hash) {
+/// One launch on fresh memory — on the reference or on the engine — returns
+/// the profile, the post-run full-space memory hash, and the wall-clock of
+/// the launch call alone.
+DynamicProfile one_run(const BenchUnit& u, bool reference, double& wall_ms,
+                       std::uint64_t& mem_hash) {
   AddressSpace mem(kSpace, "bench");
   FreeListAllocator alloc(4096, mem.size() - 4096);
   const auto specs = u.buffers_of->buffers(u.n);
@@ -93,11 +94,12 @@ DynamicProfile one_run(const BenchUnit& u, double& wall_ms, std::uint64_t& mem_h
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (specs[i].is_input) mem.copy_in(addrs[i], host[i].data(), host[i].size());
   }
-  Interpreter interp;
+  const KernelArgs args = u.args(addrs);
   Interpreter::Options options;
   options.workers = 1;  // per-kernel dispatch throughput, not grid parallelism
   const auto start = std::chrono::steady_clock::now();
-  DynamicProfile profile = interp.run(*u.kernel, u.dims, u.args(addrs), mem, options);
+  DynamicProfile profile = reference ? Interpreter::run_reference(*u.kernel, u.dims, args, mem)
+                                     : Interpreter().run(*u.kernel, u.dims, args, mem, options);
   wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
           .count();
@@ -117,20 +119,18 @@ bool profiles_equal(const DynamicProfile& a, const DynamicProfile& b) {
 std::string to_json(const std::vector<UnitResult>& units, std::size_t reps) {
   using run::json::escape;
   using run::json::number;
-  std::uint64_t promoted_kernels = 0, total_compiles = 0, total_fused = 0;
+  std::uint64_t total_compiles = 0, total_fused = 0;
   double best_speedup = 0.0;
   std::uint64_t kernels_ge_1_5x = 0;
   for (const UnitResult& u : units) {
-    if (u.promoted) ++promoted_kernels;
     total_compiles += u.compiles;
     total_fused += u.fused;
     best_speedup = std::max(best_speedup, u.speedup);
-    if (u.promoted && u.speedup >= 1.5) ++kernels_ge_1_5x;
+    if (u.speedup >= 1.5) ++kernels_ge_1_5x;
   }
   std::ostringstream os;
   os << "{\n  \"bench\": \"tier_throughput\",\n";
   os << "  \"workers\": 1,\n  \"reps\": " << reps << ",\n";
-  os << "  \"promoted_kernels\": " << promoted_kernels << ",\n";
   os << "  \"total_compiles\": " << total_compiles << ",\n";
   os << "  \"total_fused_superinsts\": " << total_fused << ",\n";
   os << "  \"best_speedup\": " << number(best_speedup) << ",\n";
@@ -140,7 +140,6 @@ std::string to_json(const std::vector<UnitResult>& units, std::size_t reps) {
     const UnitResult& u = units[i];
     os << "    {\"kernel\": \"" << escape(u.kernel) << "\", \"app\": \"" << escape(u.app)
        << "\", \"n\": " << u.n << ", \"instrs\": " << u.instrs
-       << ", \"promoted\": " << (u.promoted ? "true" : "false")
        << ", \"compiles\": " << u.compiles << ", \"fused_superinsts\": " << u.fused
        << ", \"t1_minstr_per_sec\": " << number(u.t1_minstr_s)
        << ", \"t2_minstr_per_sec\": " << number(u.t2_minstr_s)
@@ -173,7 +172,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::cout << "== tier_throughput: Tier-1 interpreter vs Tier-2 threaded code ==\n\n";
+  std::cout << "== tier_throughput: Tier-1 reference vs the execution engine ==\n\n";
 
   const auto suite = workloads::make_suite();
   const auto apps = workloads::make_app_suite();
@@ -210,59 +209,47 @@ int main(int argc, char** argv) {
   }
 
   Tier2Engine& engine = Tier2Engine::instance();
-  const Tier2Engine::Mode saved_mode = engine.mode();
 
   std::vector<UnitResult> results;
   bool mismatch = false;
 
-  TablePrinter table({"Kernel", "App", "Instrs", "Promoted", "Fused", "T1 Minstr/s",
-                      "T2 Minstr/s", "Speedup"});
+  TablePrinter table({"Kernel", "App", "Instrs", "Fused", "T1 ref Minstr/s", "Engine Minstr/s",
+                      "Speedup"});
 
   for (const BenchUnit& u : units) {
-    // --- Tier-1 forced reference ------------------------------------------
-    engine.set_mode(Tier2Engine::Mode::kForceTier1);
+    // --- Tier-1 reference ---------------------------------------------------
     double t1_best_ms = 0.0;
     std::uint64_t ref_hash = 0;
     DynamicProfile reference;
     for (std::size_t r = 0; r < reps; ++r) {
       double ms = 0.0;
       std::uint64_t hash = 0;
-      DynamicProfile p = one_run(u, ms, hash);
+      DynamicProfile p = one_run(u, /*reference=*/true, ms, hash);
       if (r == 0) {
         reference = p;
         ref_hash = hash;
       } else if (!profiles_equal(p, reference) || hash != ref_hash) {
         std::cerr << "NONDETERMINISM: " << u.kernel_name
-                  << " Tier-1 reps disagree with each other\n";
+                  << " reference reps disagree with each other\n";
         mismatch = true;
       }
       if (r == 0 || ms < t1_best_ms) t1_best_ms = ms;
     }
 
-    // --- Tiered (auto promotion, fresh engine state) ----------------------
+    // --- Engine (fresh program cache; the first launch lowers, untimed) ----
     engine.reset();
-    engine.set_mode(Tier2Engine::Mode::kAuto);
     const Tier2Stats before = engine.stats();
     double t2_best_ms = 0.0;
-    {
-      double ms = 0.0;
-      std::uint64_t hash = 0;  // untimed warmup launch feeds the ordinal
-      DynamicProfile p = one_run(u, ms, hash);
-      if (!profiles_equal(p, reference) || hash != ref_hash) {
-        std::cerr << "TIER DIVERGENCE: " << u.kernel_name << " (warmup launch)\n";
-        mismatch = true;
-      }
-    }
-    for (std::size_t r = 0; r < reps; ++r) {
+    for (std::size_t r = 0; r <= reps; ++r) {
       double ms = 0.0;
       std::uint64_t hash = 0;
-      DynamicProfile p = one_run(u, ms, hash);
+      DynamicProfile p = one_run(u, /*reference=*/false, ms, hash);
       if (!profiles_equal(p, reference) || hash != ref_hash) {
-        std::cerr << "TIER DIVERGENCE: " << u.kernel_name
-                  << " diverged from the Tier-1 profile/memory\n";
+        std::cerr << "ENGINE DIVERGENCE: " << u.kernel_name
+                  << " diverged from the reference profile/memory\n";
         mismatch = true;
       }
-      if (r == 0 || ms < t2_best_ms) t2_best_ms = ms;
+      if (r == 1 || (r > 1 && ms < t2_best_ms)) t2_best_ms = ms;
     }
     const Tier2Stats delta = engine.stats() - before;
 
@@ -271,7 +258,6 @@ int main(int argc, char** argv) {
     res.kernel = u.kernel_name;
     res.n = u.n;
     res.instrs = reference.total_instrs();
-    res.promoted = delta.launches_tier2 > 0;
     res.compiles = delta.compiles;
     res.fused = delta.fused_superinsts;
     res.t1_minstr_s =
@@ -280,24 +266,21 @@ int main(int argc, char** argv) {
         t2_best_ms > 0.0 ? static_cast<double>(res.instrs) / (t2_best_ms * 1e3) : 0.0;
     res.speedup = res.t1_minstr_s > 0.0 ? res.t2_minstr_s / res.t1_minstr_s : 0.0;
     table.add_row({res.kernel, res.app, fmt_int(static_cast<long long>(res.instrs)),
-                   res.promoted ? "yes" : "no", fmt_int(static_cast<long long>(res.fused)),
-                   fmt_fixed(res.t1_minstr_s, 1), fmt_fixed(res.t2_minstr_s, 1),
-                   fmt_ratio(res.speedup) + "x"});
+                   fmt_int(static_cast<long long>(res.fused)), fmt_fixed(res.t1_minstr_s, 1),
+                   fmt_fixed(res.t2_minstr_s, 1), fmt_ratio(res.speedup) + "x"});
     results.push_back(std::move(res));
   }
 
   engine.reset();
-  engine.set_mode(saved_mode);
 
   table.print(std::cout);
 
-  std::uint64_t promoted = 0, ge15 = 0;
+  std::uint64_t ge15 = 0;
   for (const UnitResult& r : results) {
-    if (r.promoted) ++promoted;
-    if (r.promoted && r.speedup >= 1.5) ++ge15;
+    if (r.speedup >= 1.5) ++ge15;
   }
-  std::cout << "\nPromoted " << promoted << "/" << results.size() << " kernels; " << ge15
-            << " at >= 1.5x over Tier 1\n";
+  std::cout << "\n" << ge15 << "/" << results.size()
+            << " kernels at >= 1.5x over the Tier-1 reference\n";
 
   if (!run::try_write_json_file(to_json(results, reps), json_path)) {
     std::cerr << "error: failed writing JSON results file: " << json_path << "\n";
@@ -306,7 +289,7 @@ int main(int argc, char** argv) {
   std::cout << "\nwrote " << json_path << "\n";
 
   if (mismatch) {
-    std::cerr << "\ntier_throughput: tier-equivalence differential FAILED\n";
+    std::cerr << "\ntier_throughput: engine-vs-reference differential FAILED\n";
     return 1;
   }
   if (!run::flush_trace()) return 1;

@@ -18,9 +18,9 @@ baselines in bench/baselines/ and exits nonzero on:
     whole per-job object is a pure function of the job config, so it is
     compared exactly; only the top-level workers/wall_ms fields are host-
     dependent and ignored.
-  * tier_throughput: ANY change to the per-kernel promotion bookkeeping
-    (promoted flag, compiles, fused superinstruction counts — all pure
-    functions of the launch stream), or a Tier-2 throughput/speedup drop
+  * tier_throughput: ANY change to a kernel's dynamic instruction count,
+    compile count or fused superinstruction count (all pure functions of the
+    launch stream), or an engine throughput/speedup-over-reference drop
     beyond the tolerance band.
   * fleet_scale: shard_determinism must be true (sharded runs byte-identical
     at --shards {1,2,4,8}); per-point resident_bytes/sync_rounds/
@@ -154,7 +154,7 @@ def check_cache(baseline, current, tolerance):
 
 
 def check_tier(baseline, current, tolerance):
-    print(f"== tier_throughput (promotion bookkeeping: exact; throughput: -{tolerance:.0%})")
+    print(f"== tier_throughput (lowering counts: exact; throughput: -{tolerance:.0%})")
     base_kernels = {k["kernel"]: k for k in baseline["kernels"]}
     cur_kernels = {k["kernel"]: k for k in current["kernels"]}
     for name, base in sorted(base_kernels.items()):
@@ -162,25 +162,25 @@ def check_tier(baseline, current, tolerance):
         if cur is None:
             fail(f"tier: kernel '{name}' disappeared from the bench")
             continue
-        # Promotion decisions and lowering stats are pure functions of the
+        # Instruction counts and lowering stats are pure functions of the
         # launch stream: any change is a behavioural regression (or an
-        # intentional policy change -> --update).
-        exact = ("promoted", "compiles", "fused_superinsts", "instrs")
+        # intentional lowering change -> --update).
+        exact = ("compiles", "fused_superinsts", "instrs")
         changed = [f for f in exact if cur.get(f) != base.get(f)]
         if changed:
-            fail(f"tier: {name} promotion bookkeeping changed "
+            fail(f"tier: {name} lowering counts changed "
                  f"({', '.join(f'{f}: {base.get(f)} -> {cur.get(f)}' for f in changed)})")
         else:
-            ok(f"{name}: promoted={base['promoted']}, "
+            ok(f"{name}: compiles={base['compiles']}, "
                f"fused={base['fused_superinsts']} unchanged")
         floor = base["t2_minstr_per_sec"] * (1.0 - tolerance)
         if cur["t2_minstr_per_sec"] < floor:
-            fail(f"tier: {name} Tier-2 throughput {cur['t2_minstr_per_sec']:.1f} "
+            fail(f"tier: {name} engine throughput {cur['t2_minstr_per_sec']:.1f} "
                  f"Minstr/s < floor {floor:.1f} "
                  f"(baseline {base['t2_minstr_per_sec']:.1f})")
         else:
             ok(f"{name}: {cur['t2_minstr_per_sec']:.1f} Minstr/s >= floor {floor:.1f}")
-        if base.get("promoted") and base.get("speedup", 0.0) > 1.0:
+        if base.get("speedup", 0.0) > 1.0:
             sfloor = base["speedup"] * (1.0 - tolerance)
             if cur.get("speedup", 0.0) < sfloor:
                 fail(f"tier: {name} speedup {cur.get('speedup', 0.0):.2f}x < "
@@ -188,7 +188,7 @@ def check_tier(baseline, current, tolerance):
     for name in sorted(set(cur_kernels) - set(base_kernels)):
         fail(f"tier: new kernel '{name}' has no baseline "
              f"(run with --update to record it)")
-    for field in ("promoted_kernels", "total_compiles", "total_fused_superinsts"):
+    for field in ("total_compiles", "total_fused_superinsts"):
         if current.get(field) != baseline.get(field):
             fail(f"tier: {field} changed {baseline.get(field)} -> {current.get(field)}")
         else:

@@ -4,9 +4,6 @@
 #include <utility>
 
 #include "gpu/launch_cache.hpp"
-
-#include "interp/decoded.hpp"
-#include "interp/tier2.hpp"
 #include "snapshot/serial.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
@@ -228,15 +225,6 @@ SimTime GpuDevice::launch(StreamId stream, const LaunchRequest& request, KernelC
       case LaunchCacheOutcome::kMiss: ++trace_->cache_misses->value; break;
       case LaunchCacheOutcome::kBypass: ++trace_->cache_bypasses->value; break;
       case LaunchCacheOutcome::kUncached: break;
-    }
-    // Tier-2 eligibility of this launch: a pure function of (kernel, dims),
-    // counted on the pre-cache launch stream so the metric is identical at
-    // any worker count and unaffected by cross-VP launch-cache dedup (which
-    // would make per-scenario *execution* counts nondeterministic).
-    if (request.mode == ExecMode::kFunctional &&
-        Tier2Engine::instance().eligible(
-            *interp_detail::DecodedCache::instance().get(*request.kernel), request.dims)) {
-      ++trace_->tier2_eligible->value;
     }
     trace_->span(tid_compute_, "gpu", request.kernel->name, end - duration,
                  end,

@@ -319,8 +319,7 @@ LaunchEvaluation LaunchCache::evaluate(const GpuArch& arch, const KernelIR& kern
     // byte-identical to a build without the cache.
     return evaluate_functional(arch, kernel, dims, args, memory, observer);
   }
-  if (bypass == Bypass::kNone &&
-      interp_detail::DecodedCache::instance().get(kernel)->has_global_atomics) {
+  if (bypass == Bypass::kNone && Interpreter::uses_global_atomics(kernel)) {
     bypass = Bypass::kAtomics;
   }
   if (bypass != Bypass::kNone) {

@@ -8,45 +8,39 @@
 
 namespace sigvp::interp_detail {
 
-namespace {
-
-// ---------------------------------------------------------------------------
-// Cold paths. Everything that throws is kept out of line so the dispatch
-// loop stays branch-predictable and free of implicit string construction.
-// ---------------------------------------------------------------------------
-
-[[noreturn]] __attribute__((noinline, cold)) void throw_budget_exhausted(const ExecContext& m) {
+[[noreturn]] void throw_budget_exhausted(const KernelIR& ir) {
   sigvp::detail::raise_contract_error(
       "precondition", "instrs_executed <= max_instrs_per_thread", __FILE__, __LINE__,
-      m.ir->name + ": per-thread instruction budget exhausted");
+      ir.name + ": per-thread instruction budget exhausted");
 }
 
-[[noreturn]] __attribute__((noinline, cold)) void throw_shared_oob(const ExecContext& m) {
+[[noreturn]] void throw_shared_oob(const KernelIR& ir) {
   sigvp::detail::raise_contract_error("precondition", "shared access in bounds", __FILE__,
-                                      __LINE__,
-                                      m.ir->name + ": shared-memory access out of bounds");
+                                      __LINE__, ir.name + ": shared-memory access out of bounds");
 }
 
-[[noreturn]] __attribute__((noinline, cold)) void throw_div_zero(const ExecContext& m) {
+[[noreturn]] void throw_div_zero(const KernelIR& ir) {
   sigvp::detail::raise_contract_error("precondition", "divisor != 0", __FILE__, __LINE__,
-                                      m.ir->name + ": integer division by zero");
+                                      ir.name + ": integer division by zero");
 }
 
-[[noreturn]] __attribute__((noinline, cold)) void throw_rem_zero(const ExecContext& m) {
+[[noreturn]] void throw_rem_zero(const KernelIR& ir) {
   sigvp::detail::raise_contract_error("precondition", "divisor != 0", __FILE__, __LINE__,
-                                      m.ir->name + ": integer remainder by zero");
+                                      ir.name + ": integer remainder by zero");
 }
 
-[[noreturn]] __attribute__((noinline, cold)) void throw_bad_param(const ExecContext& m) {
+[[noreturn]] void throw_bad_param(const KernelIR& ir) {
   sigvp::detail::raise_contract_error(
       "precondition", "param index < argument count", __FILE__, __LINE__,
-      m.ir->name + ": kernel launched with too few arguments");
+      ir.name + ": kernel launched with too few arguments");
 }
 
-[[noreturn]] __attribute__((noinline, cold)) void throw_bad_fallthrough(const ExecContext& m) {
-  sigvp::detail::raise_contract_error("invariant", "fallthrough block exists", __FILE__,
-                                      __LINE__, m.ir->name + ": branch to nonexistent block");
+[[noreturn]] void throw_bad_fallthrough(const KernelIR& ir) {
+  sigvp::detail::raise_contract_error("invariant", "fallthrough block exists", __FILE__, __LINE__,
+                                      ir.name + ": branch to nonexistent block");
 }
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Handlers. Each handler is one specialized opcode: operands are pre-widened
@@ -89,7 +83,7 @@ SIGVP_OP(op_read_special) {
 }
 
 SIGVP_OP(op_ld_param) {
-  if (static_cast<std::size_t>(d.imm) >= m.argc) [[unlikely]] throw_bad_param(m);
+  if (static_cast<std::size_t>(d.imm) >= m.argc) [[unlikely]] throw_bad_param(*m.ir);
   t.regs[d.dst].bits = m.argv[static_cast<std::size_t>(d.imm)];
   ++t.pc;
 }
@@ -100,13 +94,13 @@ SIGVP_SIMPLE_OP(op_sub_i, r[d.dst].set_i(r[d.src0].i() - r[d.src1].i()))
 SIGVP_SIMPLE_OP(op_mul_i, r[d.dst].set_i(r[d.src0].i() * r[d.src1].i()))
 SIGVP_OP(op_div_i) {
   RegValue* const r = t.regs;
-  if (r[d.src1].i() == 0) [[unlikely]] throw_div_zero(m);
+  if (r[d.src1].i() == 0) [[unlikely]] throw_div_zero(*m.ir);
   r[d.dst].set_i(r[d.src0].i() / r[d.src1].i());
   ++t.pc;
 }
 SIGVP_OP(op_rem_i) {
   RegValue* const r = t.regs;
-  if (r[d.src1].i() == 0) [[unlikely]] throw_rem_zero(m);
+  if (r[d.src1].i() == 0) [[unlikely]] throw_rem_zero(*m.ir);
   r[d.dst].set_i(r[d.src0].i() % r[d.src1].i());
   ++t.pc;
 }
@@ -196,7 +190,7 @@ SIGVP_OP(op_bra_z) {
   if (!t.regs[d.src0].truthy()) {
     take_branch(m, t, d.target_pc, d.target_block);
   } else {
-    if (d.fall_pc == kInvalidPc) [[unlikely]] throw_bad_fallthrough(m);
+    if (d.fall_pc == kInvalidPc) [[unlikely]] throw_bad_fallthrough(*m.ir);
     take_branch(m, t, d.fall_pc, d.fall_block);
   }
 }
@@ -205,7 +199,7 @@ SIGVP_OP(op_bra_nz) {
   if (t.regs[d.src0].truthy()) {
     take_branch(m, t, d.target_pc, d.target_block);
   } else {
-    if (d.fall_pc == kInvalidPc) [[unlikely]] throw_bad_fallthrough(m);
+    if (d.fall_pc == kInvalidPc) [[unlikely]] throw_bad_fallthrough(*m.ir);
     take_branch(m, t, d.fall_pc, d.fall_block);
   }
 }
@@ -224,17 +218,12 @@ SIGVP_OP(op_bar) {
 }
 
 // --- global memory -----------------------------------------------------------
-// The address computation is hoisted: one gaddr per access (the tree-walking
-// interpreter computed it twice, once for the profile hook and once for the
-// access). The observer hook fires before the access, preserving the
-// original's hook-then-bounds-check order.
 
 #define SIGVP_GADDR() (t.regs[d.src0].bits + static_cast<std::uint64_t>(d.imm))
 
 #define SIGVP_LD_GLOBAL(name, type, assign)                              \
   SIGVP_OP(name) {                                                       \
     const std::uint64_t addr = SIGVP_GADDR();                            \
-    if (m.hook) (*m.hook)(addr, sizeof(type), false);                    \
     const type v = m.global->read<type>(addr);                           \
     assign;                                                              \
     ++t.pc;                                                              \
@@ -243,7 +232,6 @@ SIGVP_OP(op_bar) {
 #define SIGVP_ST_GLOBAL(name, type, value)                               \
   SIGVP_OP(name) {                                                       \
     const std::uint64_t addr = SIGVP_GADDR();                            \
-    if (m.hook) (*m.hook)(addr, sizeof(type), true);                     \
     m.global->write<type>(addr, (value));                                \
     ++t.pc;                                                              \
   }
@@ -261,7 +249,6 @@ SIGVP_ST_GLOBAL(op_st_global_u8, std::uint8_t, static_cast<std::uint8_t>(t.regs[
 
 SIGVP_OP(op_atom_add_global_i64) {
   const std::uint64_t addr = SIGVP_GADDR();
-  if (m.hook) (*m.hook)(addr, 8, true);
   const std::int64_t old = m.global->read<std::int64_t>(addr);
   m.global->write<std::int64_t>(addr, old + t.regs[d.src1].i());
   t.regs[d.dst].set_i(old);
@@ -270,7 +257,6 @@ SIGVP_OP(op_atom_add_global_i64) {
 
 SIGVP_OP(op_atom_add_global_f32) {
   const std::uint64_t addr = SIGVP_GADDR();
-  if (m.hook) (*m.hook)(addr, 4, true);
   const float old = m.global->read<float>(addr);
   m.global->write<float>(addr, old + t.regs[d.src1].f32());
   t.regs[d.dst].set_f32(old);
@@ -279,25 +265,25 @@ SIGVP_OP(op_atom_add_global_f32) {
 
 // --- shared memory -----------------------------------------------------------
 
-#define SIGVP_LD_SHARED(name, type, assign)                                           \
-  SIGVP_OP(name) {                                                                    \
-    const std::uint64_t addr = SIGVP_GADDR();                                         \
-    if (addr + sizeof(type) > m.shared_size || addr + sizeof(type) < addr)            \
-        [[unlikely]] throw_shared_oob(m);                                             \
-    type v;                                                                           \
-    std::memcpy(&v, m.shared + addr, sizeof(type));                                   \
-    assign;                                                                           \
-    ++t.pc;                                                                           \
+#define SIGVP_LD_SHARED(name, type, assign)                                \
+  SIGVP_OP(name) {                                                         \
+    const std::uint64_t addr = SIGVP_GADDR();                              \
+    if (addr + sizeof(type) > m.shared_size || addr + sizeof(type) < addr) \
+        [[unlikely]] throw_shared_oob(*m.ir);                              \
+    type v;                                                                \
+    std::memcpy(&v, m.shared + addr, sizeof(type));                        \
+    assign;                                                                \
+    ++t.pc;                                                                \
   }
 
-#define SIGVP_ST_SHARED(name, type, value)                                            \
-  SIGVP_OP(name) {                                                                    \
-    const std::uint64_t addr = SIGVP_GADDR();                                         \
-    if (addr + sizeof(type) > m.shared_size || addr + sizeof(type) < addr)            \
-        [[unlikely]] throw_shared_oob(m);                                             \
-    const type v = (value);                                                           \
-    std::memcpy(m.shared + addr, &v, sizeof(type));                                   \
-    ++t.pc;                                                                           \
+#define SIGVP_ST_SHARED(name, type, value)                                 \
+  SIGVP_OP(name) {                                                         \
+    const std::uint64_t addr = SIGVP_GADDR();                              \
+    if (addr + sizeof(type) > m.shared_size || addr + sizeof(type) < addr) \
+        [[unlikely]] throw_shared_oob(*m.ir);                              \
+    const type v = (value);                                                \
+    std::memcpy(m.shared + addr, &v, sizeof(type));                        \
+    ++t.pc;                                                                \
   }
 
 SIGVP_LD_SHARED(op_ld_shared_f32, float, t.regs[d.dst].set_f32(v))
@@ -441,20 +427,9 @@ inline void run_thread(ExecContext& m, ThreadState& t, std::uint64_t max_instrs)
   const DecodedInstr* const code = m.code;
   while (!t.done && !t.at_barrier) {
     const DecodedInstr& d = code[t.pc];
-    if (++t.instrs_executed > max_instrs) [[unlikely]] throw_budget_exhausted(m);
+    if (++t.instrs_executed > max_instrs) [[unlikely]] throw_budget_exhausted(*m.ir);
     d.fn(m, t, d);
   }
-}
-
-[[noreturn]] __attribute__((noinline, cold)) void throw_divergent_barrier(
-    const KernelIR& ir, std::uint32_t ctaid_x, std::uint32_t ctaid_y, std::size_t retired,
-    std::size_t waiting) {
-  throw ContractError(
-      "strict barrier mode: kernel '" + ir.name + "' released a barrier in block (" +
-      std::to_string(ctaid_x) + "," + std::to_string(ctaid_y) + ") while " +
-      std::to_string(retired) + " thread(s) had already retired and " +
-      std::to_string(waiting) +
-      " were waiting — some threads exited before reaching bar.sync (divergent exit)");
 }
 
 }  // namespace
@@ -479,23 +454,23 @@ std::uint64_t kernel_fingerprint(const KernelIR& ir) {
   return h;
 }
 
-std::shared_ptr<const DecodedProgram> decode_kernel(const KernelIR& ir) {
+DecodedProgram decode_kernel(const KernelIR& ir) {
   SIGVP_REQUIRE(!ir.blocks.empty(), ir.name + ": kernel has no blocks");
 
-  auto prog = std::make_shared<DecodedProgram>();
-  prog->num_regs = ir.num_regs == 0 ? 1 : ir.num_regs;
-  prog->fingerprint = kernel_fingerprint(ir);
+  DecodedProgram prog;
+  prog.num_regs = ir.num_regs == 0 ? 1 : ir.num_regs;
+  prog.fingerprint = kernel_fingerprint(ir);
 
   // Pass 1: flatten, record block boundaries and static per-block summaries.
-  prog->blocks.resize(ir.blocks.size());
+  prog.blocks.resize(ir.blocks.size());
   std::size_t total = 0;
   for (const BasicBlock& b : ir.blocks) total += b.instrs.size();
-  prog->code.reserve(total);
+  prog.code.reserve(total);
 
   for (std::size_t bi = 0; bi < ir.blocks.size(); ++bi) {
     const BasicBlock& b = ir.blocks[bi];
-    DecodedBlock& db = prog->blocks[bi];
-    db.first_pc = static_cast<std::uint32_t>(prog->code.size());
+    DecodedBlock& db = prog.blocks[bi];
+    db.first_pc = static_cast<std::uint32_t>(prog.code.size());
     db.num_instrs = static_cast<std::uint32_t>(b.instrs.size());
     db.mu = b.static_counts();
     SIGVP_REQUIRE(!b.instrs.empty() && is_terminator(b.instrs.back().op),
@@ -518,10 +493,6 @@ std::shared_ptr<const DecodedProgram> decode_kernel(const KernelIR& ir) {
           break;
         case Opcode::kMovImmF64:
           d.imm = std::bit_cast<std::int64_t>(in.fimm);
-          break;
-        case Opcode::kAtomAddGlobalI64:
-        case Opcode::kAtomAddGlobalF32:
-          prog->has_global_atomics = true;
           break;
         default:
           break;
@@ -548,23 +519,23 @@ std::shared_ptr<const DecodedProgram> decode_kernel(const KernelIR& ir) {
             break;
         }
       }
-      prog->code.push_back(d);
+      prog.code.push_back(d);
     }
   }
 
   // Pass 2: resolve branch targets to flat pcs.
   const auto nblocks = ir.blocks.size();
   for (std::size_t bi = 0; bi < nblocks; ++bi) {
-    const DecodedBlock& db = prog->blocks[bi];
+    const DecodedBlock& db = prog.blocks[bi];
     for (std::uint32_t k = 0; k < db.num_instrs; ++k) {
-      DecodedInstr& d = prog->code[db.first_pc + k];
+      DecodedInstr& d = prog.code[db.first_pc + k];
       if (!is_branch_with_target(d.op)) continue;
       const auto target = static_cast<std::size_t>(d.imm);
       SIGVP_REQUIRE(target < nblocks, ir.name + ": branch to nonexistent block");
-      d.target_pc = prog->blocks[target].first_pc;
+      d.target_pc = prog.blocks[target].first_pc;
       d.target_block = static_cast<std::uint32_t>(target);
       if (bi + 1 < nblocks) {
-        d.fall_pc = prog->blocks[bi + 1].first_pc;
+        d.fall_pc = prog.blocks[bi + 1].first_pc;
         d.fall_block = static_cast<std::uint32_t>(bi + 1);
       } else {
         d.fall_pc = kInvalidPc;
@@ -575,90 +546,10 @@ std::shared_ptr<const DecodedProgram> decode_kernel(const KernelIR& ir) {
   return prog;
 }
 
-DecodedCache& DecodedCache::instance() {
-  static DecodedCache cache;
-  return cache;
-}
-
-std::shared_ptr<const DecodedProgram> DecodedCache::get(const KernelIR& ir) {
-  const std::uint64_t fp = kernel_fingerprint(ir);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(&ir);
-    if (it != map_.end() && it->second->fingerprint == fp) return it->second;
-  }
-  // Decode outside the lock: concurrent launches of distinct kernels decode
-  // in parallel; a rare duplicate decode of the same kernel is harmless.
-  std::shared_ptr<const DecodedProgram> prog = decode_kernel(ir);
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = map_.find(&ir);
-  if (it != map_.end()) {
-    // Stale (or racing) entry: replace in place, keeping the key's original
-    // FIFO position so eviction order stays a function of first insertion.
-    cur_bytes_ -= program_bytes(*it->second);
-    it->second = prog;
-  } else {
-    map_.emplace(&ir, prog);
-    fifo_.push_back(&ir);
-  }
-  cur_bytes_ += program_bytes(*prog);
-  evict_to_cap_locked();
-  return prog;
-}
-
-void DecodedCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  map_.clear();
-  fifo_.clear();
-  fifo_head_ = 0;
-  cur_bytes_ = 0;
-}
-
-std::size_t DecodedCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return map_.size();
-}
-
-std::uint64_t DecodedCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return evictions_;
-}
-
-void DecodedCache::set_capacity(std::size_t max_entries, std::size_t max_bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  max_entries_ = max_entries;
-  max_bytes_ = max_bytes;
-  evict_to_cap_locked();
-}
-
-std::size_t DecodedCache::program_bytes(const DecodedProgram& prog) {
-  return prog.code.size() * sizeof(DecodedInstr) +
-         prog.blocks.size() * sizeof(DecodedBlock);
-}
-
-void DecodedCache::evict_to_cap_locked() {
-  while (map_.size() > max_entries_ || cur_bytes_ > max_bytes_) {
-    if (fifo_head_ >= fifo_.size()) break;  // invariant: never reached
-    const KernelIR* victim = fifo_[fifo_head_++];
-    auto it = map_.find(victim);
-    if (it != map_.end()) {
-      cur_bytes_ -= program_bytes(*it->second);
-      map_.erase(it);
-      ++evictions_;
-    }
-  }
-  // Amortized compaction of the consumed FIFO prefix.
-  if (fifo_head_ > 64 && fifo_head_ * 2 > fifo_.size()) {
-    fifo_.erase(fifo_.begin(), fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));
-    fifo_head_ = 0;
-  }
-}
-
 void run_decoded_block(const DecodedProgram& prog, const KernelIR& ir, const LaunchDims& dims,
-                       const KernelArgs& args, AddressSpace& global, const MemAccessHook* hook,
-                       std::uint64_t max_instrs_per_thread, bool strict_barriers,
-                       ExecArena& arena, DynamicProfile& profile, std::uint32_t ctaid_x,
-                       std::uint32_t ctaid_y) {
+                       const KernelArgs& args, AddressSpace& global,
+                       std::uint64_t max_instrs_per_thread, ExecArena& arena,
+                       DynamicProfile& profile, std::uint32_t ctaid_x, std::uint32_t ctaid_y) {
   const std::uint64_t nthreads = dims.threads_per_block();
   const std::uint32_t nregs = prog.num_regs;
 
@@ -673,7 +564,6 @@ void run_decoded_block(const DecodedProgram& prog, const KernelIR& ir, const Lau
   m.argv = args.values.data();
   m.argc = args.values.size();
   m.global = &global;
-  m.hook = hook;
   m.block_visits = profile.block_visits.data();
   m.shared = arena.shared.data();
   m.shared_size = arena.shared.size();
@@ -704,23 +594,12 @@ void run_decoded_block(const DecodedProgram& prog, const KernelIR& ir, const Lau
       run_thread(m, t, max_instrs_per_thread);
     }
     std::size_t waiting = 0;
-    std::size_t retired = 0;
     for (const ThreadState& t : arena.threads) {
-      if (t.done) {
-        ++retired;
-      } else if (t.at_barrier) {
-        ++waiting;
-      }
+      if (t.at_barrier) ++waiting;
     }
     if (waiting == 0) break;
-    // All non-retired threads are parked: the barrier releases. CUDA's
-    // exited-thread rule makes this legal, but a kernel where some threads
-    // retire before a barrier their siblings still reach is usually a
-    // divergent-exit bug — strict mode turns the silent release into a
-    // diagnostic instead of masking it.
-    if (strict_barriers && retired > 0) {
-      throw_divergent_barrier(ir, ctaid_x, ctaid_y, retired, waiting);
-    }
+    // All non-retired threads are parked: the barrier releases (CUDA's
+    // exited-thread rule — threads that already returned do not take part).
     for (ThreadState& t : arena.threads) t.at_barrier = false;
     ++profile.barriers_waited;
   }

@@ -1,9 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "interp/interpreter.hpp"
@@ -68,9 +65,18 @@ struct DecodedProgram {
   std::vector<DecodedInstr> code;
   std::vector<DecodedBlock> blocks;
   std::uint32_t num_regs = 1;     // always >= 1 (a zero-reg kernel gets a scratch slot)
-  bool has_global_atomics = false;
   std::uint64_t fingerprint = 0;  // structural hash used for cache invalidation
 };
+
+/// Cold error paths shared by the reference and the engine, so a launch
+/// fails with the same message on both. Out of line, so the dispatch loops
+/// stay branch-predictable and free of string construction.
+[[noreturn]] __attribute__((noinline, cold)) void throw_budget_exhausted(const KernelIR& ir);
+[[noreturn]] __attribute__((noinline, cold)) void throw_shared_oob(const KernelIR& ir);
+[[noreturn]] __attribute__((noinline, cold)) void throw_div_zero(const KernelIR& ir);
+[[noreturn]] __attribute__((noinline, cold)) void throw_rem_zero(const KernelIR& ir);
+[[noreturn]] __attribute__((noinline, cold)) void throw_bad_param(const KernelIR& ir);
+[[noreturn]] __attribute__((noinline, cold)) void throw_bad_fallthrough(const KernelIR& ir);
 
 /// Structural fingerprint of a kernel: opcode/operand/immediate stream plus
 /// the launch-relevant header fields. The kernel name is deliberately
@@ -79,53 +85,7 @@ std::uint64_t kernel_fingerprint(const KernelIR& ir);
 
 /// Decodes `ir` into the flat executable form. Throws ContractError on
 /// branches to nonexistent blocks (the builder/validator never emit them).
-std::shared_ptr<const DecodedProgram> decode_kernel(const KernelIR& ir);
-
-/// Process-wide cache of decoded programs, keyed by kernel identity
-/// (address) and invalidated by structural fingerprint: rebuilding a kernel
-/// in place (same KernelIR object, new body) re-decodes on the next launch.
-/// Thread-safe; entries are shared_ptrs so a concurrent invalidation never
-/// pulls a program out from under a running launch.
-///
-/// Bounded: under kernel churn the map would grow without limit, so the
-/// cache enforces a deterministic entries/bytes cap with FIFO eviction in
-/// insertion order (the launch cache's policy). An in-place fingerprint
-/// refresh keeps the entry's original FIFO position. Evicted programs are
-/// merely re-decoded on their next launch — results are unaffected.
-class DecodedCache {
- public:
-  static constexpr std::size_t kDefaultMaxEntries = 512;
-  static constexpr std::size_t kDefaultMaxBytes = 256u << 20;
-
-  static DecodedCache& instance();
-
-  /// Returns the cached decode of `ir`, re-decoding when absent or stale.
-  std::shared_ptr<const DecodedProgram> get(const KernelIR& ir);
-
-  /// Drops every entry (tests use this to measure cold decodes).
-  void clear();
-
-  std::size_t size() const;
-
-  /// Total FIFO evictions since process start (clear() does not count).
-  std::uint64_t evictions() const;
-
-  /// Reconfigures the cap and immediately evicts down to it.
-  void set_capacity(std::size_t max_entries, std::size_t max_bytes);
-
- private:
-  static std::size_t program_bytes(const DecodedProgram& prog);
-  void evict_to_cap_locked();
-
-  mutable std::mutex mutex_;
-  std::unordered_map<const KernelIR*, std::shared_ptr<const DecodedProgram>> map_;
-  std::vector<const KernelIR*> fifo_;  // keys in insertion order
-  std::size_t fifo_head_ = 0;
-  std::size_t max_entries_ = kDefaultMaxEntries;
-  std::size_t max_bytes_ = kDefaultMaxBytes;
-  std::size_t cur_bytes_ = 0;
-  std::uint64_t evictions_ = 0;
-};
+DecodedProgram decode_kernel(const KernelIR& ir);
 
 /// Per-thread execution state. Registers live in the arena's slab, not in
 /// the struct, so a block switch is a pointer rebase instead of a
@@ -147,7 +107,6 @@ struct ExecContext {
   const std::uint64_t* argv = nullptr;
   std::size_t argc = 0;
   AddressSpace* global = nullptr;
-  const MemAccessHook* hook = nullptr;  // null = no cache observer
   std::uint64_t* block_visits = nullptr;
   std::uint8_t* shared = nullptr;
   std::size_t shared_size = 0;
@@ -167,12 +126,12 @@ struct ExecArena {
 
 /// Executes one thread block `(ctaid_x, ctaid_y)` of `prog` and accumulates
 /// λ/barrier counts into `profile` (which must have `block_visits` sized to
-/// the kernel's block count). `strict_barriers` turns the silent
-/// divergent-exit barrier release into a diagnostic ContractError.
+/// the kernel's block count). The reference block loop behind
+/// Interpreter::run_reference: serial, hook-free, one indirect call per
+/// instruction.
 void run_decoded_block(const DecodedProgram& prog, const KernelIR& ir, const LaunchDims& dims,
-                       const KernelArgs& args, AddressSpace& global, const MemAccessHook* hook,
-                       std::uint64_t max_instrs_per_thread, bool strict_barriers,
-                       ExecArena& arena, DynamicProfile& profile, std::uint32_t ctaid_x,
-                       std::uint32_t ctaid_y);
+                       const KernelArgs& args, AddressSpace& global,
+                       std::uint64_t max_instrs_per_thread, ExecArena& arena,
+                       DynamicProfile& profile, std::uint32_t ctaid_x, std::uint32_t ctaid_y);
 
 }  // namespace sigvp::interp_detail

@@ -26,11 +26,7 @@ ClassCounts DynamicProfile::counts_from_visits(const KernelIR& ir,
 
 namespace {
 
-using interp_detail::DecodedCache;
-using interp_detail::DecodedProgram;
-using interp_detail::ExecArena;
-using interp_detail::run_decoded_block;
-using interp_detail::run_tier2_block;
+using interp_detail::DecodedBlock;
 using interp_detail::Tier2Arena;
 using interp_detail::Tier2Program;
 
@@ -62,45 +58,12 @@ ChunkRange chunk_range(std::uint64_t num_blocks, std::size_t chunks, std::size_t
   return r;
 }
 
-/// Per-runner scratch: the Tier-1 arena plus the Tier-2 slab arena. Only the
-/// tier the launch selected allocates anything.
-struct RunnerArenas {
-  ExecArena t1;
-  Tier2Arena t2;
-};
-
-/// Executes the blocks of one canonical chunk serially in row-major order on
-/// whichever tier the launch selected (`t2` non-null ⇒ Tier 2), accumulating
-/// λ/barrier counts into `chunk_profile` (full-size block_visits; merged by
-/// the caller in chunk order). Per-block observables are tier-invariant, so
-/// the chunk/hook plumbing is shared.
-void run_chunk(const DecodedProgram& prog, const Tier2Program* t2, const KernelIR& ir,
-               const LaunchDims& dims, const KernelArgs& args, AddressSpace& global,
-               const MemAccessHook* hook, const Interpreter::Options& options,
-               RunnerArenas& arenas, DynamicProfile& chunk_profile, ChunkRange range) {
-  for (std::uint64_t lin = range.first; lin < range.last; ++lin) {
-    const auto bx = static_cast<std::uint32_t>(lin % dims.grid_x);
-    const auto by = static_cast<std::uint32_t>(lin / dims.grid_x);
-    if (t2 != nullptr) {
-      run_tier2_block(*t2, ir, dims, args, global, hook, options.max_instrs_per_thread,
-                      arenas.t2, chunk_profile, bx, by);
-    } else {
-      run_decoded_block(prog, ir, dims, args, global, hook, options.max_instrs_per_thread,
-                        options.strict_barriers, arenas.t1, chunk_profile, bx, by);
-    }
-  }
-}
-
 /// Composes the per-chunk observer for canonical chunk `c`: the capture
 /// recorder (if any) fires first so it can snapshot pre-store bytes, then
-/// the shard/mem observer. Returns an empty hook when nothing observes.
+/// the shard observer. Returns an empty hook when nothing observes.
 MemAccessHook compose_chunk_hook(const Interpreter::Options& options, std::size_t c) {
   MemAccessHook base;
-  if (options.shard_hook) {
-    base = options.shard_hook(c);
-  } else if (options.mem_hook) {
-    base = options.mem_hook;
-  }
+  if (options.shard_hook) base = options.shard_hook(c);
   MemAccessHook capture;
   if (options.capture_hook) capture = options.capture_hook(c);
   if (base && capture) {
@@ -113,14 +76,40 @@ MemAccessHook compose_chunk_hook(const Interpreter::Options& options, std::size_
   return base ? std::move(base) : std::move(capture);
 }
 
+/// Executes canonical chunk `c` — its blocks serially in row-major order,
+/// observed by the chunk's composed hook — accumulating λ/barrier counts
+/// into `chunk_profile` (full-size block_visits; merged by the caller in
+/// chunk order). When tracing, records a host-domain span for the chunk:
+/// how the simulator's own threads spent their wall-clock; it never feeds
+/// the deterministic metrics.
+void run_chunk(const Tier2Program& prog, const KernelIR& ir, const LaunchDims& dims,
+               const KernelArgs& args, AddressSpace& global, const Interpreter::Options& options,
+               std::size_t c, Tier2Arena& arena, DynamicProfile& chunk_profile) {
+  const MemAccessHook hook = compose_chunk_hook(options, c);
+  trace::Tracer* tracer = trace::Tracer::active();
+  const double host_t0 = tracer != nullptr ? tracer->host_now_us() : 0.0;
+  const ChunkRange range = chunk_range(dims.num_blocks(), Interpreter::canonical_chunks(dims), c);
+  for (std::uint64_t lin = range.first; lin < range.last; ++lin) {
+    const auto bx = static_cast<std::uint32_t>(lin % dims.grid_x);
+    const auto by = static_cast<std::uint32_t>(lin / dims.grid_x);
+    interp_detail::run_tier2_block(prog, ir, dims, args, global, hook ? &hook : nullptr,
+                                   options.max_instrs_per_thread, arena, chunk_profile, bx, by);
+  }
+  if (tracer != nullptr) {
+    tracer->complete(tracer->host_pid(), tracer->host_tid(), "tier2",
+                     ir.name + "#" + std::to_string(c), host_t0, tracer->host_now_us() - host_t0,
+                     {trace::arg("chunk", static_cast<int>(c))});
+  }
+}
+
 /// Derives every λ-reconstructible counter of `profile` from its merged
 /// block_visits and the decoded per-block static summaries. By the
 /// interpreter's documented contract (profile.hpp) these equal what
 /// per-instruction counting would have produced, so the post-pass replaces
 /// hundreds of millions of hot-loop increments with one pass over blocks.
-void finalize_from_visits(const DecodedProgram& prog, DynamicProfile& profile) {
-  for (std::size_t b = 0; b < prog.blocks.size(); ++b) {
-    const auto& db = prog.blocks[b];
+void finalize_from_visits(const std::vector<DecodedBlock>& blocks, DynamicProfile& profile) {
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const DecodedBlock& db = blocks[b];
     const std::uint64_t lambda = profile.block_visits[b];
     if (lambda == 0) continue;
     profile.instr_counts += db.mu.scaled(lambda);
@@ -131,52 +120,30 @@ void finalize_from_visits(const DecodedProgram& prog, DynamicProfile& profile) {
   }
 }
 
-/// Runs one decoded launch end to end on the tier picked by the caller
-/// (`t2` null ⇒ Tier 1) and returns the finalized profile. Factored out of
-/// Interpreter::run so the SIGVP_TIER_VERIFY oracle can re-execute the same
-/// launch on Tier 1 without re-entering tier selection.
-DynamicProfile execute_launch(const KernelIR& ir, const DecodedProgram& prog,
-                              const Tier2Program* t2, const LaunchDims& dims,
-                              const KernelArgs& args, AddressSpace& global,
-                              const Interpreter::Options& options) {
+/// Runs one lowered launch end to end and returns the finalized profile.
+DynamicProfile execute_launch(const KernelIR& ir, const Tier2Program& prog,
+                              const LaunchDims& dims, const KernelArgs& args,
+                              AddressSpace& global, const Interpreter::Options& options) {
   DynamicProfile profile;
   profile.block_visits.assign(ir.blocks.size(), 0);
 
-  const std::uint64_t num_blocks = dims.num_blocks();
   const std::size_t chunks = Interpreter::canonical_chunks(dims);
 
-  // Resolve the worker budget. The legacy mem_hook observes accesses in
-  // global serial order, and global atomics make cross-chunk memory order
-  // observable — both force serial chunk execution (which reproduces the
-  // old row-major serial semantics exactly).
+  // Resolve the worker budget. Global atomics make cross-chunk memory order
+  // observable, so they force serial chunk execution (which is exactly the
+  // reference's row-major serial order).
   std::size_t workers = run::inner_parallel_workers(options.workers);
-  if (options.mem_hook || prog.has_global_atomics) workers = 1;
+  if (prog.has_global_atomics) workers = 1;
   workers = std::min(workers, chunks);
-
-  // Host-domain chunk spans: how the simulator's own threads spent their
-  // wall-clock interpreting this launch. One pointer test when tracing is
-  // off; never feeds the deterministic metrics.
-  trace::Tracer* tracer = trace::Tracer::active();
-  const char* const span_cat = t2 != nullptr ? "tier2" : "interp";
 
   if (workers <= 1) {
     // Serial path: chunks in canonical order on the calling thread. Shard
     // hooks still see per-chunk streams so results match the parallel path.
-    RunnerArenas arenas;
+    Tier2Arena arena;
     for (std::size_t c = 0; c < chunks; ++c) {
-      MemAccessHook combined = compose_chunk_hook(options, c);
-      const MemAccessHook* hook = combined ? &combined : nullptr;
-      const double host_t0 = tracer != nullptr ? tracer->host_now_us() : 0.0;
-      run_chunk(prog, t2, ir, dims, args, global, hook, options, arenas, profile,
-                chunk_range(num_blocks, chunks, c));
-      if (tracer != nullptr) {
-        tracer->complete(tracer->host_pid(), tracer->host_tid(), span_cat,
-                         ir.name + "#" + std::to_string(c), host_t0,
-                         tracer->host_now_us() - host_t0,
-                         {trace::arg("chunk", static_cast<int>(c))});
-      }
+      run_chunk(prog, ir, dims, args, global, options, c, arena, profile);
     }
-    finalize_from_visits(prog, profile);
+    finalize_from_visits(prog.blocks, profile);
     return profile;
   }
 
@@ -192,22 +159,12 @@ DynamicProfile execute_launch(const KernelIR& ir, const DecodedProgram& prog,
   run::ThreadPool& pool = interp_pool();
   for (std::size_t w = 0; w < workers; ++w) {
     pool.submit([&] {
-      RunnerArenas arenas;  // reused across every chunk this runner executes
+      Tier2Arena arena;  // reused across every chunk this runner executes
       for (;;) {
         const std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
         if (c >= chunks || failed.load(std::memory_order_relaxed)) return;
         try {
-          MemAccessHook combined = compose_chunk_hook(options, c);
-          const MemAccessHook* hook = combined ? &combined : nullptr;
-          const double host_t0 = tracer != nullptr ? tracer->host_now_us() : 0.0;
-          run_chunk(prog, t2, ir, dims, args, global, hook, options, arenas,
-                    chunk_profiles[c], chunk_range(num_blocks, chunks, c));
-          if (tracer != nullptr) {
-            tracer->complete(tracer->host_pid(), tracer->host_tid(), span_cat,
-                             ir.name + "#" + std::to_string(c), host_t0,
-                             tracer->host_now_us() - host_t0,
-                             {trace::arg("chunk", static_cast<int>(c))});
-          }
+          run_chunk(prog, ir, dims, args, global, options, c, arena, chunk_profiles[c]);
         } catch (...) {
           chunk_errors[c] = std::current_exception();
           failed.store(true, std::memory_order_relaxed);
@@ -230,8 +187,15 @@ DynamicProfile execute_launch(const KernelIR& ir, const DecodedProgram& prog,
     }
     profile.barriers_waited += p.barriers_waited;
   }
-  finalize_from_visits(prog, profile);
+  finalize_from_visits(prog.blocks, profile);
   return profile;
+}
+
+void require_valid_launch(const KernelIR& ir, const LaunchDims& dims, const KernelArgs& args) {
+  SIGVP_REQUIRE(dims.grid_x > 0 && dims.grid_y > 0 && dims.block_x > 0 && dims.block_y > 0,
+                "launch dimensions must be positive");
+  SIGVP_REQUIRE(args.values.size() >= ir.num_params,
+                ir.name + ": launch provides fewer arguments than the kernel declares");
 }
 
 }  // namespace
@@ -255,38 +219,42 @@ bool Interpreter::uses_global_atomics(const KernelIR& ir) {
 DynamicProfile Interpreter::run(const KernelIR& ir, const LaunchDims& dims,
                                 const KernelArgs& args, AddressSpace& global,
                                 const Options& options) {
-  SIGVP_REQUIRE(dims.grid_x > 0 && dims.grid_y > 0 && dims.block_x > 0 && dims.block_y > 0,
-                "launch dimensions must be positive");
-  SIGVP_REQUIRE(args.values.size() >= ir.num_params,
-                ir.name + ": launch provides fewer arguments than the kernel declares");
-  SIGVP_REQUIRE(!(options.mem_hook && options.shard_hook),
-                ir.name + ": mem_hook and shard_hook are mutually exclusive");
-
-  const std::shared_ptr<const DecodedProgram> prog = DecodedCache::instance().get(ir);
-
-  // Tier decision: a pure function of the sim-domain launch stream (see
-  // Tier2Engine::select). Launch observables are byte-exact either way.
+  require_valid_launch(ir, dims, args);
   Tier2Engine& engine = Tier2Engine::instance();
-  const std::shared_ptr<const Tier2Program> t2 = engine.select(
-      ir, *prog, dims, args, static_cast<bool>(options.mem_hook), options.strict_barriers);
+  const std::shared_ptr<const Tier2Program> prog = engine.program(ir, dims.threads_per_block());
 
-  if (t2 != nullptr && engine.verify()) {
-    // SIGVP_TIER_VERIFY divergence oracle: snapshot memory, run Tier 2 for
-    // real (hooks and all), then replay the launch from the snapshot on a
-    // serial hook-free Tier 1 and insist on identical profile + memory.
+  if (engine.verify()) {
+    // SIGVP_TIER_VERIFY divergence oracle: snapshot memory, run the engine
+    // for real (hooks and all), then replay the launch from the snapshot on
+    // the reference and insist on identical profile + memory.
     AddressSpace reference = global;
-    DynamicProfile got = execute_launch(ir, *prog, t2.get(), dims, args, global, options);
-    Options ref_options;
-    ref_options.max_instrs_per_thread = options.max_instrs_per_thread;
-    ref_options.workers = 1;
-    DynamicProfile ref =
-        execute_launch(ir, *prog, nullptr, dims, args, reference, ref_options);
+    DynamicProfile got = execute_launch(ir, *prog, dims, args, global, options);
+    const DynamicProfile ref =
+        run_reference(ir, dims, args, reference, options.max_instrs_per_thread);
     interp_detail::check_tier_divergence(ir, ref, got, reference, global);
     engine.note_verified();
     return got;
   }
 
-  return execute_launch(ir, *prog, t2.get(), dims, args, global, options);
+  return execute_launch(ir, *prog, dims, args, global, options);
+}
+
+DynamicProfile Interpreter::run_reference(const KernelIR& ir, const LaunchDims& dims,
+                                          const KernelArgs& args, AddressSpace& global,
+                                          std::uint64_t max_instrs_per_thread) {
+  require_valid_launch(ir, dims, args);
+  const interp_detail::DecodedProgram prog = interp_detail::decode_kernel(ir);
+  DynamicProfile profile;
+  profile.block_visits.assign(ir.blocks.size(), 0);
+  interp_detail::ExecArena arena;
+  for (std::uint64_t lin = 0; lin < dims.num_blocks(); ++lin) {
+    const auto bx = static_cast<std::uint32_t>(lin % dims.grid_x);
+    const auto by = static_cast<std::uint32_t>(lin / dims.grid_x);
+    interp_detail::run_decoded_block(prog, ir, dims, args, global, max_instrs_per_thread,
+                                     arena, profile, bx, by);
+  }
+  finalize_from_visits(prog.blocks, profile);
+  return profile;
 }
 
 }  // namespace sigvp

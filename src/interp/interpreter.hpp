@@ -30,12 +30,14 @@ struct RegValue {
   bool truthy() const { return bits != 0; }
 };
 
-/// Callback invoked for every global-memory access; the GPU device model
-/// plugs its cache simulator in here.
+/// Callback invoked for a global-memory access; the GPU device model plugs
+/// its cache simulator in here.
 using MemAccessHook =
     std::function<void(std::uint64_t addr, std::uint32_t bytes, bool is_store)>;
 
-/// Functional executor for KernelIR programs.
+/// Functional executor for KernelIR programs. Every launch runs the lowered
+/// threaded code of the execution engine (interp/tier2.hpp, DESIGN.md §15);
+/// `run_reference` keeps the plain decoded block loop as a serial oracle.
 ///
 /// Semantics (identical for every worker count — see the determinism
 /// contract in DESIGN.md):
@@ -48,8 +50,8 @@ using MemAccessHook =
 ///    DynamicProfile is bit-identical for any `Options::workers`;
 ///  - kernels containing global atomics run their chunks serially in
 ///    canonical order (floating-point accumulation order is part of the
-///    observable result), which degenerates to exactly the old serial
-///    row-major block order;
+///    observable result), which is exactly the reference's serial row-major
+///    block order;
 ///  - `bar.sync` suspends a thread until every other non-retired thread of
 ///    the same block reaches a barrier (threads that already returned do not
 ///    participate, mirroring CUDA's exited-thread rule);
@@ -60,15 +62,11 @@ using MemAccessHook =
 /// instruction counts.
 class Interpreter {
  public:
+  static constexpr std::uint64_t kDefaultMaxInstrsPerThread = 100'000'000;
+
   struct Options {
     /// Abort threshold against runaway kernels (per-thread dynamic instrs).
-    std::uint64_t max_instrs_per_thread = 100'000'000;
-
-    /// Legacy observer for global-memory traffic. Order-sensitive: setting
-    /// it forces fully serial execution so accesses arrive in the exact
-    /// historical order (row-major blocks, row-major threads). Mutually
-    /// exclusive with `shard_hook`.
-    MemAccessHook mem_hook;
+    std::uint64_t max_instrs_per_thread = kDefaultMaxInstrsPerThread;
 
     /// Parallel-friendly observer factory: called once per canonical chunk
     /// (`shard_hook(chunk)`), and the returned hook sees that chunk's
@@ -78,11 +76,10 @@ class Interpreter {
     /// this for per-chunk cold L2 shards merged in chunk order.
     std::function<MemAccessHook(std::size_t chunk)> shard_hook;
 
-    /// Read-set/write-set capture factory, composable with either hook
-    /// above: called once per canonical chunk, and the returned recorder
-    /// observes that chunk's global accesses (before each access is
-    /// applied, so a store recorder can still read the pre-store bytes).
-    /// Unlike mem_hook it never forces serial execution — same threading
+    /// Read-set/write-set capture factory, composable with `shard_hook`:
+    /// called once per canonical chunk, and the returned recorder observes
+    /// that chunk's global accesses (before each access is applied, so a
+    /// store recorder can still read the pre-store bytes). Same threading
     /// contract as shard_hook. The launch-evaluation cache uses this to
     /// record which memory a launch consumed and produced.
     std::function<MemAccessHook(std::size_t chunk)> capture_hook;
@@ -92,11 +89,6 @@ class Interpreter {
     /// sweeps stay serial). 1 = serial. Any value yields bit-identical
     /// results; only wall-clock changes.
     std::size_t workers = 0;
-
-    /// Diagnose divergent-exit barriers: when a barrier releases while some
-    /// threads of the block already retired, throw a ContractError naming
-    /// the kernel and block instead of releasing silently.
-    bool strict_barriers = false;
   };
 
   /// Executes `ir` over `global` memory and returns the dynamic profile.
@@ -110,6 +102,15 @@ class Interpreter {
                      AddressSpace& global) {
     return run(ir, dims, args, global, Options{});
   }
+
+  /// The reference executor: decodes `ir` afresh and runs every block
+  /// serially in row-major order on the plain decoded block loop, without
+  /// hooks. Same results and errors as `run`; the SIGVP_TIER_VERIFY oracle,
+  /// the differential tests and bench/tier_throughput compare against it.
+  static DynamicProfile run_reference(const KernelIR& ir, const LaunchDims& dims,
+                                      const KernelArgs& args, AddressSpace& global,
+                                      std::uint64_t max_instrs_per_thread =
+                                          kDefaultMaxInstrsPerThread);
 
   /// Number of canonical chunks the grid of `dims` is partitioned into:
   /// `min(num_blocks, 64)` contiguous row-major ranges. Depends only on the

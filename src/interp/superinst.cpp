@@ -1,13 +1,14 @@
 #include "interp/superinst.hpp"
 
+#include <utility>
+
+#include "util/check.hpp"
+
 namespace sigvp::interp_detail {
 
 namespace {
 
-/// Generic (one micro-op) Tier-2 opcode for a Tier-1 opcode, or SOp::kCount
-/// when the op has no Tier-2 lowering (global atomics stay on Tier 1: their
-/// cross-chunk memory order already forces the interpreter serial, so there
-/// is nothing for a faster tier to win).
+/// Generic (one micro-op) Tier-2 opcode for an IR opcode.
 SOp generic_sop(Opcode op) {
   switch (op) {
     case Opcode::kNop: return SOp::k_nop;
@@ -116,8 +117,8 @@ SOp generic_sop(Opcode op) {
     case Opcode::kStSharedF64: return SOp::k_st_shared_f64;
     case Opcode::kStSharedI64: return SOp::k_st_shared_i64;
 
-    case Opcode::kAtomAddGlobalI64:
-    case Opcode::kAtomAddGlobalF32: return SOp::kCount;
+    case Opcode::kAtomAddGlobalI64: return SOp::k_atom_add_global_i64;
+    case Opcode::kAtomAddGlobalF32: return SOp::k_atom_add_global_f32;
   }
   return SOp::kCount;
 }
@@ -267,33 +268,27 @@ bool sop_is_branch(SOp s) {
 
 }  // namespace
 
-bool tier2_supported(const DecodedProgram& prog) {
-  if (prog.has_global_atomics) return false;
+std::shared_ptr<const Tier2Program> lower_program(const KernelIR& ir, unsigned stride_shift) {
+  DecodedProgram prog = decode_kernel(ir);
   for (const DecodedBlock& db : prog.blocks) {
-    for (std::uint32_t k = 0; k < db.num_instrs; ++k) {
-      const DecodedInstr& d = prog.code[db.first_pc + k];
-      if (generic_sop(d.op) == SOp::kCount) return false;
+    for (std::uint32_t k = 0; k + 1 < db.num_instrs; ++k) {
       // A mid-block terminator would make the block's lowered length
-      // ambiguous; the builder never emits one, so just fall back.
-      if (k + 1 < db.num_instrs && is_terminator(d.op)) return false;
+      // ambiguous.
+      SIGVP_REQUIRE(!is_terminator(prog.code[db.first_pc + k].op),
+                    ir.name + ": terminator in mid-block");
     }
   }
-  return true;
-}
-
-std::shared_ptr<const Tier2Program> lower_program(const DecodedProgram& prog,
-                                                  unsigned stride_shift) {
-  if (!tier2_supported(prog)) return nullptr;
 
   auto out = std::make_shared<Tier2Program>();
   out->num_regs = prog.num_regs;
-  out->stride_shift = stride_shift;
+  out->lane_stride = (1u << stride_shift) + kLanePad;
   out->fingerprint = prog.fingerprint;
+  out->has_global_atomics = Interpreter::uses_global_atomics(ir);
   out->block_first_pc.resize(prog.blocks.size());
   out->code.reserve(prog.code.size());
 
-  const auto scale = [stride_shift](std::uint16_t reg) {
-    return static_cast<std::uint32_t>(reg) << stride_shift;
+  const auto scale = [stride = out->lane_stride](std::uint16_t reg) {
+    return static_cast<std::uint32_t>(reg) * stride;
   };
 
   // Vector prologue: maximal pure-register prefix of the entry block —
@@ -379,6 +374,7 @@ std::shared_ptr<const Tier2Program> lower_program(const DecodedProgram& prog,
     t.target_pc = out->block_first_pc[t.target_block];
     if (t.fall_pc != kInvalidPc) t.fall_pc = out->block_first_pc[t.fall_block];
   }
+  out->blocks = std::move(prog.blocks);
   return out;
 }
 

@@ -13,7 +13,7 @@ namespace sigvp::interp_detail {
 /// bodies in tier2.cpp in lockstep: adding an op here without a body is a
 /// compile error, not a runtime hole.
 ///
-/// Generic ops mirror the Tier-1 handler set one-to-one; the fused block at
+/// Generic ops mirror the reference handler set one-to-one; the fused block at
 /// the end holds the peephole superinstructions. Every fused op executes its
 /// constituent micro-ops in the original program order — all destination
 /// registers are written, every memory access fires in sequence, and the
@@ -40,7 +40,7 @@ namespace sigvp::interp_detail {
   X(ld_global_f32) X(ld_global_f64) X(ld_global_i32) X(ld_global_i64)         \
   X(ld_global_u8)                                                             \
   X(st_global_f32) X(st_global_f64) X(st_global_i32) X(st_global_i64)         \
-  X(st_global_u8)                                                             \
+  X(st_global_u8) X(atom_add_global_i64) X(atom_add_global_f32)               \
   X(ld_shared_f32) X(ld_shared_f64) X(ld_shared_i64)                          \
   X(st_shared_f32) X(st_shared_f64) X(st_shared_i64)                          \
   /* fused superinstructions (two micro-ops per dispatch) */                  \
@@ -56,16 +56,18 @@ enum class SOp : std::uint16_t {
       kCount
 };
 
-/// Index of the first fused opcode; everything at or past it carries two
-/// micro-ops (used by the lowering pass to count fusions).
-inline constexpr std::uint16_t kFirstFusedSOp =
-    static_cast<std::uint16_t>(SOp::k_mul_add_i);
+/// Lanes of padding after each register's lane array in the SoA slab: one
+/// cache line. Without it the lane arrays sit a power of two apart (2 KiB at
+/// 256 threads), so one thread's registers all fall into two L1 sets and a
+/// kernel with more live registers than those sets have ways misses on
+/// nearly every register access (DESIGN.md §15).
+inline constexpr std::uint32_t kLanePad = 8;
 
 /// One Tier-2 threaded instruction. Register operands are pre-scaled SoA
-/// slot offsets (`reg << stride_shift`), so a handler's register access is
-/// `slab[lane + slot]` — the same single-add addressing Tier-1 pays, but
-/// with each architectural register's lanes contiguous in memory (the layout
-/// the vector prologue's inner loops auto-vectorize over).
+/// slot offsets (`reg * lane_stride`), so a handler's register access is
+/// `slab[lane + slot]` — the same single-add addressing the reference pays,
+/// but with each architectural register's lanes contiguous in memory (the
+/// layout the vector prologue's inner loops auto-vectorize over).
 ///
 /// `d/a/b/c` are the first micro-op's dst/src0/src1/src2; `d2/a2/b2` belong
 /// to the second micro-op of a fused pair. Branch targets are pre-resolved
@@ -99,7 +101,8 @@ struct VecOp {
   std::int64_t imm = 0;
 };
 
-/// A DecodedProgram lowered to Tier-2 threaded code for one SoA stride.
+/// A kernel decoded and lowered to Tier-2 threaded code for one SoA stride —
+/// the unit the engine's program cache holds and every launch executes.
 ///
 /// The prologue is the maximal prefix of the entry block consisting of pure
 /// register ops (no memory, no control flow, no div/rem traps): every thread
@@ -112,28 +115,26 @@ struct VecOp {
 struct Tier2Program {
   std::vector<Tier2Instr> code;
   std::vector<std::uint32_t> block_first_pc;  // lowered pc of each block
+  std::vector<DecodedBlock> blocks;           // static per-block summaries (λ·µ)
   std::vector<VecOp> prologue;
   std::uint32_t scalar_entry_pc = 0;  // lowered pc right after the prologue
   std::uint32_t num_regs = 1;
-  unsigned stride_shift = 0;  // SoA lane stride = 1 << stride_shift
+  std::uint32_t lane_stride = 1;  // SoA slots per register: 2^shift + kLanePad
   std::uint64_t fingerprint = 0;
   std::uint32_t fused_pairs = 0;  // superinstructions formed by the peephole
+  bool has_global_atomics = false;
 
   std::size_t mem_bytes() const {
     return code.size() * sizeof(Tier2Instr) + prologue.size() * sizeof(VecOp) +
-           block_first_pc.size() * sizeof(std::uint32_t);
+           block_first_pc.size() * sizeof(std::uint32_t) +
+           blocks.size() * sizeof(DecodedBlock);
   }
 };
 
-/// True when every instruction of `prog` has a Tier-2 lowering (no global
-/// atomics, no mid-block terminators, only known opcodes). Pure function of
-/// the program — the per-scenario eligibility metric leans on that.
-bool tier2_supported(const DecodedProgram& prog);
-
-/// Lowers `prog` into threaded code with operands pre-scaled for an SoA
-/// stride of `1 << stride_shift` (which must cover threads_per_block).
-/// Returns nullptr when the program is unsupported.
-std::shared_ptr<const Tier2Program> lower_program(const DecodedProgram& prog,
-                                                  unsigned stride_shift);
+/// Decodes `ir` and lowers it into threaded code with operands pre-scaled
+/// for an SoA lane stride of `(1 << stride_shift) + kLanePad`, where
+/// `1 << stride_shift` must cover threads_per_block. Throws ContractError
+/// on a terminator in mid-block, which the builder and validator never emit.
+std::shared_ptr<const Tier2Program> lower_program(const KernelIR& ir, unsigned stride_shift);
 
 }  // namespace sigvp::interp_detail

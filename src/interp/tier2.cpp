@@ -16,9 +16,8 @@ namespace interp_detail {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Execution context + cold paths. Identical shape (and messages) to the
-// Tier-1 interpreter so a launch that errors on Tier 2 errors the same way
-// it would have on Tier 1.
+// Execution context. The cold error paths are the reference interpreter's
+// (decoded.hpp), so a launch fails with the same message on both.
 // ---------------------------------------------------------------------------
 
 struct T2Ctx {
@@ -37,39 +36,6 @@ struct T2Ctx {
   RegValue* slab = nullptr;      // SoA register slab of the current block
 };
 
-[[noreturn]] __attribute__((noinline, cold)) void throw_budget_exhausted(const T2Ctx& m) {
-  sigvp::detail::raise_contract_error(
-      "precondition", "instrs_executed <= max_instrs_per_thread", __FILE__, __LINE__,
-      m.ir->name + ": per-thread instruction budget exhausted");
-}
-
-[[noreturn]] __attribute__((noinline, cold)) void throw_shared_oob(const T2Ctx& m) {
-  sigvp::detail::raise_contract_error("precondition", "shared access in bounds", __FILE__,
-                                      __LINE__,
-                                      m.ir->name + ": shared-memory access out of bounds");
-}
-
-[[noreturn]] __attribute__((noinline, cold)) void throw_div_zero(const T2Ctx& m) {
-  sigvp::detail::raise_contract_error("precondition", "divisor != 0", __FILE__, __LINE__,
-                                      m.ir->name + ": integer division by zero");
-}
-
-[[noreturn]] __attribute__((noinline, cold)) void throw_rem_zero(const T2Ctx& m) {
-  sigvp::detail::raise_contract_error("precondition", "divisor != 0", __FILE__, __LINE__,
-                                      m.ir->name + ": integer remainder by zero");
-}
-
-[[noreturn]] __attribute__((noinline, cold)) void throw_bad_param(const T2Ctx& m) {
-  sigvp::detail::raise_contract_error(
-      "precondition", "param index < argument count", __FILE__, __LINE__,
-      m.ir->name + ": kernel launched with too few arguments");
-}
-
-[[noreturn]] __attribute__((noinline, cold)) void throw_bad_fallthrough(const T2Ctx& m) {
-  sigvp::detail::raise_contract_error("invariant", "fallthrough block exists", __FILE__,
-                                      __LINE__, m.ir->name + ": branch to nonexistent block");
-}
-
 [[noreturn]] __attribute__((noinline, cold)) void throw_vec_unsupported(const T2Ctx& m) {
   sigvp::detail::raise_contract_error("invariant", "prologue op is vectorizable", __FILE__,
                                       __LINE__,
@@ -79,7 +45,7 @@ struct T2Ctx {
 // ---------------------------------------------------------------------------
 // Vector prologue: the pure-register prefix of the entry block, executed in
 // lane lockstep over the SoA slab. Each case is a tight loop over lanes with
-// contiguous loads/stores (register r's lanes live at slab[(r<<shift)..]),
+// contiguous loads/stores (register r's lanes live at slab[r * lane_stride..]),
 // which the compiler auto-vectorizes. Semantically this is exactly "every
 // thread runs the prefix before anything else" — legal because the prefix
 // touches no memory, fires no hooks, bumps no λ, and cannot branch, so no
@@ -136,7 +102,7 @@ void run_vec_prologue(T2Ctx& m, const std::vector<VecOp>& ops, std::uint32_t lan
         break;
       }
       case Opcode::kLdParam: {
-        if (static_cast<std::size_t>(v.imm) >= m.argc) [[unlikely]] throw_bad_param(m);
+        if (static_cast<std::size_t>(v.imm) >= m.argc) [[unlikely]] throw_bad_param(*m.ir);
         const std::uint64_t val = m.argv[static_cast<std::size_t>(v.imm)];
         for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = val;
         break;
@@ -210,9 +176,9 @@ void run_vec_prologue(T2Ctx& m, const std::vector<VecOp>& ops, std::uint32_t lan
 // Threaded-code scalar executor. One computed-goto dispatch per (possibly
 // fused) superinstruction: no indirect call, no per-instruction done/barrier
 // flag checks — ret/bar exit through their own labels. `T2_TICK()` charges
-// the per-thread budget before each micro-op body, exactly where Tier 1
-// checks it, so budget exhaustion fires at the same dynamic instruction with
-// the same partial side effects.
+// the per-thread budget before each micro-op body, exactly where the
+// reference checks it, so budget exhaustion fires at the same dynamic
+// instruction with the same partial side effects.
 // ---------------------------------------------------------------------------
 
 void run_t2_thread(T2Ctx& m, T2Thread& t, const std::uint64_t max_instrs) {
@@ -241,7 +207,7 @@ t2_dispatch:
 #endif
 
 #define T2_TICK() \
-  do { if (++n > max_instrs) [[unlikely]] throw_budget_exhausted(m); } while (0)
+  do { if (++n > max_instrs) [[unlikely]] throw_budget_exhausted(*m.ir); } while (0)
 #define T2_NEXT() \
   do { ++d; T2_GO(); } while (0)
 // Branch: bump λ of the target block, jump. Operands are captured before
@@ -282,7 +248,7 @@ t2_dispatch:
 
   T2_CASE(ld_param) {
     T2_TICK();
-    if (static_cast<std::size_t>(d->imm) >= m.argc) [[unlikely]] throw_bad_param(m);
+    if (static_cast<std::size_t>(d->imm) >= m.argc) [[unlikely]] throw_bad_param(*m.ir);
     r[d->d].bits = m.argv[static_cast<std::size_t>(d->imm)];
     T2_NEXT();
   }
@@ -293,13 +259,13 @@ t2_dispatch:
   T2_SIMPLE(mul_i, r[d->d].set_i(r[d->a].i() * r[d->b].i()))
   T2_CASE(div_i) {
     T2_TICK();
-    if (r[d->b].i() == 0) [[unlikely]] throw_div_zero(m);
+    if (r[d->b].i() == 0) [[unlikely]] throw_div_zero(*m.ir);
     r[d->d].set_i(r[d->a].i() / r[d->b].i());
     T2_NEXT();
   }
   T2_CASE(rem_i) {
     T2_TICK();
-    if (r[d->b].i() == 0) [[unlikely]] throw_rem_zero(m);
+    if (r[d->b].i() == 0) [[unlikely]] throw_rem_zero(*m.ir);
     r[d->d].set_i(r[d->a].i() % r[d->b].i());
     T2_NEXT();
   }
@@ -382,13 +348,13 @@ t2_dispatch:
   T2_CASE(bra_z) {
     T2_TICK();
     if (!r[d->a].truthy()) T2_TAKE(d->target_pc, d->target_block);
-    if (d->fall_pc == kInvalidPc) [[unlikely]] throw_bad_fallthrough(m);
+    if (d->fall_pc == kInvalidPc) [[unlikely]] throw_bad_fallthrough(*m.ir);
     T2_TAKE(d->fall_pc, d->fall_block);
   }
   T2_CASE(bra_nz) {
     T2_TICK();
     if (r[d->a].truthy()) T2_TAKE(d->target_pc, d->target_block);
-    if (d->fall_pc == kInvalidPc) [[unlikely]] throw_bad_fallthrough(m);
+    if (d->fall_pc == kInvalidPc) [[unlikely]] throw_bad_fallthrough(*m.ir);
     T2_TAKE(d->fall_pc, d->fall_block);
   }
   T2_CASE(ret) {
@@ -406,7 +372,7 @@ t2_dispatch:
     return;
   }
 
-  // --- global memory (hook fires before the access, as in Tier 1) -----------
+  // --- global memory (the hook fires before the access) ---------------------
 #define T2_LD_GLOBAL(name, type, assign)                        \
   T2_CASE(name) {                                               \
     T2_TICK();                                                  \
@@ -436,27 +402,49 @@ t2_dispatch:
   T2_ST_GLOBAL(st_global_i64, std::int64_t, r[d->b].i())
   T2_ST_GLOBAL(st_global_u8, std::uint8_t, static_cast<std::uint8_t>(r[d->b].bits))
 
-  // --- shared memory ---------------------------------------------------------
-#define T2_LD_SHARED(name, type, assign)                                     \
-  T2_CASE(name) {                                                            \
-    T2_TICK();                                                               \
-    const std::uint64_t addr = T2_GADDR(d->a, d->imm);                       \
-    if (addr + sizeof(type) > m.shared_size || addr + sizeof(type) < addr)   \
-        [[unlikely]] throw_shared_oob(m);                                    \
-    type v;                                                                  \
-    std::memcpy(&v, m.shared + addr, sizeof(type));                          \
-    assign;                                                                  \
-    T2_NEXT();                                                               \
+  // Global atomics: a plain read-modify-write. Kernels containing them run
+  // their chunks serially in canonical order (see Interpreter::run), so no
+  // two threads ever race on the cell.
+  T2_CASE(atom_add_global_i64) {
+    T2_TICK();
+    const std::uint64_t addr = T2_GADDR(d->a, d->imm);
+    if (m.hook) (*m.hook)(addr, 8, true);
+    const std::int64_t old = m.global->read<std::int64_t>(addr);
+    m.global->write<std::int64_t>(addr, old + r[d->b].i());
+    r[d->d].set_i(old);
+    T2_NEXT();
   }
-#define T2_ST_SHARED(name, type, value)                                      \
-  T2_CASE(name) {                                                            \
-    T2_TICK();                                                               \
-    const std::uint64_t addr = T2_GADDR(d->a, d->imm);                       \
-    if (addr + sizeof(type) > m.shared_size || addr + sizeof(type) < addr)   \
-        [[unlikely]] throw_shared_oob(m);                                    \
-    const type v = (value);                                                  \
-    std::memcpy(m.shared + addr, &v, sizeof(type));                          \
-    T2_NEXT();                                                               \
+  T2_CASE(atom_add_global_f32) {
+    T2_TICK();
+    const std::uint64_t addr = T2_GADDR(d->a, d->imm);
+    if (m.hook) (*m.hook)(addr, 4, true);
+    const float old = m.global->read<float>(addr);
+    m.global->write<float>(addr, old + r[d->b].f32());
+    r[d->d].set_f32(old);
+    T2_NEXT();
+  }
+
+  // --- shared memory ---------------------------------------------------------
+#define T2_LD_SHARED(name, type, assign)                                   \
+  T2_CASE(name) {                                                          \
+    T2_TICK();                                                             \
+    const std::uint64_t addr = T2_GADDR(d->a, d->imm);                     \
+    if (addr + sizeof(type) > m.shared_size || addr + sizeof(type) < addr) \
+        [[unlikely]] throw_shared_oob(*m.ir);                              \
+    type v;                                                                \
+    std::memcpy(&v, m.shared + addr, sizeof(type));                        \
+    assign;                                                                \
+    T2_NEXT();                                                             \
+  }
+#define T2_ST_SHARED(name, type, value)                                    \
+  T2_CASE(name) {                                                          \
+    T2_TICK();                                                             \
+    const std::uint64_t addr = T2_GADDR(d->a, d->imm);                     \
+    if (addr + sizeof(type) > m.shared_size || addr + sizeof(type) < addr) \
+        [[unlikely]] throw_shared_oob(*m.ir);                              \
+    const type v = (value);                                                \
+    std::memcpy(m.shared + addr, &v, sizeof(type));                        \
+    T2_NEXT();                                                             \
   }
 
   T2_LD_SHARED(ld_shared_f32, float, r[d->d].set_f32(v))
@@ -467,7 +455,7 @@ t2_dispatch:
   T2_ST_SHARED(st_shared_i64, std::int64_t, r[d->b].i())
 
   // --- fused superinstructions ----------------------------------------------
-  // Each fused handler is its constituent Tier-1 bodies back to back, each
+  // Each fused handler is its constituent generic bodies back to back, each
   // behind its own budget tick; `2`-suffixed operands belong to the second
   // micro-op.
   T2_CASE(mul_add_i) {
@@ -497,15 +485,15 @@ t2_dispatch:
     T2_TICK();
     T2_TAKE(d->target_pc, d->target_block);
   }
-#define T2_SET_BRA(name, cmp, taken_when_false)                         \
-  T2_CASE(name) {                                                       \
-    T2_TICK();                                                          \
-    r[d->d].set_i(r[d->a].i() cmp r[d->b].i());                         \
-    T2_TICK();                                                          \
-    if (r[d->a2].truthy() != (taken_when_false))                        \
-      T2_TAKE(d->target_pc, d->target_block);                           \
-    if (d->fall_pc == kInvalidPc) [[unlikely]] throw_bad_fallthrough(m);\
-    T2_TAKE(d->fall_pc, d->fall_block);                                 \
+#define T2_SET_BRA(name, cmp, taken_when_false)                              \
+  T2_CASE(name) {                                                            \
+    T2_TICK();                                                               \
+    r[d->d].set_i(r[d->a].i() cmp r[d->b].i());                              \
+    T2_TICK();                                                               \
+    if (r[d->a2].truthy() != (taken_when_false))                             \
+      T2_TAKE(d->target_pc, d->target_block);                                \
+    if (d->fall_pc == kInvalidPc) [[unlikely]] throw_bad_fallthrough(*m.ir); \
+    T2_TAKE(d->fall_pc, d->fall_block);                                      \
   }
   // bra_z takes when the predicate is false; bra_nz when it is true.
   T2_SET_BRA(set_lt_i_bra_z, <, true)
@@ -599,8 +587,7 @@ void run_tier2_block(const Tier2Program& prog2, const KernelIR& ir, const Launch
   const auto nthreads = static_cast<std::uint32_t>(dims.threads_per_block());
 
   arena.threads.resize(nthreads);
-  arena.slab.assign(static_cast<std::size_t>(prog2.num_regs) << prog2.stride_shift,
-                    RegValue{});
+  arena.slab.assign(static_cast<std::size_t>(prog2.num_regs) * prog2.lane_stride, RegValue{});
   arena.shared.assign(ir.shared_bytes, 0);
 
   T2Ctx m;
@@ -629,15 +616,15 @@ void run_tier2_block(const Tier2Program& prog2, const KernelIR& ir, const Launch
       t.done = false;
       t.at_barrier = false;
       t.instrs_executed = 0;
-      ++m.block_visits[0];  // λ of the entry block, one per thread (as Tier 1)
+      ++m.block_visits[0];  // λ of the entry block, one per thread
     }
   }
 
   // Vector phase: run the pure-register prologue for all lanes at once, then
   // park every thread right after it with the budget charged. Skipped when
   // the budget could expire inside the prologue — the scalar code contains
-  // the prologue instructions too, so starting from pc 0 reproduces Tier-1
-  // budget exhaustion exactly.
+  // the prologue instructions too, so starting from pc 0 reproduces the
+  // reference's budget exhaustion exactly.
   if (!prog2.prologue.empty() && max_instrs_per_thread >= prog2.prologue.size()) {
     run_vec_prologue(m, prog2.prologue, nthreads, arena.threads.data());
     for (T2Thread& t : arena.threads) {
@@ -646,9 +633,9 @@ void run_tier2_block(const Tier2Program& prog2, const KernelIR& ir, const Launch
     }
   }
 
-  // Barrier-phase scheduling, identical to run_decoded_block. Strict-barrier
-  // diagnostics never route here (the engine keeps them on Tier 1), so the
-  // release is always the silent CUDA exited-thread rule.
+  // Barrier-phase scheduling, identical to run_decoded_block: a barrier
+  // releases once every non-retired thread is parked at it (CUDA's
+  // exited-thread rule).
   while (true) {
     for (T2Thread& t : arena.threads) {
       if (t.done || t.at_barrier) continue;
@@ -669,7 +656,7 @@ void check_tier_divergence(const KernelIR& ir, const DynamicProfile& ref,
                            const AddressSpace& got_mem) {
   const auto fail = [&](const std::string& what) {
     throw ContractError("SIGVP_TIER_VERIFY: kernel '" + ir.name +
-                        "' diverged between Tier 2 and Tier 1 — " + what);
+                        "' diverged between the engine and the reference — " + what);
   };
   if (got.block_visits != ref.block_visits) fail("block_visits (λ) mismatch");
   if (got.instr_counts.counts != ref.instr_counts.counts) {
@@ -700,48 +687,15 @@ void check_tier_divergence(const KernelIR& ir, const DynamicProfile& ref,
 
 namespace {
 
-std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  return h;
-}
-
 unsigned stride_shift_for(std::uint64_t threads_per_block) {
   unsigned s = 0;
   while ((1ull << s) < threads_per_block) ++s;
   return s;
 }
 
-/// Static heat of a launch: total threads × static instruction count. A pure
-/// function of (kernel, dims) — the promotion threshold compares against it.
-std::uint64_t static_heat(const interp_detail::DecodedProgram& prog, const LaunchDims& dims) {
-  const std::uint64_t instrs = prog.code.size();
-  const std::uint64_t threads = dims.total_threads();
-  if (instrs != 0 && threads > ~0ull / instrs) return ~0ull;  // saturate
-  return threads * instrs;
-}
-
-std::uint64_t promo_key(const interp_detail::DecodedProgram& prog, const LaunchDims& dims,
-                        const KernelArgs& args) {
-  std::uint64_t h = prog.fingerprint;
-  h = mix64(h, dims.grid_x);
-  h = mix64(h, dims.grid_y);
-  h = mix64(h, dims.block_x);
-  h = mix64(h, dims.block_y);
-  h = mix64(h, args.values.size());
-  for (std::uint64_t v : args.values) h = mix64(h, v);
-  return h;
-}
-
 }  // namespace
 
 Tier2Engine::Tier2Engine() {
-  if (const char* e = std::getenv("SIGVP_TIER")) {
-    if (e[0] == '1' && e[1] == '\0') {
-      mode_.store(Mode::kForceTier1, std::memory_order_relaxed);
-    } else if (e[0] == '2' && e[1] == '\0') {
-      mode_.store(Mode::kForceTier2, std::memory_order_relaxed);
-    }
-  }
   if (const char* v = std::getenv("SIGVP_TIER_VERIFY")) {
     if (v[0] != '\0' && !(v[0] == '0' && v[1] == '\0')) {
       verify_.store(true, std::memory_order_relaxed);
@@ -754,155 +708,85 @@ Tier2Engine& Tier2Engine::instance() {
   return engine;
 }
 
-void Tier2Engine::set_capacity(std::size_t max_entries, std::size_t max_bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  max_entries_ = max_entries;
-  max_bytes_ = max_bytes;
-}
-
-void Tier2Engine::set_promotion(std::uint64_t min_static_heat,
-                                std::uint32_t warmup_launches) {
-  min_static_heat_.store(min_static_heat, std::memory_order_relaxed);
-  warmup_launches_.store(warmup_launches, std::memory_order_relaxed);
-}
-
 Tier2Stats Tier2Engine::stats() const {
   Tier2Stats s;
-  s.launches_tier2 = launches_tier2_.load(std::memory_order_relaxed);
-  s.launches_warming = launches_warming_.load(std::memory_order_relaxed);
-  s.launches_tier1 = launches_tier1_.load(std::memory_order_relaxed);
+  s.launches_tier2 = launches_.load(std::memory_order_relaxed);
   s.compiles = compiles_.load(std::memory_order_relaxed);
   s.fused_superinsts = fused_superinsts_.load(std::memory_order_relaxed);
   s.verify_launches = verify_launches_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.lowered_entries = lowered_entries_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  s.lowered_entries = programs_.size();
   return s;
 }
 
 void Tier2Engine::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
-  ordinals_.clear();
-  lowered_.clear();
+  programs_.clear();
   fifo_.clear();
   fifo_head_ = 0;
   cur_bytes_ = 0;
-  launches_tier2_.store(0, std::memory_order_relaxed);
-  launches_warming_.store(0, std::memory_order_relaxed);
-  launches_tier1_.store(0, std::memory_order_relaxed);
+  launches_.store(0, std::memory_order_relaxed);
   compiles_.store(0, std::memory_order_relaxed);
   fused_superinsts_.store(0, std::memory_order_relaxed);
   verify_launches_.store(0, std::memory_order_relaxed);
   evictions_.store(0, std::memory_order_relaxed);
-  lowered_entries_.store(0, std::memory_order_relaxed);
 }
 
-bool Tier2Engine::eligible(const interp_detail::DecodedProgram& prog,
-                           const LaunchDims& dims) const {
-  return interp_detail::tier2_supported(prog) &&
-         static_heat(prog, dims) >= min_static_heat_.load(std::memory_order_relaxed);
-}
-
-std::shared_ptr<const interp_detail::Tier2Program> Tier2Engine::lowered_get(
-    const KernelIR& ir, const interp_detail::DecodedProgram& prog, unsigned shift) {
-  const std::uint64_t key = mix64(prog.fingerprint, shift);
+std::shared_ptr<const interp_detail::Tier2Program> Tier2Engine::program(
+    const KernelIR& ir, std::uint64_t threads_per_block) {
+  launches_.fetch_add(1, std::memory_order_relaxed);
+  const Key key{&ir, stride_shift_for(threads_per_block)};
+  const std::uint64_t fp = interp_detail::kernel_fingerprint(ir);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = lowered_.find(key);
-    if (it != lowered_.end() && it->second->fingerprint == prog.fingerprint &&
-        it->second->stride_shift == shift) {
-      return it->second;
-    }
+    auto it = programs_.find(key);
+    if (it != programs_.end() && it->second->fingerprint == fp) return it->second;
   }
-  // Lower outside the lock (deterministic, so a rare duplicate lowering of
-  // the same kernel is identical work; only the unique insert is counted).
+  // Lower outside the lock: concurrent launches of distinct kernels lower in
+  // parallel. Lowering is deterministic, so a rare duplicate lowering of the
+  // same kernel is identical work; only the unique insert is counted.
   trace::Tracer* tracer = trace::Tracer::active();
   const double host_t0 = tracer != nullptr ? tracer->host_now_us() : 0.0;
-  std::shared_ptr<const interp_detail::Tier2Program> prog2 =
-      interp_detail::lower_program(prog, shift);
-  if (prog2 == nullptr) return nullptr;
+  std::shared_ptr<const interp_detail::Tier2Program> prog =
+      interp_detail::lower_program(ir, key.second);
 
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = lowered_.find(key);
-  if (it != lowered_.end() && it->second->fingerprint == prog.fingerprint &&
-      it->second->stride_shift == shift) {
-    return it->second;  // lost the race; keep the winner, count no compile
+  auto it = programs_.find(key);
+  if (it != programs_.end()) {
+    if (it->second->fingerprint == fp) return it->second;  // lost the race
+    // Stale fingerprint: replace in place, keeping the key's original FIFO
+    // position so eviction order stays a function of first insertion.
+    cur_bytes_ -= it->second->mem_bytes();
+    it->second = prog;
+  } else {
+    programs_.emplace(key, prog);
+    fifo_.push_back(key);
   }
-  if (it != lowered_.end()) {
-    cur_bytes_ -= it->second->mem_bytes();  // stale fingerprint, replace in place
-    lowered_.erase(it);
-  }
-  lowered_.emplace(key, prog2);
-  fifo_.push_back(key);
-  cur_bytes_ += prog2->mem_bytes();
+  cur_bytes_ += prog->mem_bytes();
   compiles_.fetch_add(1, std::memory_order_relaxed);
-  fused_superinsts_.fetch_add(prog2->fused_pairs, std::memory_order_relaxed);
+  fused_superinsts_.fetch_add(prog->fused_pairs, std::memory_order_relaxed);
   if (tracer != nullptr) {
     tracer->complete(tracer->host_pid(), tracer->host_tid(), "tier2", "lower:" + ir.name,
                      host_t0, tracer->host_now_us() - host_t0,
-                     {trace::arg("fused", static_cast<int>(prog2->fused_pairs)),
-                      trace::arg("instrs", static_cast<int>(prog2->code.size()))});
+                     {trace::arg("fused", static_cast<int>(prog->fused_pairs)),
+                      trace::arg("instrs", static_cast<int>(prog->code.size()))});
   }
-  while (lowered_.size() > max_entries_ || cur_bytes_ > max_bytes_) {
-    if (fifo_head_ >= fifo_.size()) break;
-    const std::uint64_t victim = fifo_[fifo_head_++];
-    auto vit = lowered_.find(victim);
-    if (vit != lowered_.end()) {
-      cur_bytes_ -= vit->second->mem_bytes();
-      lowered_.erase(vit);
+  while (programs_.size() > kMaxEntries || cur_bytes_ > kMaxBytes) {
+    if (fifo_head_ >= fifo_.size()) break;  // invariant: never reached
+    auto victim = programs_.find(fifo_[fifo_head_++]);
+    if (victim != programs_.end()) {
+      cur_bytes_ -= victim->second->mem_bytes();
+      programs_.erase(victim);
       evictions_.fetch_add(1, std::memory_order_relaxed);
     }
   }
+  // Amortized compaction of the consumed FIFO prefix.
   if (fifo_head_ > 64 && fifo_head_ * 2 > fifo_.size()) {
-    fifo_.erase(fifo_.begin(),
-                fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));
+    fifo_.erase(fifo_.begin(), fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));
     fifo_head_ = 0;
   }
-  lowered_entries_.store(lowered_.size(), std::memory_order_relaxed);
-  return prog2;
-}
-
-std::shared_ptr<const interp_detail::Tier2Program> Tier2Engine::select(
-    const KernelIR& ir, const interp_detail::DecodedProgram& prog, const LaunchDims& dims,
-    const KernelArgs& args, bool has_mem_hook, bool strict_barriers) {
-  const Mode mode = mode_.load(std::memory_order_relaxed);
-  if (mode == Mode::kForceTier1) {
-    launches_tier1_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  // Unsupported constructs stay on Tier 1: the legacy serial mem_hook,
-  // strict-barrier diagnostics, global atomics / unknown ops.
-  if (has_mem_hook || strict_barriers || !interp_detail::tier2_supported(prog)) {
-    launches_tier1_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  if (mode == Mode::kAuto) {
-    if (static_heat(prog, dims) < min_static_heat_.load(std::memory_order_relaxed)) {
-      launches_tier1_.fetch_add(1, std::memory_order_relaxed);
-      return nullptr;
-    }
-    // Per-key warmup ordinal: how many identical (kernel, dims, args)
-    // launches preceded this one, process-wide. Counted under a lock so the
-    // ordinal — and therefore the tier decision — is a pure function of the
-    // sim-domain launch multiset, not of worker interleaving.
-    const std::uint64_t key = promo_key(prog, dims, args);
-    std::uint32_t ordinal = 0;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ordinal = ordinals_[key]++;
-    }
-    if (ordinal < warmup_launches_.load(std::memory_order_relaxed)) {
-      launches_warming_.fetch_add(1, std::memory_order_relaxed);
-      return nullptr;
-    }
-  }
-  std::shared_ptr<const interp_detail::Tier2Program> prog2 =
-      lowered_get(ir, prog, stride_shift_for(dims.threads_per_block()));
-  if (prog2 == nullptr) {
-    launches_tier1_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  launches_tier2_.fetch_add(1, std::memory_order_relaxed);
-  return prog2;
+  return prog;
 }
 
 }  // namespace sigvp

@@ -2,32 +2,32 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "interp/superinst.hpp"
 
 namespace sigvp {
 
-/// Process-wide Tier-2 counters. All fields except `lowered_entries` are
+/// Process-wide engine counters. All fields except `lowered_entries` are
 /// monotonically increasing totals; `lowered_entries` is the current level
-/// of the lowered-program cache. `operator-` yields a delta (levels pass
-/// through), mirroring LaunchCacheStats.
+/// of the program cache. `operator-` yields a delta (levels pass through),
+/// mirroring LaunchCacheStats.
 ///
-/// Every count is a pure function of the sim-domain launch stream: tier
-/// decisions never look at wall-clock or worker interleaving, so two runs of
-/// the same fleet produce identical deltas at any `--workers`.
+/// Every count is a pure function of the sim-domain launch stream, so two
+/// runs of the same fleet produce identical deltas at any `--workers`.
 struct Tier2Stats {
-  std::uint64_t launches_tier2 = 0;    ///< launches executed on Tier 2
-  std::uint64_t launches_warming = 0;  ///< supported+hot but inside warmup
-  std::uint64_t launches_tier1 = 0;    ///< cold / unsupported / forced Tier 1
-  std::uint64_t compiles = 0;          ///< distinct (fingerprint, stride) lowers
+  std::uint64_t launches_tier2 = 0;    ///< launches executed (every launch)
+  std::uint64_t launches_warming = 0;  ///< always 0; kept for perfbench's JSON
+  std::uint64_t launches_tier1 = 0;    ///< always 0; kept for perfbench's JSON
+  std::uint64_t compiles = 0;          ///< (kernel, stride) decodes + lowers
   std::uint64_t fused_superinsts = 0;  ///< static fused pairs across compiles
-  std::uint64_t verify_launches = 0;   ///< Tier-2 launches cross-checked on Tier 1
-  std::uint64_t evictions = 0;         ///< lowered-cache FIFO evictions
-  std::uint64_t lowered_entries = 0;   ///< current lowered-cache size (level)
+  std::uint64_t verify_launches = 0;   ///< launches cross-checked on the reference
+  std::uint64_t evictions = 0;         ///< program-cache FIFO evictions
+  std::uint64_t lowered_entries = 0;   ///< current program-cache size (level)
 
   Tier2Stats operator-(const Tier2Stats& base) const {
     Tier2Stats d;
@@ -44,92 +44,59 @@ struct Tier2Stats {
   bool operator==(const Tier2Stats&) const = default;
 };
 
-/// Tier-2 execution engine: decides per launch whether to run the lowered
-/// threaded code or fall back to the Tier-1 interpreter, and owns the
-/// process-wide lowered-program cache (FIFO-bounded like the launch cache).
+/// The kernel execution engine's process-wide state: the program cache and
+/// the SIGVP_TIER_VERIFY flag. Every Interpreter::run launch executes lowered
+/// threaded code obtained here (DESIGN.md §15).
 ///
-/// Promotion policy (DESIGN.md §15): a launch runs on Tier 2 iff
-///   1. nothing forces Tier 1 (legacy mem_hook, strict barriers, global
-///      atomics, unsupported opcodes, `SIGVP_TIER=1`), and
-///   2. its static heat `total_threads × static_instrs` reaches the
-///      threshold, and
-///   3. at least `warmup` prior launches of the same (kernel fingerprint,
-///      dims, args) key have been seen — a per-key ordinal, counted
-///      process-wide under a lock, so the decision depends only on how many
-///      identical launches preceded this one in the sim domain, never on
-///      worker interleaving.
-/// `SIGVP_TIER=2` skips (2) and (3); results are byte-exact either way.
+/// The cache holds one decoded-and-lowered program per (kernel, SoA stride),
+/// keyed by kernel identity (address) and invalidated by structural
+/// fingerprint: rebuilding a kernel in place (same KernelIR object, new
+/// body) re-lowers on the next launch. It is bounded by a deterministic
+/// entries/bytes cap with FIFO eviction in insertion order (the launch
+/// cache's policy); an in-place refresh keeps the entry's FIFO position, and
+/// an evicted program is merely lowered again on its next launch. Entries
+/// are shared_ptrs, so eviction never pulls a program out from under a
+/// running launch.
 class Tier2Engine {
  public:
-  enum class Mode { kAuto, kForceTier1, kForceTier2 };
+  static constexpr std::size_t kMaxEntries = 1024;
+  static constexpr std::size_t kMaxBytes = 64u << 20;
 
-  /// Defaults; tests override via set_capacity / set_promotion.
-  static constexpr std::size_t kDefaultMaxEntries = 1024;
-  static constexpr std::size_t kDefaultMaxBytes = 64u << 20;
-  static constexpr std::uint64_t kDefaultMinStaticHeat = 4096;
-  static constexpr std::uint32_t kDefaultWarmupLaunches = 1;
-
-  /// Singleton; first use reads SIGVP_TIER / SIGVP_TIER_VERIFY.
+  /// Singleton; first use reads SIGVP_TIER_VERIFY.
   static Tier2Engine& instance();
 
-  Mode mode() const { return mode_.load(std::memory_order_relaxed); }
-  void set_mode(Mode m) { mode_.store(m, std::memory_order_relaxed); }
   bool verify() const { return verify_.load(std::memory_order_relaxed); }
   void set_verify(bool v) { verify_.store(v, std::memory_order_relaxed); }
 
-  void set_capacity(std::size_t max_entries, std::size_t max_bytes);
-  void set_promotion(std::uint64_t min_static_heat, std::uint32_t warmup_launches);
-
   Tier2Stats stats() const;
 
-  /// Drops the lowered cache, promotion ordinals, and all counters (mode,
-  /// verify flag, capacity and promotion knobs are left as configured).
+  /// Drops the program cache and zeroes every counter (the verify flag is
+  /// left as configured).
   void reset();
 
-  /// Pure eligibility: would a warmed-up launch of `prog` at `dims` run on
-  /// Tier 2 under the auto policy? No state is read or written beyond the
-  /// configured thresholds — the per-scenario metrics counter uses this.
-  bool eligible(const interp_detail::DecodedProgram& prog, const LaunchDims& dims) const;
-
-  /// Launch-time tier decision. Returns the lowered program to execute, or
-  /// nullptr to stay on Tier 1. Bumps the per-key warmup ordinal and the
-  /// stats counters; lowers (and caches) the program on first promotion.
-  std::shared_ptr<const interp_detail::Tier2Program> select(
-      const KernelIR& ir, const interp_detail::DecodedProgram& prog,
-      const LaunchDims& dims, const KernelArgs& args, bool has_mem_hook,
-      bool strict_barriers);
+  /// The program a launch of `ir` with `threads_per_block` threads per block
+  /// executes: cached, or decoded and lowered now. Counts the launch.
+  std::shared_ptr<const interp_detail::Tier2Program> program(const KernelIR& ir,
+                                                             std::uint64_t threads_per_block);
 
   void note_verified() { verify_launches_.fetch_add(1, std::memory_order_relaxed); }
 
  private:
   Tier2Engine();
 
-  std::shared_ptr<const interp_detail::Tier2Program> lowered_get(
-      const KernelIR& ir, const interp_detail::DecodedProgram& prog, unsigned shift);
-
-  std::atomic<Mode> mode_{Mode::kAuto};
   std::atomic<bool> verify_{false};
 
-  std::atomic<std::uint64_t> launches_tier2_{0};
-  std::atomic<std::uint64_t> launches_warming_{0};
-  std::atomic<std::uint64_t> launches_tier1_{0};
+  std::atomic<std::uint64_t> launches_{0};
   std::atomic<std::uint64_t> compiles_{0};
   std::atomic<std::uint64_t> fused_superinsts_{0};
   std::atomic<std::uint64_t> verify_launches_{0};
   std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> lowered_entries_{0};
 
-  std::atomic<std::uint64_t> min_static_heat_{kDefaultMinStaticHeat};
-  std::atomic<std::uint32_t> warmup_launches_{kDefaultWarmupLaunches};
-
-  mutable std::mutex mutex_;  // guards ordinals_, lowered_, fifo_, capacity
-  std::unordered_map<std::uint64_t, std::uint32_t> ordinals_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const interp_detail::Tier2Program>>
-      lowered_;
-  std::vector<std::uint64_t> fifo_;  // lowered-cache keys in insertion order
+  using Key = std::pair<const KernelIR*, unsigned>;  // (kernel, stride shift)
+  mutable std::mutex mutex_;  // guards programs_, fifo_, fifo_head_, cur_bytes_
+  std::map<Key, std::shared_ptr<const interp_detail::Tier2Program>> programs_;
+  std::vector<Key> fifo_;  // keys in insertion order
   std::size_t fifo_head_ = 0;
-  std::size_t max_entries_ = kDefaultMaxEntries;
-  std::size_t max_bytes_ = kDefaultMaxBytes;
   std::size_t cur_bytes_ = 0;
 };
 
@@ -148,25 +115,26 @@ struct T2Thread {
 };
 
 /// Reusable per-worker scratch for Tier-2 blocks (SoA slab + thread states +
-/// shared-memory image), the Tier-2 twin of ExecArena.
+/// shared-memory image), the engine's twin of ExecArena.
 struct Tier2Arena {
   std::vector<RegValue> slab;
   std::vector<T2Thread> threads;
   std::vector<std::uint8_t> shared;
 };
 
-/// Executes one thread block of the lowered program, byte-exact vs
-/// run_decoded_block: same thread-serial barrier-phase scheduling, same λ
-/// bumps, same hook-before-access order, same budget semantics (one tick per
-/// micro-op, checked before the op body), same error behavior.
+/// Executes one thread block of the lowered program, byte-exact vs the
+/// reference run_decoded_block: same thread-serial barrier-phase scheduling,
+/// same λ bumps, same budget semantics (one tick per micro-op, checked
+/// before the op body), same error behavior. `hook` (may be null) sees each
+/// global access before it is applied.
 void run_tier2_block(const Tier2Program& prog2, const KernelIR& ir, const LaunchDims& dims,
                      const KernelArgs& args, AddressSpace& global, const MemAccessHook* hook,
                      std::uint64_t max_instrs_per_thread, Tier2Arena& arena,
                      DynamicProfile& profile, std::uint32_t ctaid_x, std::uint32_t ctaid_y);
 
-/// SIGVP_TIER_VERIFY oracle: compares the Tier-2 run's profile and post-run
-/// memory against a Tier-1 reference; throws ContractError naming the first
-/// divergent field or memory window.
+/// SIGVP_TIER_VERIFY oracle: compares the engine run's profile and post-run
+/// memory against the reference run's; throws ContractError naming the
+/// first divergent field or memory window.
 void check_tier_divergence(const KernelIR& ir, const DynamicProfile& ref,
                            const DynamicProfile& got, const AddressSpace& ref_mem,
                            const AddressSpace& got_mem);

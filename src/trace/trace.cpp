@@ -224,7 +224,6 @@ RunTrace::RunTrace(const std::string& label)
       cache_hits(&metrics.counter("cache.hits")),
       cache_misses(&metrics.counter("cache.misses")),
       cache_bypasses(&metrics.counter("cache.bypasses")),
-      tier2_eligible(&metrics.counter("tier2.eligible_launches")),
       job_latency_us(&metrics.histogram("ipc.job_latency_us", latency_buckets_us())),
       queue_wait_us(&metrics.histogram("sched.queue_wait_us", latency_buckets_us())),
       queue_depth(&metrics.histogram("sched.queue_depth", depth_buckets())),

@@ -176,7 +176,6 @@ class RunTrace {
   Counter* cache_hits;
   Counter* cache_misses;
   Counter* cache_bypasses;
-  Counter* tier2_eligible;  // functional launches eligible for Tier-2 promotion
   Histogram* job_latency_us;
   Histogram* queue_wait_us;
   Histogram* queue_depth;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "interp/interpreter.hpp"
 #include "ir/builder.hpp"
@@ -31,6 +32,12 @@ struct F64Case {
   void (KernelBuilder::*emit)(std::uint8_t, std::uint8_t, std::uint8_t);
   double a, b, expected;
 };
+
+// gtest would otherwise print the raw bytes of the case, function pointers
+// included, which puts run-dependent addresses into the listed test names.
+void PrintTo(const F64Case& c, std::ostream* os) {
+  *os << c.name << "(" << c.a << ", " << c.b << ") -> " << c.expected;
+}
 
 class F64BinaryTest : public ::testing::TestWithParam<F64Case> {};
 
@@ -69,6 +76,10 @@ struct IntCase {
   void (KernelBuilder::*emit)(std::uint8_t, std::uint8_t, std::uint8_t);
   std::int64_t a, b, expected;
 };
+
+void PrintTo(const IntCase& c, std::ostream* os) {
+  *os << c.name << "(" << c.a << ", " << c.b << ") -> " << c.expected;
+}
 
 class IntBinaryTest : public ::testing::TestWithParam<IntCase> {};
 
@@ -118,6 +129,10 @@ struct UnaryF32Case {
   void (KernelBuilder::*emit)(std::uint8_t, std::uint8_t);
   float a, expected;
 };
+
+void PrintTo(const UnaryF32Case& c, std::ostream* os) {
+  *os << c.name << "(" << c.a << ") -> " << c.expected;
+}
 
 class F32UnaryTest : public ::testing::TestWithParam<UnaryF32Case> {};
 

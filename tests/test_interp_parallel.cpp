@@ -2,8 +2,8 @@
 // workload in the suite, the memory image must be byte-exact and the
 // DynamicProfile bit-identical for every worker count (the determinism
 // contract in DESIGN.md §10). Also covers the atomic serial fallback, the
-// strict-barrier diagnostic, shard hooks, nested-parallelism budgeting, and
-// decode-cache invalidation.
+// divergent-barrier release, shard hooks, nested-parallelism budgeting, and
+// program-cache invalidation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +15,7 @@
 
 #include "interp/decoded.hpp"
 #include "interp/interpreter.hpp"
+#include "interp/tier2.hpp"
 #include "ir/builder.hpp"
 #include "mem/allocator.hpp"
 #include "run/thread_pool.hpp"
@@ -138,7 +139,7 @@ TEST(InterpParallel, AtomicDetectionMatchesKernelScan) {
     }
     EXPECT_EQ(Interpreter::uses_global_atomics(w.kernel), has_atomic) << w.app;
   }
-  // The suite must actually exercise the fallback path.
+  // The suite must actually exercise the serial-chunk path.
   EXPECT_TRUE(Interpreter::uses_global_atomics(
       workloads::find(workloads::make_suite(), "histogram").kernel));
 }
@@ -238,46 +239,6 @@ KernelIR make_store_kernel(const char* name) {
   return b.build();
 }
 
-TEST(InterpParallel, LegacyMemHookSeesDeterministicSerialOrder) {
-  const KernelIR ir = make_store_kernel("hook");
-  KernelArgs args;
-  args.push_ptr(0);
-  args.push_i64(1000);
-  LaunchDims dims;
-  dims.block_x = 8;
-  dims.grid_x = 128;
-
-  using Access = std::tuple<std::uint64_t, std::uint32_t, bool>;
-  auto trace = [&](std::size_t workers) {
-    AddressSpace mem(1 << 16, "m");
-    std::vector<Access> log;
-    Interpreter::Options opts;
-    opts.workers = workers;
-    opts.mem_hook = [&log](std::uint64_t addr, std::uint32_t bytes, bool is_store) {
-      log.emplace_back(addr, bytes, is_store);
-    };
-    Interpreter().run(ir, dims, args, mem, opts);
-    return log;
-  };
-
-  const auto serial = trace(1);
-  EXPECT_EQ(serial.size(), 1000u);
-  // Requesting 8 workers with a legacy hook must not change the access order.
-  EXPECT_TRUE(trace(8) == serial);
-}
-
-TEST(InterpParallel, MemHookAndShardHookAreMutuallyExclusive) {
-  const KernelIR ir = make_store_kernel("both");
-  KernelArgs args;
-  args.push_ptr(0);
-  args.push_i64(8);
-  AddressSpace mem(1 << 16, "m");
-  Interpreter::Options opts;
-  opts.mem_hook = [](std::uint64_t, std::uint32_t, bool) {};
-  opts.shard_hook = [](std::size_t) { return MemAccessHook{}; };
-  EXPECT_THROW(Interpreter().run(ir, LaunchDims{}, args, mem, opts), ContractError);
-}
-
 TEST(InterpParallel, ShardHookCoversEveryChunkAndAllTraffic) {
   const KernelIR ir = make_store_kernel("shards");
   KernelArgs args;
@@ -308,7 +269,7 @@ TEST(InterpParallel, ShardHookCoversEveryChunkAndAllTraffic) {
   EXPECT_EQ(bytes.load(), p.global_load_bytes + p.global_store_bytes);
 }
 
-// --- strict barrier diagnostics ----------------------------------------------
+// --- divergent-exit barriers --------------------------------------------------
 
 KernelIR make_divergent_barrier_kernel() {
   // Threads with tid < ntid/2 retire immediately; the rest hit bar.sync.
@@ -338,44 +299,6 @@ TEST(InterpParallel, DivergentBarrierReleasesSilentlyByDefault) {
   EXPECT_EQ(p.barriers_waited, 1u);  // CUDA exited-thread rule: it releases
 }
 
-TEST(InterpParallel, StrictBarriersDiagnoseDivergentExit) {
-  const KernelIR ir = make_divergent_barrier_kernel();
-  AddressSpace mem(1 << 16, "m");
-  LaunchDims dims;
-  dims.block_x = 8;
-  dims.grid_x = 4;
-  for (std::size_t workers : {1u, 8u}) {
-    Interpreter::Options opts;
-    opts.strict_barriers = true;
-    opts.workers = workers;
-    try {
-      Interpreter().run(ir, dims, KernelArgs{}, mem, opts);
-      FAIL() << "expected strict-barrier ContractError at workers=" << workers;
-    } catch (const ContractError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("strict barrier"), std::string::npos) << what;
-      EXPECT_NE(what.find("diverge"), std::string::npos) << what;  // kernel name
-      EXPECT_NE(what.find("retired"), std::string::npos) << what;
-    }
-  }
-}
-
-TEST(InterpParallel, StrictBarriersAcceptUniformBarriers) {
-  // Every thread reaches the barrier: strict mode must stay silent.
-  KernelBuilder b("uniform", 0);
-  b.block("entry");
-  b.bar();
-  b.ret();
-  const KernelIR ir = b.build();
-  AddressSpace mem(1 << 16, "m");
-  LaunchDims dims;
-  dims.block_x = 8;
-  Interpreter::Options opts;
-  opts.strict_barriers = true;
-  const DynamicProfile p = Interpreter().run(ir, dims, KernelArgs{}, mem, opts);
-  EXPECT_EQ(p.barriers_waited, 1u);
-}
-
 // --- error determinism --------------------------------------------------------
 
 TEST(InterpParallel, RunawayKernelThrowsForEveryWorkerCount) {
@@ -394,24 +317,25 @@ TEST(InterpParallel, RunawayKernelThrowsForEveryWorkerCount) {
   }
 }
 
-// --- decode cache -------------------------------------------------------------
+// --- program cache ------------------------------------------------------------
 
-TEST(InterpParallel, DecodedCacheReusesAndInvalidates) {
-  using interp_detail::DecodedCache;
+TEST(InterpParallel, ProgramCacheReusesAndInvalidates) {
+  Tier2Engine& engine = Tier2Engine::instance();
   KernelIR ir = make_store_kernel("cache");
 
-  const auto p1 = DecodedCache::instance().get(ir);
-  const auto p2 = DecodedCache::instance().get(ir);
-  EXPECT_EQ(p1.get(), p2.get());  // warm hit: same decode
+  const auto p1 = engine.program(ir, 8);
+  const auto p2 = engine.program(ir, 8);
+  EXPECT_EQ(p1.get(), p2.get());  // warm hit: same program
+  EXPECT_NE(engine.program(ir, 64).get(), p1.get());  // another stride lowers anew
 
   // Rebuild the kernel in place (same KernelIR object, different body): the
-  // structural fingerprint must change and the next get() must re-decode.
+  // structural fingerprint must change and the next lookup must re-lower.
   const KernelIR replacement = make_divergent_barrier_kernel();
   ir.blocks = replacement.blocks;
   ir.num_regs = replacement.num_regs;
   ir.num_params = replacement.num_params;
   ir.shared_bytes = replacement.shared_bytes;
-  const auto p3 = DecodedCache::instance().get(ir);
+  const auto p3 = engine.program(ir, 8);
   EXPECT_NE(p1.get(), p3.get());
   EXPECT_NE(p1->fingerprint, p3->fingerprint);
 

@@ -1,9 +1,9 @@
 // Tests of the multi-GPU host backend (DESIGN.md §17): the placement layer
 // (initial LPT assignment, migration cost model, runtime migration), the
-// HostGpuSet device complement, the `host_gpus` spec parser, the single-
-// device byte-identity contract, determinism across workers and shards,
-// capture replay and checkpoint resume with device assignments intact, and
-// the sweep-JSON "host_gpus" block.
+// HostGpuSet device complement, the single-device byte-identity contract,
+// determinism across workers and shards, capture replay and checkpoint
+// resume with device assignments intact, and the sweep-JSON "host_gpus"
+// block.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 
 #include "core/scenario.hpp"
 #include "gpu/host_gpu_set.hpp"
-#include "run/host_gpus.hpp"
 #include "run/json_writer.hpp"
 #include "run/sweep.hpp"
 #include "run/thread_pool.hpp"
@@ -133,29 +132,6 @@ TEST(HostGpuSet, RelativeSpeedsRankHeterogeneousMixes) {
   for (const auto d : a) ++on[d];
   const std::size_t faster = speeds[0] > speeds[1] ? 0 : 1;
   EXPECT_GT(on[faster], on[1 - faster]);
-}
-
-// --- host_gpus spec parsing --------------------------------------------------
-
-TEST(HostGpusSpec, ParsesCountsAndHeterogeneousMixes) {
-  EXPECT_TRUE(run::parse_host_gpus("").empty());
-
-  const auto four = run::parse_host_gpus("quadro4000*4");
-  ASSERT_EQ(four.size(), 4u);
-  for (const auto& d : four) EXPECT_EQ(d.arch.name, "Quadro 4000");
-
-  const auto mix = run::parse_host_gpus("quadro4000*2,gridk520,tegrak1");
-  ASSERT_EQ(mix.size(), 4u);
-  EXPECT_EQ(mix[0].arch.name, mix[1].arch.name);
-  EXPECT_NE(mix[2].arch.name, mix[0].arch.name);
-  EXPECT_NE(mix[3].arch.name, mix[2].arch.name);
-}
-
-TEST(HostGpusSpec, RejectsMalformedSpecs) {
-  EXPECT_THROW(run::parse_host_gpus("voodoo2"), ContractError);       // unknown
-  EXPECT_THROW(run::parse_host_gpus("quadro4000*0"), ContractError);  // zero
-  EXPECT_THROW(run::parse_host_gpus("quadro4000*x"), ContractError);  // NaN
-  EXPECT_THROW(run::parse_host_gpus("quadro4000,"), ContractError);   // empty
 }
 
 // --- scenario integration ----------------------------------------------------

@@ -1,21 +1,24 @@
-// Differential battery for the Tier-2 threaded-code engine (DESIGN.md §15):
-// for every workload in the suite the Tier-2 memory image and DynamicProfile
-// must be byte-exact vs the Tier-1 interpreter at every worker count; the
-// promotion decision must be a pure function of the sim-domain launch stream
-// (identical across worker counts and across resume-from-checkpoint); cold,
-// atomic, hooked and strict-barrier launches must route back to Tier 1; an
-// in-place kernel rebuild must re-lower through the fingerprint; and the
-// SIGVP_TIER_VERIFY oracle must pass cleanly on the whole suite.
+// Differential battery for the kernel execution engine (DESIGN.md §15): for
+// every workload in the suite, histogram's global atomics included, the
+// engine's memory image and DynamicProfile must be byte-exact vs the serial
+// reference interpreter at every worker count, and budget exhaustion must
+// fail the same way; the engine's counters must be a pure function of the
+// sim-domain launch stream (identical across worker counts and across
+// resume-from-checkpoint); an in-place kernel rebuild must re-lower through
+// the fingerprint; the program cache must stay within its cap; and the
+// SIGVP_TIER_VERIFY oracle must pass cleanly on the suite.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
-#include "interp/decoded.hpp"
+#include "gpu/launch_cache.hpp"
 #include "interp/interpreter.hpp"
 #include "interp/tier2.hpp"
 #include "ir/builder.hpp"
@@ -33,42 +36,46 @@ namespace {
 namespace fs = std::filesystem;
 using workloads::Workload;
 
-constexpr std::uint64_t kSpace = 64ull * 1024 * 1024;
-
-/// The tier engine is a process-wide singleton; every test that touches it
-/// runs inside a sandbox that starts from a clean slate and restores the
-/// entry mode/verify flag plus the default knobs on exit, so test order
-/// never leaks tier state (into this binary or the tests around it).
+/// The engine is a process-wide singleton; every test that touches it runs
+/// inside a sandbox that starts from a clean slate and restores the entry
+/// verify flag on exit, so test order never leaks engine state (into this
+/// binary or the tests around it).
 struct EngineSandbox {
-  Tier2Engine::Mode mode;
   bool verify;
-  EngineSandbox()
-      : mode(Tier2Engine::instance().mode()), verify(Tier2Engine::instance().verify()) {
+  EngineSandbox() : verify(Tier2Engine::instance().verify()) {
     Tier2Engine::instance().reset();
   }
   ~EngineSandbox() {
     Tier2Engine& e = Tier2Engine::instance();
-    e.set_mode(mode);
     e.set_verify(verify);
-    e.set_promotion(Tier2Engine::kDefaultMinStaticHeat, Tier2Engine::kDefaultWarmupLaunches);
-    e.set_capacity(Tier2Engine::kDefaultMaxEntries, Tier2Engine::kDefaultMaxBytes);
     e.reset();
   }
 };
 
 struct RunResult {
-  std::vector<std::uint8_t> memory;
+  std::uint64_t memory_hash = 0;
   DynamicProfile profile;
+  std::string error;  // kernel-facing part of a ContractError; empty = ran clean
 };
 
-/// Fresh memory, deterministic inputs, one launch at `w.test_n` under the
-/// given tier mode and worker count; returns memory image + profile.
-RunResult run_workload(const Workload& w, std::size_t workers, Tier2Engine::Mode mode,
-                       Interpreter::Options options = {}) {
-  Tier2Engine::instance().set_mode(mode);
-  AddressSpace mem(kSpace, "m");
-  FreeListAllocator alloc(4096, mem.size() - 4096);
+/// The kernel-facing message of a ContractError: the REQUIRE preamble embeds
+/// the throw site (file:line), which rightly differs between the engine and
+/// the reference, so compare from the em dash on.
+std::string kernel_message(const std::string& what) {
+  const std::size_t dash = what.find("\xE2\x80\x94");
+  return dash == std::string::npos ? what : what.substr(dash);
+}
+
+/// Fresh memory sized to the workload's buffers, deterministic inputs, one
+/// launch at `w.test_n` — on the engine at `workers`, or on the reference
+/// when `workers` is 0. Returns the memory hash, the profile and the error.
+RunResult run_workload(const Workload& w, std::size_t workers,
+                       std::uint64_t budget = Interpreter::kDefaultMaxInstrsPerThread) {
   const auto bufs = w.buffers(w.test_n);
+  std::uint64_t space = 1u << 16;
+  for (const auto& b : bufs) space += (b.bytes + 4095) / 4096 * 4096;
+  AddressSpace mem(space, "m");
+  FreeListAllocator alloc(4096, mem.size() - 4096);
   std::vector<std::uint64_t> addrs;
   for (const auto& b : bufs) {
     const auto a = alloc.allocate(b.bytes);
@@ -82,12 +89,22 @@ RunResult run_workload(const Workload& w, std::size_t workers, Tier2Engine::Mode
     }
   }
 
-  Interpreter interp;
-  options.workers = workers;
+  const LaunchDims dims = w.dims(w.test_n);
+  const KernelArgs args = w.args(addrs, w.test_n);
   RunResult out;
-  out.profile = interp.run(w.kernel, w.dims(w.test_n), w.args(addrs, w.test_n), mem, options);
-  out.memory.resize(mem.size());
-  mem.copy_out(out.memory.data(), 0, out.memory.size());
+  try {
+    if (workers == 0) {
+      out.profile = Interpreter::run_reference(w.kernel, dims, args, mem, budget);
+    } else {
+      Interpreter::Options options;
+      options.workers = workers;
+      options.max_instrs_per_thread = budget;
+      out.profile = Interpreter().run(w.kernel, dims, args, mem, options);
+    }
+  } catch (const ContractError& e) {
+    out.error = kernel_message(e.what());
+  }
+  out.memory_hash = mem.hash_range(0, mem.size(), kMemHashSeed);
   return out;
 }
 
@@ -102,32 +119,35 @@ void expect_profiles_identical(const DynamicProfile& a, const DynamicProfile& b,
   EXPECT_EQ(a.sqrt_instrs, b.sqrt_instrs) << label;
 }
 
-// --- suite-wide tier differential ---------------------------------------------
+const std::vector<Workload>& suite() {
+  static const std::vector<Workload> s = workloads::make_suite();
+  return s;
+}
+
+// --- suite-wide engine-vs-reference differential ------------------------------
 
 class Tier2DifferentialTest : public ::testing::TestWithParam<std::string> {
  protected:
-  static const std::vector<Workload>& suite() {
-    static const std::vector<Workload> s = workloads::make_suite();
-    return s;
-  }
   const Workload& workload() const { return workloads::find(suite(), GetParam()); }
 };
 
 TEST_P(Tier2DifferentialTest, MemoryAndProfileByteExactVsTier1AtEveryWorkerCount) {
   EngineSandbox sandbox;
   const Workload& w = workload();
-  const RunResult t1 = run_workload(w, 1, Tier2Engine::Mode::kForceTier1);
+  const RunResult ref = run_workload(w, 0);
+  ASSERT_TRUE(ref.error.empty()) << ref.error;
   for (std::size_t workers : {1u, 2u, 4u, 8u}) {
-    const RunResult t2 = run_workload(w, workers, Tier2Engine::Mode::kForceTier2);
-    const std::string label = w.app + " tier2 @ workers=" + std::to_string(workers);
-    EXPECT_TRUE(t2.memory == t1.memory) << label << ": memory image diverged";
-    expect_profiles_identical(t1.profile, t2.profile, label);
+    const RunResult got = run_workload(w, workers);
+    const std::string label = w.app + " engine @ workers=" + std::to_string(workers);
+    EXPECT_TRUE(got.error.empty()) << label << ": " << got.error;
+    EXPECT_EQ(got.memory_hash, ref.memory_hash) << label << ": memory image diverged";
+    expect_profiles_identical(ref.profile, got.profile, label);
   }
 }
 
 std::vector<std::string> all_names() {
   std::vector<std::string> names;
-  for (const auto& w : workloads::make_suite()) names.push_back(w.app);
+  for (const auto& w : suite()) names.push_back(w.app);
   return names;
 }
 
@@ -143,168 +163,109 @@ INSTANTIATE_TEST_SUITE_P(Suite, Tier2DifferentialTest, ::testing::ValuesIn(all_n
 // --- budget exhaustion --------------------------------------------------------
 
 TEST(Tier2Differential, BudgetExhaustionThrowsAtTheSamePointWithTheSameSideEffects) {
+  // Budgets inside the vector prologue (1), mid-prologue (3) and past it:
+  // the engine must throw the identical ContractError as the reference. At
+  // one worker the partial memory image must match too; at more workers the
+  // chunks after the first failing one may or may not have started, so only
+  // the error (lowest failing chunk) is deterministic. A launch the budget
+  // does not cut short must match in full at every worker count.
   EngineSandbox sandbox;
-  const auto suite = workloads::make_suite();
-  const Workload& w = workloads::find(suite, "matrixMul");
-  // Budgets inside the vector prologue (1), mid-prologue (3) and mid-loop:
-  // Tier 2 must throw the identical ContractError with the identical partial
-  // memory image (serial execution so the partial state is deterministic).
-  const auto run_with_budget = [&w](Tier2Engine::Mode mode, std::uint64_t budget,
-                                    std::vector<std::uint8_t>& memory) {
-    Tier2Engine::instance().set_mode(mode);
-    AddressSpace mem(kSpace, "m");
-    FreeListAllocator alloc(4096, mem.size() - 4096);
-    const auto bufs = w.buffers(w.test_n);
-    std::vector<std::uint64_t> addrs;
-    for (const auto& b : bufs) addrs.push_back(*alloc.allocate(b.bytes));
-    for (std::size_t i = 0; i < bufs.size(); ++i) {
-      if (!bufs[i].is_input) continue;
-      for (std::uint64_t off = 0; off + 4 <= bufs[i].bytes; off += 4) {
-        mem.write<float>(addrs[i] + off, 0.5f);
+  for (const Workload& w : suite()) {
+    for (const std::uint64_t budget : {1ull, 3ull, 17ull, 200ull}) {
+      const RunResult ref = run_workload(w, 0, budget);
+      for (std::size_t workers : {1u, 2u, 4u, 8u}) {
+        const std::string label = w.app + " budget=" + std::to_string(budget) +
+                                  " workers=" + std::to_string(workers);
+        const RunResult got = run_workload(w, workers, budget);
+        EXPECT_EQ(got.error, ref.error) << label;
+        if (ref.error.empty() || workers == 1) {
+          EXPECT_EQ(got.memory_hash, ref.memory_hash) << label << ": memory image diverged";
+        }
+        if (ref.error.empty()) expect_profiles_identical(ref.profile, got.profile, label);
       }
     }
-    Interpreter::Options opts;
-    opts.max_instrs_per_thread = budget;
-    opts.workers = 1;
-    std::string what;
-    try {
-      Interpreter().run(w.kernel, w.dims(w.test_n), w.args(addrs, w.test_n), mem, opts);
-    } catch (const ContractError& e) {
-      what = e.what();
-    }
-    memory.resize(mem.size());
-    mem.copy_out(memory.data(), 0, memory.size());
-    return what;
-  };
-  for (const std::uint64_t budget : {1ull, 3ull, 17ull, 200ull}) {
-    SCOPED_TRACE("budget=" + std::to_string(budget));
-    std::vector<std::uint8_t> mem1, mem2;
-    const std::string what1 = run_with_budget(Tier2Engine::Mode::kForceTier1, budget, mem1);
-    const std::string what2 = run_with_budget(Tier2Engine::Mode::kForceTier2, budget, mem2);
-    EXPECT_TRUE(mem1 == mem2) << "partial memory image diverged";
-    // The REQUIRE preamble embeds the throw site (file:line), which rightly
-    // differs between tiers — compare the kernel-facing message after it.
-    const auto msg = [](const std::string& what) {
-      const std::size_t dash = what.find("\xE2\x80\x94");
-      return dash == std::string::npos ? what : what.substr(dash);
-    };
-    EXPECT_FALSE(what1.empty());
-    EXPECT_FALSE(what2.empty());
-    EXPECT_EQ(msg(what1), msg(what2));
   }
 }
 
-// --- promotion policy ---------------------------------------------------------
-
-TEST(Tier2Promotion, WarmupOrdinalGatesTheFirstLaunchesPerKey) {
-  EngineSandbox sandbox;
-  Tier2Engine& eng = Tier2Engine::instance();
-  eng.set_mode(Tier2Engine::Mode::kAuto);
-  eng.set_promotion(/*min_static_heat=*/1, /*warmup_launches=*/2);
-  const auto suite = workloads::make_suite();
-  const Workload& w = workloads::find(suite, "vectorAdd");
-
-  const Tier2Stats before = eng.stats();
-  for (int i = 0; i < 3; ++i) run_workload(w, 1, Tier2Engine::Mode::kAuto);
-  const Tier2Stats d = eng.stats() - before;
-  EXPECT_EQ(d.launches_warming, 2u);  // launches 1 and 2 warm the key
-  EXPECT_EQ(d.launches_tier2, 1u);    // launch 3 promotes
-  EXPECT_EQ(d.compiles, 1u);          // lowered exactly once
-  EXPECT_EQ(d.launches_tier1, 0u);
-}
-
-TEST(Tier2Promotion, ColdKernelsStayOnTier1WithoutCompiling) {
-  EngineSandbox sandbox;
-  Tier2Engine& eng = Tier2Engine::instance();
-  eng.set_mode(Tier2Engine::Mode::kAuto);
-  eng.set_promotion(/*min_static_heat=*/~0ull, /*warmup_launches=*/0);
-  const auto suite = workloads::make_suite();
-  const Workload& w = workloads::find(suite, "vectorAdd");
-
-  const Tier2Stats before = eng.stats();
-  run_workload(w, 1, Tier2Engine::Mode::kAuto);
-  const Tier2Stats d = eng.stats() - before;
-  EXPECT_EQ(d.launches_tier1, 1u);
-  EXPECT_EQ(d.launches_tier2, 0u);
-  EXPECT_EQ(d.compiles, 0u);  // never lowered: cold code costs nothing
-}
+// --- engine counters ----------------------------------------------------------
 
 TEST(Tier2Promotion, DecisionStreamIsIdenticalAcrossWorkerCounts) {
-  // The tier decision is a pure function of the sim-domain launch stream:
-  // replaying the same launches at a different worker count must produce the
-  // identical stats delta (DESIGN.md §15 determinism contract).
+  // The engine's counters are a pure function of the sim-domain launch
+  // stream: replaying the same launches at a different worker count must
+  // produce the identical stats delta (DESIGN.md §15 determinism contract).
   EngineSandbox sandbox;
   Tier2Engine& eng = Tier2Engine::instance();
-  eng.set_mode(Tier2Engine::Mode::kAuto);
-  const auto suite = workloads::make_suite();
   const std::vector<const Workload*> seq = {
-      &workloads::find(suite, "vectorAdd"), &workloads::find(suite, "matrixMul"),
-      &workloads::find(suite, "reduction"), &workloads::find(suite, "histogram")};
+      &workloads::find(suite(), "vectorAdd"), &workloads::find(suite(), "matrixMul"),
+      &workloads::find(suite(), "reduction"), &workloads::find(suite(), "histogram")};
 
   std::vector<Tier2Stats> deltas;
   for (const std::size_t workers : {1u, 8u}) {
     eng.reset();
     const Tier2Stats before = eng.stats();
     for (int round = 0; round < 2; ++round) {
-      for (const Workload* w : seq) run_workload(*w, workers, Tier2Engine::Mode::kAuto);
+      for (const Workload* w : seq) run_workload(*w, workers);
     }
     deltas.push_back(eng.stats() - before);
   }
   EXPECT_EQ(deltas[0], deltas[1]);
-  EXPECT_EQ(deltas[0].launches_tier2 + deltas[0].launches_warming +
-                deltas[0].launches_tier1,
-            2u * seq.size());
+  EXPECT_EQ(deltas[0].launches_tier2, 2u * seq.size());  // every launch, atomics too
+  EXPECT_EQ(deltas[0].launches_tier1, 0u);
+  EXPECT_EQ(deltas[0].launches_warming, 0u);
+  EXPECT_EQ(deltas[0].compiles, seq.size());  // lowered once, reused in round 2
 }
 
-// --- fallback routing ---------------------------------------------------------
+run::SweepJob functional_job(const Workload& w, const char* name, std::size_t vps) {
+  run::SweepJob job;
+  job.name = name;
+  job.group = w.app;
+  job.config.mode = ExecMode::kFunctional;
+  job.config.functional_io = true;
+  job.config.gpu_mem_bytes = 16ull * 1024 * 1024;  // keep fleet captures small
+  workloads::AppTraits t = w.traits;
+  t.iterations = 1;
+  for (std::size_t i = 0; i < vps; ++i) {
+    AppInstance a;
+    a.workload = &w;
+    a.n = w.test_n;
+    a.traits = t;
+    job.apps.push_back(std::move(a));
+  }
+  return job;
+}
 
-TEST(Tier2Fallback, GlobalAtomicsRouteToTier1EvenWhenForced) {
+unsigned ceil_log2(std::uint64_t v) {
+  unsigned s = 0;
+  while ((1ull << s) < v) ++s;
+  return s;
+}
+
+TEST(Tier2Engine, FunctionalScenarioRunsEveryLaunchOnTheEngine) {
+  // One functional_io scenario with one VP per suite kernel: no launch may
+  // bypass the engine, and each (kernel, SoA stride) pair is lowered once.
   EngineSandbox sandbox;
+  LaunchCache::instance().clear();  // earlier tests' replays would hide launches
   Tier2Engine& eng = Tier2Engine::instance();
-  const auto suite = workloads::make_suite();
-  const Workload& w = workloads::find(suite, "histogram");  // global atomics
+  ScenarioConfig config = functional_job(suite().front(), "x", 1).config;
+  std::vector<AppInstance> apps;
+  std::set<std::pair<const KernelIR*, unsigned>> pairs;
+  for (const Workload& w : suite()) {
+    AppInstance a = functional_job(w, "x", 1).apps.front();
+    pairs.emplace(&w.kernel, ceil_log2(w.dims(a.n).threads_per_block()));
+    apps.push_back(std::move(a));
+  }
 
   const Tier2Stats before = eng.stats();
-  run_workload(w, 1, Tier2Engine::Mode::kForceTier2);
+  run_scenario(config, apps);
   const Tier2Stats d = eng.stats() - before;
-  EXPECT_EQ(d.launches_tier1, 1u);
-  EXPECT_EQ(d.launches_tier2, 0u);
-  EXPECT_EQ(d.compiles, 0u);
+  EXPECT_GE(d.launches_tier2, suite().size());
+  EXPECT_EQ(d.launches_tier1, 0u);
+  EXPECT_EQ(d.launches_warming, 0u);
+  EXPECT_EQ(d.compiles, pairs.size());
+  LaunchCache::instance().clear();
 }
 
-TEST(Tier2Fallback, LegacyMemHookRoutesToTier1) {
-  EngineSandbox sandbox;
-  Tier2Engine& eng = Tier2Engine::instance();
-  const auto suite = workloads::make_suite();
-  const Workload& w = workloads::find(suite, "vectorAdd");
-
-  std::uint64_t accesses = 0;
-  Interpreter::Options opts;
-  opts.mem_hook = [&accesses](std::uint64_t, std::uint32_t, bool) { ++accesses; };
-  const Tier2Stats before = eng.stats();
-  run_workload(w, 1, Tier2Engine::Mode::kForceTier2, opts);
-  const Tier2Stats d = eng.stats() - before;
-  EXPECT_EQ(d.launches_tier1, 1u);
-  EXPECT_EQ(d.launches_tier2, 0u);
-  EXPECT_GT(accesses, 0u);  // the hook really observed the Tier-1 run
-}
-
-TEST(Tier2Fallback, StrictBarrierDiagnosticsRouteToTier1) {
-  EngineSandbox sandbox;
-  Tier2Engine& eng = Tier2Engine::instance();
-  const auto suite = workloads::make_suite();
-  const Workload& w = workloads::find(suite, "reduction");  // barriers, uniform
-
-  Interpreter::Options opts;
-  opts.strict_barriers = true;
-  const Tier2Stats before = eng.stats();
-  run_workload(w, 1, Tier2Engine::Mode::kForceTier2, opts);
-  const Tier2Stats d = eng.stats() - before;
-  EXPECT_EQ(d.launches_tier1, 1u);
-  EXPECT_EQ(d.launches_tier2, 0u);
-}
-
-// --- fingerprint invalidation -------------------------------------------------
+// --- fingerprint invalidation and the cache bound -----------------------------
 
 KernelIR make_store_const_kernel(std::int64_t value) {
   KernelBuilder b("t2mut", 1);
@@ -320,8 +281,6 @@ KernelIR make_store_const_kernel(std::int64_t value) {
 TEST(Tier2Promotion, InPlaceKernelRebuildRelowersThroughTheFingerprint) {
   EngineSandbox sandbox;
   Tier2Engine& eng = Tier2Engine::instance();
-  eng.set_mode(Tier2Engine::Mode::kAuto);
-  eng.set_promotion(/*min_static_heat=*/0, /*warmup_launches=*/0);  // promote instantly
 
   KernelIR ir = make_store_const_kernel(111);
   AddressSpace mem(1 << 16, "m");
@@ -335,16 +294,46 @@ TEST(Tier2Promotion, InPlaceKernelRebuildRelowersThroughTheFingerprint) {
 
   // Rebuild the kernel in place (same KernelIR object, different body): the
   // next launch must execute the NEW body through a fresh lowering, not the
-  // stale Tier-2 code cached under the old fingerprint.
+  // stale code cached under the old fingerprint.
   const KernelIR next = make_store_const_kernel(222);
   ir.blocks = next.blocks;
   Interpreter().run(ir, LaunchDims{}, args, mem);
   EXPECT_EQ(mem.read<std::int64_t>(64), 222);
   EXPECT_EQ((eng.stats() - before).compiles, 2u);
 
-  // Same fingerprint again: cached, no third compile.
+  // Same fingerprint again: cached, no third compile, and the in-place
+  // refresh replaced the entry instead of adding one.
   Interpreter().run(ir, LaunchDims{}, args, mem);
   EXPECT_EQ((eng.stats() - before).compiles, 2u);
+  EXPECT_EQ(eng.stats().lowered_entries, 1u);
+}
+
+TEST(Tier2Engine, ProgramCacheEvictsFifoAtItsEntryCap) {
+  EngineSandbox sandbox;
+  Tier2Engine& eng = Tier2Engine::instance();
+  std::vector<KernelIR> kernels;
+  kernels.reserve(Tier2Engine::kMaxEntries + 2);
+  for (std::size_t i = 0; i < Tier2Engine::kMaxEntries + 2; ++i) {
+    kernels.push_back(make_store_const_kernel(static_cast<std::int64_t>(i)));
+  }
+  AddressSpace mem(1 << 16, "m");
+  KernelArgs args;
+  args.push_ptr(64);
+  for (const KernelIR& k : kernels) Interpreter().run(k, LaunchDims{}, args, mem);
+  Tier2Stats s = eng.stats();
+  EXPECT_EQ(s.compiles, kernels.size());
+  EXPECT_EQ(s.lowered_entries, Tier2Engine::kMaxEntries);
+  EXPECT_EQ(s.evictions, 2u);
+
+  // The two oldest entries went first: the newest kernel is still cached,
+  // the first one lowers again.
+  Interpreter().run(kernels.back(), LaunchDims{}, args, mem);
+  EXPECT_EQ(eng.stats().compiles, kernels.size());
+  Interpreter().run(kernels.front(), LaunchDims{}, args, mem);
+  EXPECT_EQ(mem.read<std::int64_t>(64), 0);
+  s = eng.stats();
+  EXPECT_EQ(s.compiles, kernels.size() + 1);
+  EXPECT_EQ(s.evictions, 3u);
 }
 
 // --- SIGVP_TIER_VERIFY oracle -------------------------------------------------
@@ -353,30 +342,26 @@ TEST(Tier2Verify, OracleRunsCleanOnSuiteKernels) {
   EngineSandbox sandbox;
   Tier2Engine& eng = Tier2Engine::instance();
   eng.set_verify(true);
-  const auto suite = workloads::make_suite();
 
   const Tier2Stats before = eng.stats();
-  const RunResult t2 = run_workload(workloads::find(suite, "matrixMul"), 4,
-                                    Tier2Engine::Mode::kForceTier2);
-  run_workload(workloads::find(suite, "convolutionSeparable"), 4,
-               Tier2Engine::Mode::kForceTier2);
+  const RunResult verified = run_workload(workloads::find(suite(), "matrixMul"), 4);
+  run_workload(workloads::find(suite(), "convolutionSeparable"), 4);
+  run_workload(workloads::find(suite(), "histogram"), 4);
   const Tier2Stats d = eng.stats() - before;
-  EXPECT_EQ(d.verify_launches, 2u);  // both launches were cross-checked
+  EXPECT_EQ(d.verify_launches, 3u);  // every launch was cross-checked
 
-  // And the verified result still matches a plain Tier-1 run.
+  // And the verified result still matches a plain reference run.
   eng.set_verify(false);
-  const RunResult t1 = run_workload(workloads::find(suite, "matrixMul"), 1,
-                                    Tier2Engine::Mode::kForceTier1);
-  EXPECT_TRUE(t1.memory == t2.memory);
-  expect_profiles_identical(t1.profile, t2.profile, "verify smoke");
+  const RunResult ref = run_workload(workloads::find(suite(), "matrixMul"), 0);
+  EXPECT_TRUE(verified.error.empty()) << verified.error;
+  EXPECT_EQ(verified.memory_hash, ref.memory_hash);
+  expect_profiles_identical(ref.profile, verified.profile, "verify smoke");
 }
 
 TEST(Tier2Verify, DivergenceCheckerAcceptsIdenticalAndRejectsPerturbed) {
   using interp_detail::check_tier_divergence;
-  const auto suite = workloads::make_suite();
-  const Workload& w = workloads::find(suite, "vectorAdd");
-  EngineSandbox sandbox;
-  const RunResult r = run_workload(w, 1, Tier2Engine::Mode::kForceTier1);
+  const Workload& w = workloads::find(suite(), "vectorAdd");
+  const RunResult r = run_workload(w, 0);
 
   AddressSpace a(1 << 20, "a"), b(1 << 20, "b");
   EXPECT_NO_THROW(check_tier_divergence(w.kernel, r.profile, r.profile, a, b));
@@ -389,47 +374,7 @@ TEST(Tier2Verify, DivergenceCheckerAcceptsIdenticalAndRejectsPerturbed) {
   EXPECT_THROW(check_tier_divergence(w.kernel, r.profile, r.profile, a, b), ContractError);
 }
 
-// --- bounded DecodedCache (Tier-1 decode cache) -------------------------------
-
-TEST(DecodedCacheBound, FifoEvictionKeepsTheCacheWithinItsCaps) {
-  using interp_detail::DecodedCache;
-  DecodedCache& cache = DecodedCache::instance();
-  cache.clear();
-  cache.set_capacity(/*max_entries=*/2, DecodedCache::kDefaultMaxBytes);
-
-  const KernelIR k1 = make_store_const_kernel(1);
-  const KernelIR k2 = make_store_const_kernel(2);
-  const KernelIR k3 = make_store_const_kernel(3);
-  const std::uint64_t evictions0 = cache.evictions();
-
-  const auto p1 = cache.get(k1);
-  const auto p2 = cache.get(k2);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), evictions0);
-
-  const auto p3 = cache.get(k3);  // over cap: k1 (FIFO head) is evicted
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), evictions0 + 1);
-  EXPECT_NE(p3, nullptr);
-  // The evicted program stays alive through the returned shared_ptr, and a
-  // re-get simply re-decodes.
-  const auto p1b = cache.get(k1);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), evictions0 + 2);
-  EXPECT_EQ(p1->fingerprint, p1b->fingerprint);
-
-  // Byte cap alone also evicts: a cap smaller than any program empties the
-  // FIFO on every insert while the caller's shared_ptr stays valid.
-  cache.set_capacity(DecodedCache::kDefaultMaxEntries, /*max_bytes=*/1);
-  const auto p2b = cache.get(k2);
-  EXPECT_NE(p2b, nullptr);
-  EXPECT_EQ(cache.size(), 0u);
-
-  cache.set_capacity(DecodedCache::kDefaultMaxEntries, DecodedCache::kDefaultMaxBytes);
-  cache.clear();
-}
-
-// --- promotion across resume-from-checkpoint ----------------------------------
+// --- engine state across resume-from-checkpoint -------------------------------
 
 struct TempDir {
   fs::path path;
@@ -453,37 +398,16 @@ std::vector<std::vector<std::uint8_t>> sweep_bytes(const run::SweepResult& r) {
   return out;
 }
 
-run::SweepJob functional_job(const Workload& w, const char* name, std::size_t vps) {
-  run::SweepJob job;
-  job.name = name;
-  job.group = w.app;
-  job.config.mode = ExecMode::kFunctional;
-  job.config.functional_io = true;
-  job.config.gpu_mem_bytes = 16ull * 1024 * 1024;  // keep fleet captures small
-  workloads::AppTraits t = w.traits;
-  t.iterations = 1;
-  for (std::size_t i = 0; i < vps; ++i) {
-    AppInstance a;
-    a.workload = &w;
-    a.n = w.test_n;
-    a.traits = t;
-    job.apps.push_back(std::move(a));
-  }
-  return job;
-}
-
 TEST(Tier2Promotion, ResumedSweepIsBitIdenticalDespiteColdTierState) {
-  // A resumed process starts with an empty lowered cache and zeroed warmup
-  // ordinals, so the re-run jobs make *different* tier decisions than the
-  // uninterrupted run did at the same point in the stream. The results must
-  // not care: tier choice is invisible in the sim domain.
+  // A resumed process starts with an empty program cache, so the re-run jobs
+  // lower kernels the uninterrupted run had already cached at the same point
+  // in the stream. The results must not care: cache state is invisible in
+  // the sim domain.
   EngineSandbox sandbox;
   Tier2Engine& eng = Tier2Engine::instance();
-  eng.set_mode(Tier2Engine::Mode::kAuto);
-  const auto suite = workloads::make_suite();
   std::vector<run::SweepJob> jobs;
-  jobs.push_back(functional_job(workloads::find(suite, "vectorAdd"), "t2-va", 2));
-  jobs.push_back(functional_job(workloads::find(suite, "reduction"), "t2-red", 2));
+  jobs.push_back(functional_job(workloads::find(suite(), "vectorAdd"), "t2-va", 2));
+  jobs.push_back(functional_job(workloads::find(suite(), "reduction"), "t2-red", 2));
 
   eng.reset();
   const auto golden = sweep_bytes(run::SweepRunner(2).run(jobs));
@@ -507,7 +431,7 @@ TEST(Tier2Promotion, ResumedSweepIsBitIdenticalDespiteColdTierState) {
   cp.jobs[1] = snapshot::JobCheckpoint{};
   snapshot::CheckpointStore(tmp.str()).publish(snapshot::encode_sweep_checkpoint(cp));
 
-  eng.reset();  // the process restart loses all warm tier state
+  eng.reset();  // the process restart loses all cached programs
   run::SweepResumeInfo ri;
   const run::SweepResult resumed = run::SweepRunner(2).run(jobs, snap, &ri);
   EXPECT_EQ(ri.jobs_resumed, 1u);
