@@ -47,9 +47,6 @@ inline run::SweepJob make_traffic_job(const workloads::Workload& w, std::size_t 
   job.config.mode = ExecMode::kAnalytic;
   job.config.dispatch.interleave = true;
   job.config.dispatch.coalesce = coalesce_on;
-  // The suite's buffers are tiny; the default 2 GiB address space would be
-  // zero-initialized once per scenario and dominate host wall-clock.
-  job.config.gpu_mem_bytes = 64ull * 1024 * 1024;
   const run::traffic::TrafficConfig tc = traffic_config(shape);
   for (std::size_t vp = 0; vp < vps; ++vp) {
     AppInstance a;
@@ -84,7 +81,6 @@ inline run::SweepJob make_mixed_job(const std::vector<workloads::Workload>& suit
   job.config.mode = ExecMode::kAnalytic;
   job.config.dispatch.interleave = true;
   job.config.dispatch.coalesce = true;
-  job.config.gpu_mem_bytes = 64ull * 1024 * 1024;
   const run::traffic::TrafficConfig tc = traffic_config(run::traffic::Shape::kPoisson);
   for (std::size_t vp = 0; vp < streams.size(); ++vp) {
     AppInstance a;

@@ -50,7 +50,6 @@ ScenarioConfig fleet_config(std::uint32_t domains, SimTime edge_latency_us) {
   ScenarioConfig cfg;
   cfg.backend = Backend::kSigmaVp;
   cfg.mode = ExecMode::kAnalytic;
-  cfg.gpu_mem_bytes = 32ull * 1024 * 1024;  // per-domain device arena
   cfg.fleet.domains = domains;
   cfg.fleet.edge_latency_us = edge_latency_us;
   return cfg;

@@ -59,9 +59,6 @@ run::SweepJob make_fleet_job(const workloads::Workload& w, std::uint64_t n, std:
   job.config.backend = Backend::kSigmaVp;
   job.config.mode = ExecMode::kFunctional;
   job.config.functional_io = true;
-  // Small device memory: the benched apps need a few MB, and the per-
-  // scenario zero-init would otherwise floor the cached phase's wall-clock.
-  job.config.gpu_mem_bytes = 64ull * 1024 * 1024;
 
   workloads::AppTraits t = w.traits;
   t.iterations = kIterations;

@@ -46,13 +46,11 @@ ScenarioConfig multigpu_config(const std::vector<GpuArch>& archs) {
   ScenarioConfig cfg;
   cfg.backend = Backend::kSigmaVp;
   cfg.mode = ExecMode::kAnalytic;
-  cfg.gpu_mem_bytes = 32ull * 1024 * 1024;
   cfg.dispatch.interleave = true;
   cfg.async_launches = true;
   for (const GpuArch& arch : archs) {
     HostGpuSpec spec;
     spec.arch = arch;
-    spec.mem_bytes = cfg.gpu_mem_bytes;
     cfg.host_gpus.push_back(spec);
   }
   return cfg;

@@ -72,7 +72,6 @@ std::vector<run::SweepJob> build_fleet_soak_jobs() {
   flat.group = "fleet";
   flat.config.backend = Backend::kSigmaVp;
   flat.config.mode = ExecMode::kAnalytic;
-  flat.config.gpu_mem_bytes = 16ull * 1024 * 1024;
   flat.config.fleet.domains = 4;
   flat.config.fault.seed = 7;
   flat.config.fault.drop_rate = 0.04;
@@ -93,7 +92,6 @@ std::vector<run::SweepJob> build_fleet_soak_jobs() {
   tree.group = "fleet";
   tree.config.backend = Backend::kSigmaVp;
   tree.config.mode = ExecMode::kAnalytic;
-  tree.config.gpu_mem_bytes = 16ull * 1024 * 1024;
   tree.config.fleet.domains = 3;
   tree.config.fleet.topology = "(1,(2):25)";
   {

@@ -321,7 +321,7 @@ void GpuDevice::capture_state(snapshot::Writer& w, bool hash_memory) const {
   }
   w.u64(next_op_id_);
   w.u64(launch_roll_index_);
-  if (hash_memory) w.u64(memory_.hash_range(0, memory_.size(), 0x5157f4a7ULL));
+  if (hash_memory) w.u64(memory_.content_digest(0x5157f4a7ULL));
 }
 
 }  // namespace sigvp

@@ -197,9 +197,10 @@ class GpuDevice {
 
   /// Serializes device state for a fleet capture: engine clocks, stream
   /// tails, busy/energy accumulators, allocator level, live tracked ops and
-  /// the fault-roll counter. With `hash_memory` the full address-space
-  /// content is folded in too (functional scenarios — the base-image +
-  /// MemDelta state the paper-scale analytic runs never touch).
+  /// the fault-roll counter. With `hash_memory` the address-space content
+  /// is folded in too (functional scenarios — the base-image + MemDelta
+  /// state the paper-scale analytic runs never touch), as the page-sparse
+  /// AddressSpace::content_digest, so the cost is O(touched pages).
   void capture_state(snapshot::Writer& w, bool hash_memory) const;
 
   /// Deterministic size-based estimate of the model's resident host memory:

@@ -607,8 +607,8 @@ void LaunchCache::verify_hit(const Entry& entry, const GpuArch& arch, const Kern
                              const AddressSpace& memory) const {
   // Re-execute against a copy of the caller's memory and demand bit-for-bit
   // agreement with the stored outcome. Opt-in (SIGVP_LAUNCH_CACHE_VERIFY=1):
-  // copying the whole space per hit is the point — it proves replay ==
-  // recompute without disturbing the caller.
+  // the copy proves replay == recompute without disturbing the caller, and
+  // it copies only the pages the caller has touched.
   AddressSpace scratch = memory;
   LaunchEvaluation fresh = evaluate_functional(arch, kernel, dims, args, scratch, nullptr);
   SIGVP_REQUIRE(stats_equal(fresh.stats, entry.stats),

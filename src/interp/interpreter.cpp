@@ -224,9 +224,10 @@ DynamicProfile Interpreter::run(const KernelIR& ir, const LaunchDims& dims,
   const std::shared_ptr<const Tier2Program> prog = engine.program(ir, dims.threads_per_block());
 
   if (engine.verify()) {
-    // SIGVP_TIER_VERIFY divergence oracle: snapshot memory, run the engine
-    // for real (hooks and all), then replay the launch from the snapshot on
-    // the reference and insist on identical profile + memory.
+    // SIGVP_TIER_VERIFY divergence oracle: snapshot memory (a copy of the
+    // touched pages only), run the engine for real (hooks and all), then
+    // replay the launch from the snapshot on the reference and insist on
+    // identical profile + memory.
     AddressSpace reference = global;
     DynamicProfile got = execute_launch(ir, *prog, dims, args, global, options);
     const DynamicProfile ref =

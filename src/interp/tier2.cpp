@@ -668,9 +668,19 @@ void check_tier_divergence(const KernelIR& ir, const DynamicProfile& ref,
   if (got.sfu_instrs != ref.sfu_instrs) fail("sfu_instrs mismatch");
   if (got.sqrt_instrs != ref.sqrt_instrs) fail("sqrt_instrs mismatch");
   if (got_mem.size() != ref_mem.size()) fail("address-space size mismatch");
+  // Compare 1 MiB windows, skipping every window whose pages are unmarked
+  // (all zeros) in both spaces: the check costs O(touched pages).
   constexpr std::uint64_t kWindow = 1u << 20;
+  constexpr std::uint64_t kPagesPerWindow = kWindow / AddressSpace::kPageBytes;
   for (std::uint64_t off = 0; off < got_mem.size(); off += kWindow) {
     const std::uint64_t len = std::min<std::uint64_t>(kWindow, got_mem.size() - off);
+    const std::uint64_t first = off / AddressSpace::kPageBytes;
+    const std::uint64_t last = std::min(first + kPagesPerWindow, got_mem.page_count());
+    bool touched = false;
+    for (std::uint64_t p = first; p < last && !touched; ++p) {
+      touched = got_mem.page_marked(p) || ref_mem.page_marked(p);
+    }
+    if (!touched) continue;
     if (got_mem.hash_range(off, len, kMemHashSeed) !=
         ref_mem.hash_range(off, len, kMemHashSeed)) {
       fail("memory mismatch in window [" + std::to_string(off) + ", " +

@@ -133,8 +133,9 @@ void run_tier2_block(const Tier2Program& prog2, const KernelIR& ir, const Launch
                      DynamicProfile& profile, std::uint32_t ctaid_x, std::uint32_t ctaid_y);
 
 /// SIGVP_TIER_VERIFY oracle: compares the engine run's profile and post-run
-/// memory against the reference run's; throws ContractError naming the
-/// first divergent field or memory window.
+/// memory (the 1 MiB windows holding a page marked in either space) against
+/// the reference run's; throws ContractError naming the first divergent
+/// field or memory window.
 void check_tier_divergence(const KernelIR& ir, const DynamicProfile& ref,
                            const DynamicProfile& got, const AddressSpace& ref_mem,
                            const AddressSpace& got_mem);

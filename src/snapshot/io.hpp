@@ -21,7 +21,11 @@ inline constexpr char kSnapshotMagic[8] = {'S', 'V', 'P', 'S', 'N', 'A', 'P', '1
 /// Version 2: ScenarioResult carries the MultiGpuStats block and scenario
 /// fingerprints cover host_gpus + placement, so version-1 checkpoints are
 /// rejected instead of misparsed.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// Version 3: functional fleet-capture digests fold device memory as the
+/// page-sparse AddressSpace::content_digest instead of one hash over the
+/// whole space, so version-2 checkpoints (whose recorded captures would no
+/// longer match on replay) are rejected.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Writes `payload` wrapped in the container, via write-temp + fsync +
 /// atomic rename — a crash at any instant leaves either the previous file

@@ -81,7 +81,6 @@ ScenarioConfig fleet_config(std::uint32_t domains) {
   ScenarioConfig cfg;
   cfg.backend = Backend::kSigmaVp;
   cfg.mode = ExecMode::kAnalytic;
-  cfg.gpu_mem_bytes = 16ull * 1024 * 1024;  // keep address spaces / captures small
   cfg.fleet.domains = domains;
   return cfg;
 }

@@ -431,7 +431,6 @@ run::SweepJob fleet_job(const workloads::Workload& w, std::size_t vps) {
   job.config.backend = Backend::kSigmaVp;
   job.config.mode = ExecMode::kFunctional;
   job.config.functional_io = true;
-  job.config.gpu_mem_bytes = 64ull * 1024 * 1024;
   const workloads::AppTraits t = fleet_traits(w);
   for (std::size_t i = 0; i < vps; ++i) job.apps.push_back(AppInstance{&w, w.test_n, t});
   return job;

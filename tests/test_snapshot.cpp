@@ -293,7 +293,6 @@ run::SweepJob tiny_traffic_job(const workloads::Workload& w, std::size_t vps,
   job.config.mode = ExecMode::kAnalytic;
   job.config.dispatch.interleave = true;
   job.config.dispatch.coalesce = true;
-  job.config.gpu_mem_bytes = 16ull * 1024 * 1024;
   run::traffic::TrafficConfig tc;
   tc.shape = shape;
   tc.mean_interarrival_us = 400.0;
@@ -361,7 +360,6 @@ TEST(SnapshotState, ZeroTrafficRestoreKeepsNoLatencyBlockSchema) {
   job.group = "g";
   job.config.backend = Backend::kSigmaVp;
   job.config.mode = ExecMode::kAnalytic;
-  job.config.gpu_mem_bytes = 16ull * 1024 * 1024;
   workloads::AppTraits t = workloads::find(suite, "vectorAdd").traits;
   t.iterations = 2;
   job.apps.push_back(AppInstance{&workloads::find(suite, "vectorAdd"),
@@ -481,7 +479,6 @@ TEST(SnapshotCache, ExportImportRestoresResidentEntriesByteExact) {
   job.config.backend = Backend::kSigmaVp;
   job.config.mode = ExecMode::kFunctional;
   job.config.functional_io = true;
-  job.config.gpu_mem_bytes = 64ull * 1024 * 1024;
   for (std::size_t i = 0; i < 4; ++i) job.apps.push_back(AppInstance{&w, w.test_n, t});
 
   LaunchCache& cache = LaunchCache::instance();

@@ -221,7 +221,6 @@ run::SweepJob functional_job(const Workload& w, const char* name, std::size_t vp
   job.group = w.app;
   job.config.mode = ExecMode::kFunctional;
   job.config.functional_io = true;
-  job.config.gpu_mem_bytes = 16ull * 1024 * 1024;  // keep fleet captures small
   workloads::AppTraits t = w.traits;
   t.iterations = 1;
   for (std::size_t i = 0; i < vps; ++i) {

@@ -410,7 +410,6 @@ run::SweepJob traffic_job(std::size_t vps, std::uint32_t requests_per_vp) {
   job.config.backend = Backend::kSigmaVp;
   job.config.mode = ExecMode::kAnalytic;
   job.config.dispatch.interleave = true;
-  job.config.gpu_mem_bytes = 64ull * 1024 * 1024;
   run::traffic::TrafficConfig tc;
   tc.shape = run::traffic::Shape::kPoisson;
   tc.mean_interarrival_us = 1500.0;
