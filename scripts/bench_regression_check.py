@@ -9,10 +9,12 @@ baselines in bench/baselines/ and exits nonzero on:
     non-atomic aggregate speedup beyond the band. Wall-clock throughput is
     host-dependent, hence the wide band; the band is a floor, never a
     ratchet (faster results always pass).
-  * launch_cache_speedup: ANY hit-rate regression (hits and misses are
-    deterministic counters — they must not change at all without a baseline
-    update), a missing VP point, or a cache wall-clock speedup dropping
-    below the band.
+  * launch_cache_speedup: ANY hit-rate regression (each VP point's serial
+    hits and misses are deterministic counters — they must not change at
+    all without a baseline update), ANY change to the shared sweep's
+    lookup count (hits + misses; its split depends on thread scheduling),
+    a missing VP point, or a cache wall-clock speedup dropping below the
+    band.
   * app_suite: ANY change to a scenario's sim-domain results (makespan,
     request count, latency percentiles, coalescing counters, ...). The
     whole per-job object is a pure function of the job config, so it is
@@ -139,18 +141,22 @@ def check_cache(baseline, current, tolerance):
                  f"(baseline {base['speedup']:.2f}x)")
         else:
             ok(f"vps={vps}: speedup {cur['speedup']:.2f}x >= floor {floor:.2f}x")
+    # The shared sweep runs its jobs concurrently on one process-wide cache,
+    # so which job fills an entry first (its hit/miss split) depends on
+    # thread scheduling. The number of cacheable launches does not: compare
+    # hits + misses exactly.
     base_shared = baseline.get("shared_sweep")
     cur_shared = current.get("shared_sweep")
     if base_shared and cur_shared:
-        if (cur_shared["hits"], cur_shared["misses"]) != (
-            base_shared["hits"], base_shared["misses"]
-        ):
-            fail("cache: shared-sweep hit/miss counts changed: "
-                 f"{cur_shared['hits']}/{cur_shared['misses']} vs "
-                 f"{base_shared['hits']}/{base_shared['misses']}")
+        base_total = base_shared["hits"] + base_shared["misses"]
+        cur_total = cur_shared["hits"] + cur_shared["misses"]
+        if cur_total != base_total:
+            fail("cache: shared-sweep lookups (hits + misses) changed: "
+                 f"{cur_total} ({cur_shared['hits']}/{cur_shared['misses']}) vs "
+                 f"baseline {base_total}")
         else:
-            ok(f"shared sweep: hits/misses "
-               f"{cur_shared['hits']}/{cur_shared['misses']} unchanged")
+            ok(f"shared sweep: {cur_total} lookups unchanged "
+               f"(hits/misses {cur_shared['hits']}/{cur_shared['misses']})")
 
 
 def check_tier(baseline, current, tolerance):

@@ -56,6 +56,11 @@ class AppRun : public std::enable_shared_from_this<AppRun> {
   /// The AppRun keeps itself alive until then.
   void start(std::function<void(SimTime)> on_done);
 
+  /// Drops the keep-alive of a run that will never complete (its owner is
+  /// torn down mid-run), so the closures still queued hold the last
+  /// references and free the run when they are destroyed.
+  void release() { self_.reset(); }
+
   SimTime finished_at() const { return finished_at_; }
   bool finished() const { return finished_; }
   std::uint64_t kernels_launched() const { return kernels_launched_; }

@@ -8,8 +8,6 @@
 #include "fault/health.hpp"
 #include "gpu/launch_cache.hpp"
 #include "ipc/ipc_manager.hpp"
-#include "run/thread_pool.hpp"
-#include "sim/topology.hpp"
 #include "snapshot/serial.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
@@ -34,7 +32,13 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t domain) {
 }  // namespace
 
 FleetDomain::FleetDomain() = default;
-FleetDomain::~FleetDomain() = default;
+
+FleetDomain::~FleetDomain() {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (runs[i]) runs[i]->release();
+    if (streams[i]) streams[i]->release();
+  }
+}
 
 void FleetDomain::build(const ScenarioConfig& config, const std::vector<AppInstance>& apps,
                         std::size_t begin, std::size_t end, std::uint32_t domain_id,
@@ -238,11 +242,18 @@ void FleetDomain::build(const ScenarioConfig& config, const std::vector<AppInsta
   }
 }
 
-void FleetDomain::start(const std::function<void(std::size_t, SimTime)>& on_app_done) {
+void FleetDomain::start(SimTime to_root_us) {
   for (std::size_t i = 0; i < runs.size(); ++i) {
     std::function<void(SimTime)> done;
-    if (on_app_done) {
-      done = [on_app_done, global = app_begin + i](SimTime t) { on_app_done(global, t); };
+    if (id == 0) {
+      done = [this](SimTime t) {
+        if (t > fleet_done_us) fleet_done_us = t;
+      };
+    } else {
+      done = [this, app = app_begin + i, to_root_us](SimTime t) {
+        outbox.push_back({t + to_root_us, id, 0, fabric_seq++, app, false});
+        ++reports_sent;
+      };
     }
     if (runs[i]) runs[i]->start(std::move(done));
     if (streams[i]) streams[i]->start(std::move(done));
@@ -357,296 +368,6 @@ std::uint64_t FleetDomain::resident_bytes() const {
   total += captures.capacity() * sizeof(FleetCapture);
   total += outbox.capacity() * sizeof(FabricMsg);
   return total;
-}
-
-ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
-                                    const std::vector<AppInstance>& apps,
-                                    const CaptureOptions& capture,
-                                    std::vector<FleetCapture>* out_captures) {
-  const std::uint32_t D = config.fleet.domains;
-  SIGVP_REQUIRE(config.backend == Backend::kSigmaVp,
-                "sharded fleets (fleet.domains >= 2) require the ΣVP backend");
-  SIGVP_REQUIRE(static_cast<std::size_t>(D) <= apps.size(),
-                "a sharded fleet needs at least one app per domain");
-  const FleetTopology topo =
-      FleetTopology::parse(config.fleet.topology, D, config.fleet.edge_latency_us);
-  const SimTime lookahead = topo.lookahead_us();
-  const bool functional = config.mode == ExecMode::kFunctional;
-
-  // Contiguous near-equal app slices: domain d owns [slice_at(d), slice_at(d+1)).
-  auto slice_at = [&apps, D](std::uint32_t d) { return apps.size() * d / D; };
-
-  // Shard execution: up to `--shards` host threads from the shared fleet
-  // pool advance domains between barriers. Purely an execution knob — the
-  // serial path below visits domains in the same order the merge uses.
-  std::vector<std::unique_ptr<FleetDomain>> doms(D);
-  const std::size_t shard_threads = std::min<std::size_t>(run::fleet_shards(), D);
-  auto for_each_domain = [&](const std::function<void(std::size_t)>& fn) {
-    if (shard_threads > 1) {
-      run::parallel_for(run::fleet_pool(shard_threads), D, fn);
-    } else {
-      for (std::size_t d = 0; d < D; ++d) fn(d);
-    }
-  };
-
-  const std::string base_label = backend_name(config.backend);
-  for_each_domain([&](std::size_t d) {
-    const std::size_t begin = slice_at(static_cast<std::uint32_t>(d));
-    const std::size_t end = slice_at(static_cast<std::uint32_t>(d + 1));
-    auto dom = std::make_unique<FleetDomain>();
-    dom->build(config, apps, begin, end, static_cast<std::uint32_t>(d), D,
-               base_label + " x" + std::to_string(end - begin) + " shard" +
-                   std::to_string(d));
-    doms[d] = std::move(dom);
-  });
-  FleetDomain& root = *doms[0];
-  const std::uint64_t remote_reports_expected =
-      apps.size() - (root.app_end - root.app_begin);
-
-  // Fabric completion hooks: the root processes its own apps' completions
-  // locally; every other domain reports leaf → root with the path latency,
-  // and the root acks back. All hooks run inside their domain's events.
-  for (std::uint32_t d = 0; d < D; ++d) {
-    FleetDomain& dom = *doms[d];
-    if (d == 0) {
-      dom.start([&root](std::size_t, SimTime done) {
-        if (done > root.fleet_done_us) root.fleet_done_us = done;
-      });
-    } else {
-      const SimTime path = topo.to_root_us(d);
-      dom.start([&dom, path](std::size_t app, SimTime done) {
-        dom.outbox.push_back({done + path, dom.id, 0, dom.fabric_seq++, app, false});
-        ++dom.reports_sent;
-      });
-    }
-  }
-
-  // Per-domain capture chains on the shared cadence grid. A chain re-arms
-  // while its domain has pending events or open fabric business, so the
-  // folded fleet captures span the whole fleet lifetime; everything feeding
-  // the re-arm decision is sim-domain deterministic.
-  if (capture.every_us > 0.0) {
-    for (std::uint32_t d = 0; d < D; ++d) {
-      FleetDomain& dom = *doms[d];
-      const bool is_root = d == 0;
-      auto take = std::make_shared<std::function<void()>>();
-      *take = [&dom, take, every = capture.every_us, functional, is_root,
-               remote_reports_expected] {
-        FleetCapture fc;
-        fc.at_us = dom.queue.now();
-        fc.events_processed = dom.queue.events_processed();
-        snapshot::Writer w;
-        dom.capture_components(w, functional);
-        w.u64(dom.reports_sent);
-        w.u64(dom.acks_received);
-        w.u64(dom.reports_received);
-        w.f64(dom.fleet_done_us);
-        fc.digest = w.digest();
-        dom.captures.push_back(fc);
-        const bool fabric_open =
-            dom.reports_sent > dom.acks_received ||
-            (is_root && dom.reports_received < remote_reports_expected);
-        if (dom.queue.pending() > 0 || fabric_open) {
-          dom.queue.schedule_at(dom.queue.now() + every, *take);
-        }
-      };
-      dom.queue.schedule_at(capture.every_us, *take);
-    }
-  }
-
-  ScenarioResult result;
-  result.fleet.domains = D;
-  result.fleet.lookahead_us = lookahead;
-
-  auto resident_total = [&doms] {
-    std::uint64_t sum = 0;
-    for (const auto& dom : doms) sum += dom->resident_bytes();
-    return sum;
-  };
-  std::uint64_t peak_resident = resident_total();  // construction peak
-
-  // Barrier-time message routing: canonical (arrival, src, seq) order keeps
-  // the destination queue's sequence assignment — and therefore every
-  // downstream scheduling decision — independent of shard interleaving.
-  auto route = [&](const FleetDomain::FabricMsg& m) {
-    const std::uint32_t far_end = m.ack ? m.dst : m.src;
-    ++result.fleet.fabric_messages;
-    result.fleet.fabric_hops += topo.hops_to_root(far_end);
-    if (!m.ack) {
-      const SimTime back = topo.to_root_us(m.src);
-      root.queue.schedule_at(m.arrive_us, [&root, src = m.src, app = m.app, back] {
-        const SimTime now = root.queue.now();
-        if (now > root.fleet_done_us) root.fleet_done_us = now;
-        ++root.reports_received;
-        if (root.rt) {
-          root.rt->instant(trace::RunTrace::kTidIpc, "fabric", "report", now,
-                           {trace::arg("app", static_cast<std::uint64_t>(app)),
-                            trace::arg("src", static_cast<int>(src))});
-        }
-        root.outbox.push_back({now + back, 0, src, root.fabric_seq++, app, true});
-      });
-    } else {
-      FleetDomain& dst = *doms[m.dst];
-      dst.queue.schedule_at(m.arrive_us, [&dst] { ++dst.acks_received; });
-    }
-  };
-
-  // Fold the per-domain capture chains into fleet captures, grid point by
-  // grid point, verifying against the expected sequence as we go. The grid
-  // accumulates (prev + every_us) exactly like the chains do, so times
-  // match bit-for-bit.
-  std::size_t folded = 0;
-  std::size_t verify_idx = 0;
-  SimTime next_grid = capture.every_us;
-  bool chains_dead = capture.every_us <= 0.0;
-  auto fold_captures = [&](SimTime horizon) {
-    while (!chains_dead && next_grid <= horizon) {
-      FleetCapture fc;
-      fc.at_us = next_grid;
-      snapshot::Writer w;
-      std::uint64_t contributors = 0;
-      for (std::uint32_t d = 0; d < D; ++d) {
-        if (doms[d]->captures.size() > folded) ++contributors;
-      }
-      if (contributors == 0) {
-        chains_dead = true;  // every chain ended — no entry at this grid, ever
-        break;
-      }
-      w.u64(contributors);
-      for (std::uint32_t d = 0; d < D; ++d) {
-        if (doms[d]->captures.size() <= folded) continue;
-        const FleetCapture& c = doms[d]->captures[folded];
-        SIGVP_ASSERT(c.at_us == next_grid, "fleet capture chain left its cadence grid");
-        w.u32(d);
-        w.u64(c.events_processed);
-        w.u64(c.digest);
-        fc.events_processed += c.events_processed;
-      }
-      fc.digest = w.digest();
-      if (verify_idx < capture.expect.size()) {
-        const FleetCapture& e = capture.expect[verify_idx];
-        if (!(fc == e)) {
-          throw snapshot::SnapshotError(
-              "fleet capture " + std::to_string(verify_idx) + " diverged from checkpoint: " +
-              "expected t=" + std::to_string(e.at_us) + " events=" +
-              std::to_string(e.events_processed) + " digest=" + std::to_string(e.digest) +
-              ", got t=" + std::to_string(fc.at_us) + " events=" +
-              std::to_string(fc.events_processed) + " digest=" + std::to_string(fc.digest));
-        }
-      }
-      ++verify_idx;
-      ++folded;
-      next_grid += capture.every_us;
-      if (out_captures != nullptr) out_captures->push_back(fc);
-      if (capture.on_capture) capture.on_capture(fc);
-    }
-  };
-
-  // The conservative horizon loop. Any message sent by an event at time t
-  // arrives at t + path >= t + lookahead, and every event processed in a
-  // round has t >= the round's earliest pending time, so advancing all
-  // domains to (earliest + lookahead) can never deliver into a domain's
-  // past — and idle stretches are skipped at full speed because the horizon
-  // chases the earliest *pending* event, wherever it is.
-  std::vector<FleetDomain::FabricMsg> msgs;
-  for (;;) {
-    bool any = false;
-    SimTime earliest = 0.0;
-    for (const auto& dom : doms) {
-      if (dom->queue.empty()) continue;
-      const SimTime t = dom->queue.next_event_time();
-      if (!any || t < earliest) earliest = t;
-      any = true;
-    }
-    if (!any) break;
-    const SimTime horizon = earliest + lookahead;
-    ++result.fleet.sync_rounds;
-
-    for_each_domain([&doms, horizon](std::size_t d) { doms[d]->queue.run_until(horizon); });
-
-    msgs.clear();
-    for (const auto& dom : doms) {
-      msgs.insert(msgs.end(), dom->outbox.begin(), dom->outbox.end());
-      dom->outbox.clear();
-    }
-    std::sort(msgs.begin(), msgs.end(),
-              [](const FleetDomain::FabricMsg& a, const FleetDomain::FabricMsg& b) {
-                if (a.arrive_us != b.arrive_us) return a.arrive_us < b.arrive_us;
-                if (a.src != b.src) return a.src < b.src;
-                return a.seq < b.seq;
-              });
-    for (const FleetDomain::FabricMsg& m : msgs) route(m);
-    fold_captures(horizon);
-  }
-
-  if (verify_idx < capture.expect.size()) {
-    throw snapshot::SnapshotError(
-        "replay produced " + std::to_string(verify_idx) + " fleet captures but the checkpoint " +
-        "recorded " + std::to_string(capture.expect.size()) + " — runs diverged");
-  }
-
-  // Fleet-level liveness: every queue drained, so any dispatcher with queued
-  // or in-flight jobs, any unacked report, or any unreported app means the
-  // system deadlocked — fail loudly instead of reporting a bogus result.
-  for (const auto& dom : doms) {
-    if (dom->dispatcher && !dom->dispatcher->idle()) {
-      SIGVP_ASSERT(false, "fleet domain " + std::to_string(dom->id) +
-                              " drained with the dispatcher stalled — " +
-                              dom->dispatcher->stall_report());
-    }
-    SIGVP_ASSERT(dom->outbox.empty(), "fleet drained with fabric messages unrouted");
-    SIGVP_ASSERT(dom->acks_received == dom->reports_sent,
-                 "fleet drained with unacknowledged completion reports");
-  }
-  SIGVP_ASSERT(root.reports_received == remote_reports_expected,
-               "fleet drained before every completion report reached the root");
-
-  peak_resident = std::max(peak_resident, resident_total());
-
-  // Canonical merge: domain order == global app order (slices are
-  // contiguous and ascending), counters sum, histograms/metrics fold in
-  // domain order — bit-identical for any shard/worker count.
-  for (const auto& dom : doms) {
-    dom->append_app_results(result, config.functional_io && functional);
-    dom->fold_counters(result);
-  }
-  result.fleet.fleet_done_us = root.fleet_done_us;
-  result.fleet.resident_bytes = peak_resident;
-  for (const auto& dom : doms) {
-    if (!dom->gpus || !dom->gpus->has_private_caches()) continue;
-    const LaunchCacheStats cs = dom->gpus->cache_stats();
-    result.fleet.cache_hits += cs.hits;
-    result.fleet.cache_misses += cs.misses;
-  }
-
-  if (root.rt) {
-    auto merged = std::make_shared<trace::Metrics>();
-    for (const auto& dom : doms) merged->merge(dom->rt->metrics);
-    merged->gauge("run.makespan_us").record_max(result.makespan_us);
-    if (result.latency.count > 0) {
-      merged->counter("traffic.requests").value += result.requests_completed;
-      merged->histogram("traffic.request_latency_us", trace::latency_buckets_us())
-          .merge(result.latency);
-    }
-    if (result.makespan_us > 0.0) {
-      // Aggregate utilization across every device of every domain.
-      const double devs = result.gpus.devices > 0 ? result.gpus.devices : 1.0;
-      merged->gauge("gpu.compute_utilization")
-          .record_max(result.gpu_compute_busy_us / (D * devs * result.makespan_us));
-      merged->gauge("gpu.copy_utilization")
-          .record_max(result.gpu_copy_busy_us / (D * devs * result.makespan_us));
-    }
-    if (result.gpus.devices > 0) {
-      merged->counter("placement.migrations").value += result.gpus.migrations;
-      merged->counter("placement.migrated_bytes").value += result.gpus.migrated_bytes;
-    }
-    merged->counter("fleet.fabric_messages").value += result.fleet.fabric_messages;
-    merged->counter("fleet.sync_rounds").value += result.fleet.sync_rounds;
-    merged->gauge("fleet.resident_bytes")
-        .record_max(static_cast<double>(result.fleet.resident_bytes));
-    result.metrics = std::move(merged);
-  }
-  return result;
 }
 
 }  // namespace sigvp

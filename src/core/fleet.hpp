@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,15 +37,17 @@ class Writer;
 /// window, per-VP CPU contexts/drivers, fault machinery, and (in sharded
 /// runs) a private launch-cache shard covering the domain's VP slice.
 ///
-/// The classic unsharded scenario is exactly one FleetDomain covering every
-/// app; a sharded fleet (FleetConfig::domains >= 2) is D of them over
+/// Every scenario is a fleet of D = FleetConfig::domains of them over
 /// contiguous app slices, advanced between conservative synchronization
 /// horizons and stitched by the fabric described by FleetTopology
-/// (DESIGN.md §16). All members are domain-local: between barriers a domain
-/// is touched by exactly one host thread.
+/// (DESIGN.md §16); the default D = 1 is one domain covering every app, with
+/// no fabric. All members are domain-local: between barriers a domain is
+/// touched by exactly one host thread.
 struct FleetDomain {
   FleetDomain();
-  ~FleetDomain();  // out-of-line: members hold forward-declared types
+  /// Releases the keep-alive of every app that has not completed, so a run
+  /// abandoned by an exception frees its apps with the queued closures.
+  ~FleetDomain();
   FleetDomain(const FleetDomain&) = delete;
   FleetDomain& operator=(const FleetDomain&) = delete;
 
@@ -79,7 +80,7 @@ struct FleetDomain {
   std::size_t app_begin = 0;
   std::size_t app_end = 0;
 
-  // --- fabric bookkeeping (sharded runs only) --------------------------------
+  // --- fabric and capture bookkeeping -----------------------------------------
   /// One cross-domain message: a completion report (leaf → root) or its
   /// acknowledgement (root → leaf). Messages are created domain-locally
   /// during a round and routed at the barrier in canonical
@@ -98,22 +99,20 @@ struct FleetDomain {
   std::uint64_t acks_received = 0;
   std::uint64_t reports_received = 0;  // root (domain 0) only
   SimTime fleet_done_us = 0.0;         // root only: last report processed
-  std::vector<FleetCapture> captures;  // sharded runs: this domain's chain
+  std::vector<FleetCapture> captures;  // this domain's capture chain
 
-  /// Builds the domain over apps [begin, end). Construction order matches
-  /// the pre-sharding run_scenario exactly, so a single-domain fleet is
-  /// byte-identical to every release before sharding existed. In sharded
-  /// fleets (num_domains >= 2) the fault plan is reseeded per domain, the
-  /// stall-VP index is remapped into the slice, and the domain gets a
-  /// private launch-cache shard instead of the process singleton.
+  /// Builds the domain over apps [begin, end). In sharded fleets
+  /// (num_domains >= 2) the fault plan is reseeded per domain, the stall-VP
+  /// index is remapped into the slice, and the domain gets a private
+  /// launch-cache shard instead of the process singleton.
   void build(const ScenarioConfig& config, const std::vector<AppInstance>& apps,
              std::size_t begin, std::size_t end, std::uint32_t domain_id,
              std::uint32_t num_domains, const std::string& trace_label);
 
-  /// Starts every app of the slice. `on_app_done(global_index, done_us)` is
-  /// the fabric hook (fires inside this domain's events); pass null for the
-  /// classic path to keep it byte-identical (AppRun::start({})).
-  void start(const std::function<void(std::size_t, SimTime)>& on_app_done);
+  /// Starts every app of the slice. Each completion is fabric traffic: the
+  /// root (domain 0) records it in `fleet_done_us`; any other domain queues
+  /// a completion report that reaches the root `to_root_us` later.
+  void start(SimTime to_root_us);
 
   /// Digests every stateful component in the canonical order (queue, device,
   /// IPC, dispatcher, CPUs, apps, fault counters) — the per-domain half of a
@@ -136,16 +135,5 @@ struct FleetDomain {
   /// excluded — it is simulated, not resident.
   std::uint64_t resident_bytes() const;
 };
-
-/// The sharded fleet executor (FleetConfig::domains >= 2): partitions apps
-/// into contiguous slices, advances every domain's event queue between
-/// conservative synchronization horizons (lookahead = the topology's minimum
-/// cross-domain flight time) on up to run::fleet_shards() host threads, and
-/// merges results in canonical domain order — bit-identical for any
-/// `--shards` and `--workers` value.
-ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
-                                    const std::vector<AppInstance>& apps,
-                                    const CaptureOptions& capture,
-                                    std::vector<FleetCapture>* out_captures);
 
 }  // namespace sigvp

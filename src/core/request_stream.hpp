@@ -46,6 +46,10 @@ class RequestStream : public std::enable_shared_from_this<RequestStream> {
   /// results have landed. Keeps itself alive until then.
   void start(std::function<void(SimTime)> on_done);
 
+  /// Drops the keep-alive of a stream that will never finish (its owner is
+  /// torn down mid-run); see AppRun::release.
+  void release() { self_.reset(); }
+
   bool finished() const { return finished_; }
   SimTime finished_at() const { return finished_at_; }
   std::uint64_t kernels_launched() const { return kernels_launched_; }

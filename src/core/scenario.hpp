@@ -73,10 +73,10 @@ struct AppInstance {
 /// *execution-only* `--shards` / SIGVP_SHARDS knob (run::set_fleet_shards),
 /// which never changes a result byte.
 struct FleetConfig {
-  /// Number of scheduler/dispatcher domains. 1 (the default) is the classic
-  /// unsharded fleet — byte-identical to every release before sharding
-  /// existed. >= 2 requires Backend::kSigmaVp and at most one domain per
-  /// app; apps are partitioned into contiguous, near-equal slices.
+  /// Number of scheduler/dispatcher domains. 1 (the default) is one domain
+  /// over every app, with no fabric. >= 2 requires Backend::kSigmaVp and at
+  /// most one domain per app; apps are partitioned into contiguous,
+  /// near-equal slices.
   std::uint32_t domains = 1;
 
   /// Fabric topology spec (see sim/topology.hpp); "" = flat star.
@@ -132,9 +132,9 @@ struct ScenarioConfig {
   bool functional_io = false;
 };
 
-/// Sharded-fleet observables; `domains == 0` means the scenario ran the
-/// classic unsharded path and the whole block is absent from JSON/snapshot
-/// comparisons of legacy runs.
+/// Sharded-fleet observables; `domains == 0` means the scenario ran as a
+/// single domain, and the whole block is then absent from JSON and
+/// snapshot comparisons.
 struct FleetStats {
   std::uint32_t domains = 0;
   SimTime lookahead_us = 0.0;        // conservative horizon increment
@@ -202,7 +202,7 @@ struct ScenarioResult {
   /// every counter zero) unless the scenario ran with an enabled FaultConfig.
   FaultStats fault;
 
-  /// Sharded-fleet observables; inert (domains == 0) on the unsharded path.
+  /// Sharded-fleet observables; inert (domains == 0) for a single domain.
   FleetStats fleet;
 
   /// Multi-GPU observables; inert (devices == 0) unless the scenario
@@ -257,18 +257,24 @@ struct CaptureOptions {
   std::vector<FleetCapture> expect;
 
   /// Invoked after each capture is taken (and verified): the checkpoint
-  /// publication hook. Runs on the scenario's thread, mid-simulation.
+  /// publication hook. Runs on the scenario's thread, mid-simulation, at
+  /// the first synchronization barrier past the capture's grid point (no
+  /// later than one cadence after it).
   std::function<void(const FleetCapture&)> on_capture;
 };
 
-/// Builds the full system for `config`, runs every app instance to
-/// completion on the discrete-event timeline, and reports the schedule.
+/// Builds the full system for `config` as a fleet of `config.fleet.domains`
+/// scheduler/dispatcher domains (DESIGN.md §16), runs every app instance to
+/// completion on the discrete-event timeline, and reports the schedule. The
+/// fleet's domains advance between conservative synchronization horizons;
+/// results are merged in canonical domain order, bit-identical for any
+/// `--shards` and `--workers` value.
 ScenarioResult run_scenario(const ScenarioConfig& config, const std::vector<AppInstance>& apps);
 
 /// Capture-enabled variant: additionally takes a FleetCapture every
 /// `capture.every_us` of sim time, appending to `out_captures` (may be
-/// null). The no-capture overload above is byte-identical to this one with
-/// a disabled CaptureOptions — the capture event never enters the queue.
+/// null). With a disabled CaptureOptions no capture event enters the queue,
+/// which is exactly the overload above.
 ScenarioResult run_scenario(const ScenarioConfig& config, const std::vector<AppInstance>& apps,
                             const CaptureOptions& capture,
                             std::vector<FleetCapture>* out_captures);

@@ -89,9 +89,9 @@ SIGVP_OP(op_ld_param) {
 }
 
 // --- integer -----------------------------------------------------------------
-SIGVP_SIMPLE_OP(op_add_i, r[d.dst].set_i(r[d.src0].i() + r[d.src1].i()))
-SIGVP_SIMPLE_OP(op_sub_i, r[d.dst].set_i(r[d.src0].i() - r[d.src1].i()))
-SIGVP_SIMPLE_OP(op_mul_i, r[d.dst].set_i(r[d.src0].i() * r[d.src1].i()))
+SIGVP_SIMPLE_OP(op_add_i, r[d.dst].set_i(wrap_add_i(r[d.src0].i(), r[d.src1].i())))
+SIGVP_SIMPLE_OP(op_sub_i, r[d.dst].set_i(wrap_sub_i(r[d.src0].i(), r[d.src1].i())))
+SIGVP_SIMPLE_OP(op_mul_i, r[d.dst].set_i(wrap_mul_i(r[d.src0].i(), r[d.src1].i())))
 SIGVP_OP(op_div_i) {
   RegValue* const r = t.regs;
   if (r[d.src1].i() == 0) [[unlikely]] throw_div_zero(*m.ir);
@@ -106,8 +106,8 @@ SIGVP_OP(op_rem_i) {
 }
 SIGVP_SIMPLE_OP(op_min_i, r[d.dst].set_i(std::min(r[d.src0].i(), r[d.src1].i())))
 SIGVP_SIMPLE_OP(op_max_i, r[d.dst].set_i(std::max(r[d.src0].i(), r[d.src1].i())))
-SIGVP_SIMPLE_OP(op_neg_i, r[d.dst].set_i(-r[d.src0].i()))
-SIGVP_SIMPLE_OP(op_abs_i, r[d.dst].set_i(std::abs(r[d.src0].i())))
+SIGVP_SIMPLE_OP(op_neg_i, r[d.dst].set_i(wrap_neg_i(r[d.src0].i())))
+SIGVP_SIMPLE_OP(op_abs_i, r[d.dst].set_i(wrap_abs_i(r[d.src0].i())))
 SIGVP_SIMPLE_OP(op_set_lt_i, r[d.dst].set_i(r[d.src0].i() < r[d.src1].i()))
 SIGVP_SIMPLE_OP(op_set_le_i, r[d.dst].set_i(r[d.src0].i() <= r[d.src1].i()))
 SIGVP_SIMPLE_OP(op_set_eq_i, r[d.dst].set_i(r[d.src0].i() == r[d.src1].i()))
@@ -250,7 +250,7 @@ SIGVP_ST_GLOBAL(op_st_global_u8, std::uint8_t, static_cast<std::uint8_t>(t.regs[
 SIGVP_OP(op_atom_add_global_i64) {
   const std::uint64_t addr = SIGVP_GADDR();
   const std::int64_t old = m.global->read<std::int64_t>(addr);
-  m.global->write<std::int64_t>(addr, old + t.regs[d.src1].i());
+  m.global->write<std::int64_t>(addr, wrap_add_i(old, t.regs[d.src1].i()));
   t.regs[d.dst].set_i(old);
   ++t.pc;
 }

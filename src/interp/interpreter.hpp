@@ -30,6 +30,25 @@ struct RegValue {
   bool truthy() const { return bits != 0; }
 };
 
+/// Guest integer arithmetic wraps modulo 2^64, as a GPU's integer units do:
+/// each i64 add/sub/mul/neg/abs goes through uint64_t, so overflow is
+/// defined (two's complement) and both engines share one definition.
+inline std::int64_t wrap_add_i(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) + static_cast<std::uint64_t>(b));
+}
+inline std::int64_t wrap_sub_i(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) - static_cast<std::uint64_t>(b));
+}
+inline std::int64_t wrap_mul_i(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(b));
+}
+inline std::int64_t wrap_neg_i(std::int64_t a) {
+  return wrap_sub_i(0, a);
+}
+inline std::int64_t wrap_abs_i(std::int64_t a) {
+  return a < 0 ? wrap_neg_i(a) : a;
+}
+
 /// Callback invoked for a global-memory access; the GPU device model plugs
 /// its cache simulator in here.
 using MemAccessHook =

@@ -109,13 +109,13 @@ void run_vec_prologue(T2Ctx& m, const std::vector<VecOp>& ops, std::uint32_t lan
       }
       T2_VEC(kMov, D[l] = A[l])
       T2_VEC(kSelect, D[l] = A[l].truthy() ? B[l] : C[l])
-      T2_VEC(kAddI, D[l].set_i(A[l].i() + B[l].i()))
-      T2_VEC(kSubI, D[l].set_i(A[l].i() - B[l].i()))
-      T2_VEC(kMulI, D[l].set_i(A[l].i() * B[l].i()))
+      T2_VEC(kAddI, D[l].set_i(wrap_add_i(A[l].i(), B[l].i())))
+      T2_VEC(kSubI, D[l].set_i(wrap_sub_i(A[l].i(), B[l].i())))
+      T2_VEC(kMulI, D[l].set_i(wrap_mul_i(A[l].i(), B[l].i())))
       T2_VEC(kMinI, D[l].set_i(std::min(A[l].i(), B[l].i())))
       T2_VEC(kMaxI, D[l].set_i(std::max(A[l].i(), B[l].i())))
-      T2_VEC(kNegI, D[l].set_i(-A[l].i()))
-      T2_VEC(kAbsI, D[l].set_i(std::abs(A[l].i())))
+      T2_VEC(kNegI, D[l].set_i(wrap_neg_i(A[l].i())))
+      T2_VEC(kAbsI, D[l].set_i(wrap_abs_i(A[l].i())))
       T2_VEC(kSetLtI, D[l].set_i(A[l].i() < B[l].i()))
       T2_VEC(kSetLeI, D[l].set_i(A[l].i() <= B[l].i()))
       T2_VEC(kSetEqI, D[l].set_i(A[l].i() == B[l].i()))
@@ -254,9 +254,9 @@ t2_dispatch:
   }
 
   // --- integer ---------------------------------------------------------------
-  T2_SIMPLE(add_i, r[d->d].set_i(r[d->a].i() + r[d->b].i()))
-  T2_SIMPLE(sub_i, r[d->d].set_i(r[d->a].i() - r[d->b].i()))
-  T2_SIMPLE(mul_i, r[d->d].set_i(r[d->a].i() * r[d->b].i()))
+  T2_SIMPLE(add_i, r[d->d].set_i(wrap_add_i(r[d->a].i(), r[d->b].i())))
+  T2_SIMPLE(sub_i, r[d->d].set_i(wrap_sub_i(r[d->a].i(), r[d->b].i())))
+  T2_SIMPLE(mul_i, r[d->d].set_i(wrap_mul_i(r[d->a].i(), r[d->b].i())))
   T2_CASE(div_i) {
     T2_TICK();
     if (r[d->b].i() == 0) [[unlikely]] throw_div_zero(*m.ir);
@@ -271,8 +271,8 @@ t2_dispatch:
   }
   T2_SIMPLE(min_i, r[d->d].set_i(std::min(r[d->a].i(), r[d->b].i())))
   T2_SIMPLE(max_i, r[d->d].set_i(std::max(r[d->a].i(), r[d->b].i())))
-  T2_SIMPLE(neg_i, r[d->d].set_i(-r[d->a].i()))
-  T2_SIMPLE(abs_i, r[d->d].set_i(std::abs(r[d->a].i())))
+  T2_SIMPLE(neg_i, r[d->d].set_i(wrap_neg_i(r[d->a].i())))
+  T2_SIMPLE(abs_i, r[d->d].set_i(wrap_abs_i(r[d->a].i())))
   T2_SIMPLE(set_lt_i, r[d->d].set_i(r[d->a].i() < r[d->b].i()))
   T2_SIMPLE(set_le_i, r[d->d].set_i(r[d->a].i() <= r[d->b].i()))
   T2_SIMPLE(set_eq_i, r[d->d].set_i(r[d->a].i() == r[d->b].i()))
@@ -410,7 +410,7 @@ t2_dispatch:
     const std::uint64_t addr = T2_GADDR(d->a, d->imm);
     if (m.hook) (*m.hook)(addr, 8, true);
     const std::int64_t old = m.global->read<std::int64_t>(addr);
-    m.global->write<std::int64_t>(addr, old + r[d->b].i());
+    m.global->write<std::int64_t>(addr, wrap_add_i(old, r[d->b].i()));
     r[d->d].set_i(old);
     T2_NEXT();
   }
@@ -460,28 +460,28 @@ t2_dispatch:
   // micro-op.
   T2_CASE(mul_add_i) {
     T2_TICK();
-    r[d->d].set_i(r[d->a].i() * r[d->b].i());
+    r[d->d].set_i(wrap_mul_i(r[d->a].i(), r[d->b].i()));
     T2_TICK();
-    r[d->d2].set_i(r[d->a2].i() + r[d->b2].i());
+    r[d->d2].set_i(wrap_add_i(r[d->a2].i(), r[d->b2].i()));
     T2_NEXT();
   }
   T2_CASE(shl_add_i) {
     T2_TICK();
     r[d->d].bits = r[d->a].bits << (r[d->b].bits & 63);
     T2_TICK();
-    r[d->d2].set_i(r[d->a2].i() + r[d->b2].i());
+    r[d->d2].set_i(wrap_add_i(r[d->a2].i(), r[d->b2].i()));
     T2_NEXT();
   }
   T2_CASE(add_add_i) {
     T2_TICK();
-    r[d->d].set_i(r[d->a].i() + r[d->b].i());
+    r[d->d].set_i(wrap_add_i(r[d->a].i(), r[d->b].i()));
     T2_TICK();
-    r[d->d2].set_i(r[d->a2].i() + r[d->b2].i());
+    r[d->d2].set_i(wrap_add_i(r[d->a2].i(), r[d->b2].i()));
     T2_NEXT();
   }
   T2_CASE(add_i_jmp) {
     T2_TICK();
-    r[d->d].set_i(r[d->a].i() + r[d->b].i());
+    r[d->d].set_i(wrap_add_i(r[d->a].i(), r[d->b].i()));
     T2_TICK();
     T2_TAKE(d->target_pc, d->target_block);
   }

@@ -2,10 +2,19 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 
 #include "util/check.hpp"
 
 namespace sigvp {
+
+FleetTopology FleetTopology::single() {
+  FleetTopology t;
+  t.to_root_us_.assign(1, 0.0);
+  t.hops_.assign(1, 0);
+  t.lookahead_us_ = std::numeric_limits<SimTime>::infinity();
+  return t;
+}
 
 FleetTopology FleetTopology::flat(std::uint32_t domains, SimTime edge_latency_us) {
   SIGVP_REQUIRE(domains >= 2, "a fleet topology needs at least two domains");

@@ -30,6 +30,10 @@ namespace sigvp {
 /// The empty spec means a flat star: every domain one hop from the root.
 class FleetTopology {
  public:
+  /// The degenerate one-domain fleet: the root alone, no edges, infinite
+  /// lookahead.
+  static FleetTopology single();
+
   /// Flat star: domains 1..D-1 each attached to the root by one edge of
   /// `edge_latency_us`.
   static FleetTopology flat(std::uint32_t domains, SimTime edge_latency_us);
@@ -52,7 +56,8 @@ class FleetTopology {
   /// sharded executor. Any message sent by an event executing at time E
   /// arrives no earlier than E + lookahead, so every domain may safely
   /// advance to (earliest pending event anywhere) + lookahead between
-  /// synchronization barriers. Strictly positive by construction.
+  /// synchronization barriers. Strictly positive by construction; infinite
+  /// for `single()`.
   SimTime lookahead_us() const { return lookahead_us_; }
 
  private:

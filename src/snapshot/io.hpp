@@ -25,7 +25,10 @@ inline constexpr char kSnapshotMagic[8] = {'S', 'V', 'P', 'S', 'N', 'A', 'P', '1
 /// page-sparse AddressSpace::content_digest instead of one hash over the
 /// whole space, so version-2 checkpoints (whose recorded captures would no
 /// longer match on replay) are rejected.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+/// Version 4: single-domain scenarios run through the fleet executor, so
+/// their captures are folded fleet captures (one contributor, fabric
+/// counters included) and version-3 checkpoints are rejected up front.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// Writes `payload` wrapped in the container, via write-temp + fsync +
 /// atomic rename — a crash at any instant leaves either the previous file

@@ -6,6 +6,8 @@ same code paths every other checker shares): a missing baseline fails, an
 exact sim-domain counter mismatch fails, the wall-clock tolerance band is a
 floor (small drops pass, large drops fail, faster always passes), and
 --update atomically (re)writes the baseline so a subsequent check passes.
+The launch-cache checker's exact fields are covered too: per-point serial
+hit/miss counts, and the shared sweep's lookup count but not its split.
 
 Run directly or via ctest: python3 tests/test_bench_check.py
 """
@@ -161,6 +163,65 @@ class BenchCheckTest(unittest.TestCase):
             [p.name for p in self.baseline_dir.iterdir()],
             ["multigpu_placement.json"])
         self.assertEqual(self.run_check(current).returncode, 0)
+
+
+def cache_result(shared_hits=224, shared_misses=32):
+    """A minimal BENCH_launch_cache_speedup.json: one serial VP point plus
+    the shared sweep, whose hit/miss split depends on thread scheduling."""
+    return {
+        "bench": "launch_cache_speedup",
+        "iterations": 8,
+        "points": [
+            {"vps": 4, "wall_uncached_ms": 3000.0, "wall_cached_ms": 700.0,
+             "speedup": 4.3, "hits": 84, "misses": 12, "bypasses": 0,
+             "bytes_replayed": 18579456},
+        ],
+        "shared_sweep": {"jobs": 4, "wall_uncached_ms": 4200.0,
+                         "wall_cached_ms": 1700.0, "speedup": 2.5,
+                         "hits": shared_hits, "misses": shared_misses},
+    }
+
+
+class CacheCheckTest(unittest.TestCase):
+    """The launch-cache gate compares what holds by design: each serial VP
+    point's hits and misses exactly, and the shared sweep's lookup count
+    (hits + misses), never its scheduling-dependent split."""
+
+    def setUp(self):
+        self._tmp = tempfile.TemporaryDirectory()
+        self.tmp = pathlib.Path(self._tmp.name)
+        (self.tmp / "baselines").mkdir()
+        (self.tmp / "baselines" / "launch_cache_speedup.json").write_text(
+            json.dumps(cache_result()))
+
+    def tearDown(self):
+        self._tmp.cleanup()
+
+    def run_check(self, current):
+        path = self.tmp / "current.json"
+        path.write_text(json.dumps(current))
+        return subprocess.run(
+            [sys.executable, str(SCRIPT), "--baseline-dir",
+             str(self.tmp / "baselines"), "--cache", str(path)],
+            capture_output=True, text=True)
+
+    def test_shared_sweep_split_may_move_with_scheduling(self):
+        for hits, misses in ((224, 32), (226, 30), (228, 28)):
+            proc = self.run_check(cache_result(hits, misses))
+            self.assertEqual(proc.returncode, 0, proc.stdout)
+
+    def test_shared_sweep_lookup_count_is_exact(self):
+        proc = self.run_check(cache_result(224, 33))
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("shared-sweep lookups", proc.stdout)
+
+    def test_serial_point_counts_are_exact(self):
+        current = cache_result()
+        current["points"][0]["hits"] = 85  # same total would still fail
+        current["points"][0]["misses"] = 11
+        proc = self.run_check(current)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("hit/miss counts changed", proc.stdout)
 
 
 if __name__ == "__main__":

@@ -1,17 +1,20 @@
-// Tests of the sharded fleet executor (DESIGN.md §16): the FleetTopology
-// parser, the conservative-horizon scheduler over per-domain event queues,
-// the fabric completion protocol, the --shards execution knob's byte-identity
-// contract, per-shard capture folding / checkpoint resume, and the fleet
-// metrics/resident-bytes accounting.
+// Tests of the fleet executor (DESIGN.md §16): the FleetTopology parser, the
+// conservative-horizon scheduler over per-domain event queues, the fabric
+// completion protocol, the --shards execution knob's byte-identity
+// contract, per-shard capture folding / checkpoint resume, mid-run capture
+// publication and exception safety at one and several domains, and the
+// fleet metrics/resident-bytes accounting.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "gpu/launch_cache.hpp"
 #include "run/json_writer.hpp"
 #include "run/sweep.hpp"
 #include "run/thread_pool.hpp"
@@ -73,6 +76,14 @@ TEST(FleetTopology, RejectsMalformedSpecs) {
   EXPECT_THROW(FleetTopology::parse("(1,2:-4)", 3, 50.0), ContractError); // negative
   EXPECT_THROW(FleetTopology::parse("(1,2:x)", 3, 50.0), ContractError);  // not a number
   EXPECT_THROW(FleetTopology::parse("", 1, 50.0), ContractError);         // < 2 domains
+}
+
+TEST(FleetTopology, SingleDomainHasNoFabric) {
+  const FleetTopology t = FleetTopology::single();
+  EXPECT_EQ(t.domains(), 1u);
+  EXPECT_DOUBLE_EQ(t.to_root_us(0), 0.0);
+  EXPECT_EQ(t.hops_to_root(0), 0u);
+  EXPECT_TRUE(std::isinf(t.lookahead_us()));
 }
 
 // --- sharded scenario execution ----------------------------------------------
@@ -351,6 +362,72 @@ TEST(ShardedFleet, CapturesReplayAndDetectTampering) {
   tampered.expect = captures;
   tampered.expect[1].digest ^= 0x1;
   EXPECT_THROW(run_scenario(cfg, apps, tampered, nullptr), snapshot::SnapshotError);
+}
+
+// --- the one executor's capture contract ---------------------------------------
+
+TEST(FleetExecutor, SingleDomainPublishesEachCaptureMidRun) {
+  // A single domain runs through the fleet executor too: with captures on,
+  // each capture reaches on_capture while the scenario is still running,
+  // not at its end. The process launch cache's lookup count (hits +
+  // misses), sampled inside the hook, must therefore strictly increase
+  // across the captures taken before the makespan (launches continue
+  // between them), and stay below the count the whole run reaches.
+  const auto suite = workloads::make_suite();
+  const workloads::Workload& w = workloads::find(suite, "vectorAdd");
+  workloads::AppTraits traits = w.traits;
+  traits.iterations = 8;
+  std::vector<AppInstance> apps;
+  for (int i = 0; i < 2; ++i) apps.push_back(AppInstance{&w, w.test_n, traits});
+  ScenarioConfig cfg = fleet_config(1);
+  cfg.mode = ExecMode::kFunctional;
+
+  const SimTime makespan = run_scenario(cfg, apps).makespan_us;
+  CaptureOptions cap;
+  cap.every_us = makespan / 4.0;
+  std::vector<std::uint64_t> lookups;
+  cap.on_capture = [&lookups](const FleetCapture&) {
+    const LaunchCacheStats s = LaunchCache::instance().stats();
+    lookups.push_back(s.hits + s.misses);
+  };
+  std::vector<FleetCapture> captures;
+  const ScenarioResult r = run_scenario(cfg, apps, cap, &captures);
+  EXPECT_EQ(r.makespan_us, makespan);
+  EXPECT_EQ(r.fleet.domains, 0u);
+  const LaunchCacheStats end = LaunchCache::instance().stats();
+  ASSERT_EQ(lookups.size(), captures.size());
+  std::size_t mid_run = 0;
+  while (mid_run < captures.size() && captures[mid_run].at_us < makespan) ++mid_run;
+  ASSERT_EQ(mid_run, 3u);
+  for (std::size_t i = 1; i < mid_run; ++i) {
+    EXPECT_GT(lookups[i], lookups[i - 1]) << "capture " << i << " was not published mid-run";
+  }
+  EXPECT_LT(lookups[mid_run - 1], end.hits + end.misses);
+}
+
+TEST(FleetExecutor, ThrowingCaptureHookPropagatesAtOneAndThreeDomains) {
+  // An exception from on_capture unwinds the executor with every domain
+  // still mid-run; it must reach the caller (and, under LeakSanitizer, the
+  // abandoned apps must be freed with their domains).
+  struct HookFailure {};
+  const auto suite = workloads::make_suite();
+  const workloads::Workload& w = workloads::find(suite, "vectorAdd");
+  workloads::AppTraits quick = w.traits;
+  quick.iterations = 2;
+  std::vector<AppInstance> apps;
+  for (int i = 0; i < 6; ++i) apps.push_back(AppInstance{&w, w.test_n, quick});
+
+  for (const std::uint32_t domains : {1u, 3u}) {
+    CaptureOptions cap;
+    cap.every_us = 5000.0;
+    std::size_t seen = 0;
+    cap.on_capture = [&seen](const FleetCapture&) {
+      if (++seen == 2) throw HookFailure{};
+    };
+    EXPECT_THROW(run_scenario(fleet_config(domains), apps, cap, nullptr), HookFailure)
+        << "domains=" << domains;
+    EXPECT_EQ(seen, 2u) << "domains=" << domains;
+  }
 }
 
 TEST(ShardedFleet, CheckpointRoundTripsFleetStats) {

@@ -12,6 +12,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -184,6 +185,122 @@ TEST(Tier2Differential, BudgetExhaustionThrowsAtTheSamePointWithTheSameSideEffec
         if (ref.error.empty()) expect_profiles_identical(ref.profile, got.profile, label);
       }
     }
+  }
+}
+
+// --- integer wrap-around ------------------------------------------------------
+
+TEST(Tier2Differential, IntegerOverflowWrapsIdenticallyInEveryEngineSite) {
+  // Guest i64 add/sub/mul/neg/abs wrap modulo 2^64. Every op overflows for
+  // some thread, at each engine site: the vector prologue (pure-register
+  // prefix of the entry block), the threaded single-op handlers, and the
+  // fused mul_add_i / shl_add_i / add_add_i / add_i_jmp superinstructions.
+  // The i64 atomic add overflows too. The engine must match the reference
+  // byte for byte, and both must hold the two's-complement results.
+  EngineSandbox sandbox;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::uint32_t kSlots = 14;
+  constexpr std::uint64_t kAtomAddr = 0;  // one shared i64 counter
+  const auto wrap = [](std::uint64_t v) { return static_cast<std::int64_t>(v); };
+
+  KernelBuilder b("int_overflow", 0);
+  const auto tid = b.reg(), cta = b.reg(), ntid = b.reg(), gid = b.reg();
+  const auto max = b.reg(), min = b.reg(), one = b.reg(), stride = b.reg();
+  const auto base = b.reg(), u = b.reg();
+  std::vector<std::uint8_t> slot(kSlots);
+  std::vector<std::uint8_t> val(kSlots);
+  for (auto& r : slot) r = b.reg();
+  for (auto& r : val) r = b.reg();
+  b.block("entry");
+  // Vector prologue: addresses, then five overflowing ops.
+  b.special(tid, SpecialReg::kTidX);
+  b.special(cta, SpecialReg::kCtaidX);
+  b.special(ntid, SpecialReg::kNtidX);
+  b.mov_imm_i(max, kMax);
+  b.mov_imm_i(min, kMin);
+  b.mov_imm_i(one, 1);
+  b.mov_imm_i(stride, 8);
+  b.mul_i(gid, cta, ntid);
+  b.add_i(gid, gid, tid);
+  b.mov_imm_i(base, 8 * (kSlots + 1));
+  b.mul_i(base, base, gid);
+  b.add_i(slot[0], base, stride);
+  for (std::uint32_t k = 1; k < kSlots; ++k) b.add_i(slot[k], slot[k - 1], stride);
+  b.add_i(val[0], max, gid);
+  b.sub_i(val[1], min, gid);
+  b.mul_i(val[2], max, gid);
+  b.neg_i(val[3], min);
+  b.abs_i(val[4], min);
+  for (std::uint32_t k = 0; k < 5; ++k) b.st_global_i64(val[k], slot[k]);
+  // Threaded single-op handlers, each followed by a store (no fusion).
+  b.add_i(val[5], max, gid);
+  b.st_global_i64(val[5], slot[5]);
+  b.sub_i(val[6], min, gid);
+  b.st_global_i64(val[6], slot[6]);
+  b.mul_i(val[7], max, gid);
+  b.st_global_i64(val[7], slot[7]);
+  b.neg_i(val[8], min);
+  b.st_global_i64(val[8], slot[8]);
+  b.abs_i(val[9], min);
+  b.st_global_i64(val[9], slot[9]);
+  // Fused pairs: mul+add, shl+add, add+add, add+jmp.
+  b.mul_i(val[10], max, gid);
+  b.add_i(val[10], val[10], max);
+  b.st_global_i64(val[10], slot[10]);
+  b.shl_b(val[11], max, one);
+  b.add_i(val[11], val[11], max);
+  b.st_global_i64(val[11], slot[11]);
+  b.add_i(val[12], max, gid);
+  b.add_i(val[12], val[12], max);
+  b.st_global_i64(val[12], slot[12]);
+  b.mov_imm_i(u, kAtomAddr);
+  b.atom_add_global_i64(max, u);
+  b.add_i(val[13], min, gid);
+  b.jmp("tail");
+  b.block("tail");
+  b.sub_i(val[13], val[13], one);
+  b.st_global_i64(val[13], slot[13]);
+  b.ret();
+  const KernelIR ir = b.build();
+
+  LaunchDims dims;
+  dims.grid_x = 3;
+  dims.block_x = 5;
+  const std::uint64_t threads = dims.total_threads();
+  const std::uint64_t bytes = 8 * (kSlots + 1) * (threads + 1);
+  AddressSpace ref_mem(bytes, "ref");
+  const DynamicProfile ref_profile = Interpreter::run_reference(
+      ir, dims, {}, ref_mem, Interpreter::kDefaultMaxInstrsPerThread);
+  const Tier2Stats before = Tier2Engine::instance().stats();
+  for (std::size_t workers : {1u, 4u}) {
+    AddressSpace mem(bytes, "engine");
+    Interpreter::Options options;
+    options.workers = workers;
+    const DynamicProfile profile = Interpreter().run(ir, dims, {}, mem, options);
+    expect_profiles_identical(ref_profile, profile, "workers=" + std::to_string(workers));
+    EXPECT_EQ(mem.hash_range(0, mem.size(), kMemHashSeed),
+              ref_mem.hash_range(0, ref_mem.size(), kMemHashSeed))
+        << "workers=" << workers;
+  }
+  // The four fused pairs above (address arithmetic may fuse more).
+  EXPECT_GE((Tier2Engine::instance().stats() - before).fused_superinsts, 4u);
+
+  EXPECT_EQ(ref_mem.read<std::int64_t>(kAtomAddr),
+            wrap(static_cast<std::uint64_t>(kMax) * threads));
+  for (std::uint64_t g = 0; g < threads; ++g) {
+    const std::uint64_t at = 8 * (kSlots + 1) * g + 8;
+    const auto got = [&](std::uint32_t k) { return ref_mem.read<std::int64_t>(at + 8 * k); };
+    const std::uint64_t umax = static_cast<std::uint64_t>(kMax);
+    const std::uint64_t umin = static_cast<std::uint64_t>(kMin);
+    for (std::uint32_t k : {0u, 5u}) EXPECT_EQ(got(k), wrap(umax + g)) << g;
+    for (std::uint32_t k : {1u, 6u}) EXPECT_EQ(got(k), wrap(umin - g)) << g;
+    for (std::uint32_t k : {2u, 7u}) EXPECT_EQ(got(k), wrap(umax * g)) << g;
+    for (std::uint32_t k : {3u, 4u, 8u, 9u}) EXPECT_EQ(got(k), kMin) << g;
+    EXPECT_EQ(got(10), wrap(umax * g + umax)) << g;
+    EXPECT_EQ(got(11), wrap((umax << 1) + umax)) << g;
+    EXPECT_EQ(got(12), wrap(umax + g + umax)) << g;
+    EXPECT_EQ(got(13), wrap(umin + g - 1)) << g;
   }
 }
 
