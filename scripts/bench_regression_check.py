@@ -13,8 +13,10 @@ baselines in bench/baselines/ and exits nonzero on:
     hits and misses are deterministic counters — they must not change at
     all without a baseline update), ANY change to the shared sweep's
     lookup count (hits + misses; its split depends on thread scheduling),
-    a missing VP point, or a cache wall-clock speedup dropping below the
-    band.
+    or a missing VP point. The wall-clock speedup is printed, not gated:
+    on a shared 4-vCPU host it moved by more than any usable band, and the
+    perfbench functional_fleet pairs carry the launch cache's host-time
+    claims.
   * app_suite: ANY change to a scenario's sim-domain results (makespan,
     request count, latency percentiles, coalescing counters, ...). The
     whole per-job object is a pure function of the job config, so it is
@@ -113,7 +115,8 @@ def hit_rate(point):
 
 
 def check_cache(baseline, current, tolerance):
-    print(f"== launch_cache_speedup (hit rate: exact; speedup: -{tolerance:.0%})")
+    del tolerance  # only sim-domain counters are gated
+    print("== launch_cache_speedup (hit/miss counts: exact; speedup: reported)")
     base_points = {p["vps"]: p for p in baseline["points"]}
     cur_points = {p["vps"]: p for p in current["points"]}
     for vps, base in sorted(base_points.items()):
@@ -135,12 +138,8 @@ def check_cache(baseline, current, tolerance):
         else:
             ok(f"vps={vps}: hit rate {hit_rate(cur):.3f}, "
                f"hits/misses {cur['hits']}/{cur['misses']} unchanged")
-        floor = base["speedup"] * (1.0 - tolerance)
-        if cur["speedup"] < floor:
-            fail(f"cache: vps={vps} speedup {cur['speedup']:.2f}x < floor {floor:.2f}x "
-                 f"(baseline {base['speedup']:.2f}x)")
-        else:
-            ok(f"vps={vps}: speedup {cur['speedup']:.2f}x >= floor {floor:.2f}x")
+        print(f"  info: vps={vps}: speedup {cur['speedup']:.2f}x "
+              f"(baseline {base['speedup']:.2f}x; not gated)")
     # The shared sweep runs its jobs concurrently on one process-wide cache,
     # so which job fills an entry first (its hit/miss split) depends on
     # thread scheduling. The number of cacheable launches does not: compare

@@ -1,8 +1,7 @@
 #include "gpu/cache.hpp"
 
 #include <algorithm>
-
-#include "util/check.hpp"
+#include <bit>
 
 namespace sigvp {
 
@@ -11,44 +10,14 @@ CacheModel::CacheModel(const CacheConfig& config) : config_(config) {
                 "cache line size must be a power of two");
   SIGVP_REQUIRE(config.associativity > 0, "associativity must be positive");
   SIGVP_REQUIRE(config.num_sets() > 0, "cache must have at least one set");
-  sets_.resize(config.num_sets());
+  ways_ = config.associativity;
+  line_shift_ = static_cast<std::uint32_t>(std::countr_zero(config.line_bytes));
+  num_sets_ = config.num_sets();
+  pow2_sets_ = std::has_single_bit(num_sets_);
+  tags_.reset(new std::uint64_t[num_sets_ * ways_]);
+  fill_.assign(num_sets_, 0);
 }
 
-bool CacheModel::touch_line(std::uint64_t line_addr) {
-  const std::uint64_t set_idx = line_addr % sets_.size();
-  auto& set = sets_[set_idx];
-  auto it = std::find(set.begin(), set.end(), line_addr);
-  if (it != set.end()) {
-    // Hit: move to MRU position.
-    set.erase(it);
-    set.insert(set.begin(), line_addr);
-    return true;
-  }
-  // Miss: insert at MRU, evict LRU if the set is full.
-  set.insert(set.begin(), line_addr);
-  if (set.size() > config_.associativity) set.pop_back();
-  return false;
-}
-
-std::uint32_t CacheModel::access(std::uint64_t addr, std::uint32_t bytes) {
-  SIGVP_REQUIRE(bytes > 0, "cache access must cover at least one byte");
-  const std::uint64_t first_line = addr / config_.line_bytes;
-  const std::uint64_t last_line = (addr + bytes - 1) / config_.line_bytes;
-  std::uint32_t misses = 0;
-  for (std::uint64_t line = first_line; line <= last_line; ++line) {
-    ++stats_.accesses;
-    if (touch_line(line)) {
-      ++stats_.hits;
-    } else {
-      ++stats_.misses;
-      ++misses;
-    }
-  }
-  return misses;
-}
-
-void CacheModel::flush() {
-  for (auto& set : sets_) set.clear();
-}
+void CacheModel::flush() { std::fill(fill_.begin(), fill_.end(), 0u); }
 
 }  // namespace sigvp

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 #include <utility>
 
 #include "gpu/cache.hpp"
@@ -74,61 +73,6 @@ std::uint64_t base_key_of(const GpuArch& arch, const KernelIR& kernel,
 }
 
 // --- read/write-set capture --------------------------------------------------
-
-/// Ordered, coalesced set of [start, end) byte intervals. add() reports the
-/// previously-uncovered gaps so the store path can snapshot pre-store bytes
-/// exactly once per byte (first-write-wins undo log).
-class IntervalSet {
- public:
-  void add(std::uint64_t addr, std::uint64_t size, std::vector<MemChunk>* gaps) {
-    if (size == 0) return;
-    const std::uint64_t end = addr + size;
-    auto it = map_.upper_bound(addr);
-    if (it != map_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second >= addr) it = prev;
-    }
-    // Fast path: the whole range is already covered (repeated access
-    // patterns — by far the common case after the first block).
-    if (it != map_.end() && it->first <= addr && it->second >= end) return;
-    std::uint64_t new_start = addr;
-    std::uint64_t new_end = end;
-    std::uint64_t cursor = addr;
-    while (it != map_.end() && it->first <= end) {
-      if (gaps && it->first > cursor) gaps->push_back({cursor, it->first - cursor});
-      cursor = std::max(cursor, it->second);
-      new_start = std::min(new_start, it->first);
-      new_end = std::max(new_end, it->second);
-      it = map_.erase(it);
-    }
-    if (gaps && cursor < end) gaps->push_back({cursor, end - cursor});
-    map_.emplace(new_start, new_end);
-  }
-
-  std::vector<MemChunk> ranges() const {
-    std::vector<MemChunk> out;
-    out.reserve(map_.size());
-    for (const auto& [start, end] : map_) out.push_back({start, end - start});
-    return out;
-  }
-
-  const std::map<std::uint64_t, std::uint64_t>& raw() const { return map_; }
-
- private:
-  std::map<std::uint64_t, std::uint64_t> map_;  // start -> end
-};
-
-/// Per-canonical-chunk capture state; chunk-private, so recording needs no
-/// synchronization even when chunks run on different interpreter workers.
-struct ChunkCapture {
-  IntervalSet reads;
-  IntervalSet writes;
-  /// Pre-store bytes of each byte this chunk wrote, first write wins:
-  /// `undo_ranges[i]` holds bytes at offset Σ size of earlier ranges.
-  std::vector<MemChunk> undo_ranges;
-  std::vector<std::uint8_t> undo_bytes;
-  std::vector<MemChunk> gap_scratch;
-};
 
 /// Merges per-chunk interval sets into one sorted, coalesced range list.
 std::vector<MemChunk> merge_ranges(const std::vector<ChunkCapture>& chunks,
@@ -311,20 +255,18 @@ LaunchCacheStats LaunchCache::stats() const {
 
 LaunchEvaluation LaunchCache::evaluate(const GpuArch& arch, const KernelIR& kernel,
                                        const LaunchDims& dims, const KernelArgs& args,
-                                       AddressSpace& memory, Bypass bypass,
-                                       const ObserverFactory& observer) {
-  if (observer) bypass = Bypass::kHook;
+                                       AddressSpace& memory, Bypass bypass) {
   if (!enabled_.load(std::memory_order_relaxed)) {
     // Disabled: the plain path, not a counted bypass — zero-hit runs stay
     // byte-identical to a build without the cache.
-    return evaluate_functional(arch, kernel, dims, args, memory, observer);
+    return evaluate_functional(arch, kernel, dims, args, memory);
   }
   if (bypass == Bypass::kNone && Interpreter::uses_global_atomics(kernel)) {
     bypass = Bypass::kAtomics;
   }
   if (bypass != Bypass::kNone) {
     bypasses_.fetch_add(1, std::memory_order_relaxed);
-    LaunchEvaluation out = evaluate_functional(arch, kernel, dims, args, memory, observer);
+    LaunchEvaluation out = evaluate_functional(arch, kernel, dims, args, memory);
     out.cache = LaunchCacheOutcome::kBypass;
     return out;
   }
@@ -380,30 +322,8 @@ LaunchEvaluation LaunchCache::evaluate(const GpuArch& arch, const KernelIR& kern
 LaunchEvaluation LaunchCache::execute_and_fill(const GpuArch& arch, const KernelIR& kernel,
                                                const LaunchDims& dims, const KernelArgs& args,
                                                AddressSpace& memory, std::uint64_t base_key) {
-  const std::size_t chunks = Interpreter::canonical_chunks(dims);
-  std::vector<ChunkCapture> capture(chunks);
-  AddressSpace* mem = &memory;
-  ObserverFactory recorder = [&capture, mem](std::size_t chunk) -> MemAccessHook {
-    ChunkCapture* cap = &capture[chunk];
-    return [cap, mem](std::uint64_t addr, std::uint32_t bytes, bool is_store) {
-      if (!is_store) {
-        cap->reads.add(addr, bytes, nullptr);
-        return;
-      }
-      cap->gap_scratch.clear();
-      cap->writes.add(addr, bytes, &cap->gap_scratch);
-      for (const MemChunk& gap : cap->gap_scratch) {
-        // The hook fires before the store, so memory still holds the
-        // pre-store bytes of every not-yet-written gap.
-        cap->undo_ranges.push_back(gap);
-        const std::size_t off = cap->undo_bytes.size();
-        cap->undo_bytes.resize(off + gap.size);
-        mem->copy_out(cap->undo_bytes.data() + off, gap.addr, gap.size);
-      }
-    };
-  };
-
-  LaunchEvaluation out = evaluate_functional(arch, kernel, dims, args, memory, recorder);
+  std::vector<ChunkCapture> capture;
+  LaunchEvaluation out = evaluate_functional(arch, kernel, dims, args, memory, &capture);
 
   auto entry = std::make_shared<Entry>();
   entry->base_key = base_key;
@@ -610,7 +530,7 @@ void LaunchCache::verify_hit(const Entry& entry, const GpuArch& arch, const Kern
   // the copy proves replay == recompute without disturbing the caller, and
   // it copies only the pages the caller has touched.
   AddressSpace scratch = memory;
-  LaunchEvaluation fresh = evaluate_functional(arch, kernel, dims, args, scratch, nullptr);
+  LaunchEvaluation fresh = evaluate_functional(arch, kernel, dims, args, scratch);
   SIGVP_REQUIRE(stats_equal(fresh.stats, entry.stats),
                 kernel.name + ": launch cache verify: stats diverge from recomputation");
   SIGVP_REQUIRE(profiles_equal(fresh.profile, entry.profile),

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -51,8 +50,8 @@ struct LaunchCacheStats {
 /// VPs run *identical* kernels) means an N-VP scenario interprets the same
 /// (kernel, dims, args, input bytes) N times. This cache executes it once,
 /// records the complete outcome — KernelExecStats, DynamicProfile, and the
-/// write-set (address ranges + bytes) captured by the interpreter's
-/// capture_hook — and replays the memory effects into the caller's
+/// write-set (address ranges + bytes) captured by evaluate_functional's
+/// per-chunk access observer — and replays the memory effects into the caller's
 /// AddressSpace on every subsequent identical launch.
 ///
 /// Key derivation (see DESIGN.md §11):
@@ -77,9 +76,7 @@ struct LaunchCacheStats {
 ///  - kFault: the device has an active FaultPlan — fault rolls and
 ///    injected hangs must see real executions;
 ///  - kAtomics: kernels with global atomics (accumulation order is
-///    observable and their hook stream under-reports reads);
-///  - kHook: the caller installed its own access observer, which must see
-///    real traffic.
+///    observable and their access stream under-reports reads).
 ///
 /// Capacity is bounded; eviction is strict global insertion order (FIFO by
 /// fill sequence, never clock- or recency-based), so the resident set after
@@ -90,11 +87,7 @@ class LaunchCache {
     kNone,
     kFault,    // active fault plan on the device
     kAtomics,  // kernel uses global atomics (detected internally)
-    kHook,     // caller-installed access observer
   };
-
-  /// Per-chunk observer factory, same shape as Interpreter::Options hooks.
-  using ObserverFactory = std::function<MemAccessHook(std::size_t chunk)>;
 
   /// Singleton; first use reads SIGVP_LAUNCH_CACHE ("0" disables) and
   /// SIGVP_LAUNCH_CACHE_VERIFY ("1" enables recompute-and-diff on hits).
@@ -112,12 +105,10 @@ class LaunchCache {
   /// Evaluates one functional launch through the cache: lookup → replay on
   /// hit, execute-with-capture → fill on miss, or plain execution when
   /// disabled/bypassed. `bypass` carries the caller-known reason (kFault);
-  /// atomics are detected here, and a non-empty `observer` forces kHook
-  /// (the observer then sees the real execution's traffic).
+  /// atomics are detected here.
   LaunchEvaluation evaluate(const GpuArch& arch, const KernelIR& kernel,
                             const LaunchDims& dims, const KernelArgs& args,
-                            AddressSpace& memory, Bypass bypass = Bypass::kNone,
-                            const ObserverFactory& observer = nullptr);
+                            AddressSpace& memory, Bypass bypass = Bypass::kNone);
 
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = on; }

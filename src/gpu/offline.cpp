@@ -14,26 +14,37 @@ LaunchEvaluation evaluate_functional(const GpuArch& arch, const KernelIR& kernel
   return evaluate_functional(arch, kernel, dims, args, memory, nullptr);
 }
 
-LaunchEvaluation evaluate_functional(
-    const GpuArch& arch, const KernelIR& kernel, const LaunchDims& dims,
-    const KernelArgs& args, AddressSpace& memory,
-    const std::function<MemAccessHook(std::size_t chunk)>& capture) {
+LaunchEvaluation evaluate_functional(const GpuArch& arch, const KernelIR& kernel,
+                                     const LaunchDims& dims, const KernelArgs& args,
+                                     AddressSpace& memory, std::vector<ChunkCapture>* capture) {
   // One cold L2 shard per canonical interpreter chunk. The shard layout
   // depends only on the launch geometry, so the merged stats are identical
   // for any worker count; on a GPU the chunks would run on different SMs
   // against cold cache state anyway, so per-shard cold misses model the
   // hardware at least as faithfully as one globally warm cache did.
   const std::size_t chunks = Interpreter::canonical_chunks(dims);
-  std::vector<CacheModel> shards(chunks, CacheModel(arch.l2));
+  std::vector<CacheModel> shards;
+  shards.reserve(chunks);
+  for (std::size_t c = 0; c < chunks; ++c) shards.emplace_back(arch.l2);
+  if (capture != nullptr) *capture = std::vector<ChunkCapture>(chunks);
 
+  // One observer per chunk, updating the chunk's shard (and capture, which
+  // must see each store before it lands) directly.
   Interpreter::Options options;
-  options.shard_hook = [&shards](std::size_t chunk) -> MemAccessHook {
+  options.observer = [&shards, capture, &memory](std::size_t chunk) -> MemAccessHook {
     CacheModel* shard = &shards[chunk];
-    return [shard](std::uint64_t addr, std::uint32_t bytes, bool /*is_store*/) {
+    if (capture == nullptr) {
+      return [shard](std::uint64_t addr, std::uint32_t bytes, bool /*is_store*/) {
+        shard->access(addr, bytes);
+      };
+    }
+    ChunkCapture* cap = &(*capture)[chunk];
+    const AddressSpace* mem = &memory;
+    return [shard, cap, mem](std::uint64_t addr, std::uint32_t bytes, bool is_store) {
+      cap->record(addr, bytes, is_store, *mem);
       shard->access(addr, bytes);
     };
   };
-  options.capture_hook = capture;
 
   Interpreter interp;
   LaunchEvaluation out;

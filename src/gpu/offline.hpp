@@ -1,6 +1,9 @@
 #pragma once
 
+#include <vector>
+
 #include "gpu/arch.hpp"
+#include "gpu/capture.hpp"
 #include "gpu/cost_model.hpp"
 #include "gpu/prob_cache.hpp"
 #include "interp/interpreter.hpp"
@@ -38,14 +41,14 @@ LaunchEvaluation evaluate_functional(const GpuArch& arch, const KernelIR& kernel
                                      const LaunchDims& dims, const KernelArgs& args,
                                      AddressSpace& memory);
 
-/// As above, but additionally installs `capture` as the interpreter's
-/// per-chunk access recorder (Interpreter::Options::capture_hook), composed
-/// with the L2 shard hook. The launch cache uses this to record a launch's
-/// read-set/write-set on the fill path without perturbing stats or profile.
-LaunchEvaluation evaluate_functional(
-    const GpuArch& arch, const KernelIR& kernel, const LaunchDims& dims,
-    const KernelArgs& args, AddressSpace& memory,
-    const std::function<MemAccessHook(std::size_t chunk)>& capture);
+/// As above, and records the launch's read-set/write-set into `capture`
+/// (resized to one ChunkCapture per canonical interpreter chunk). Each
+/// chunk's single access observer updates that chunk's L2 shard and its
+/// capture directly; stats and profile are the same as without capture.
+/// The launch cache's fill path uses this.
+LaunchEvaluation evaluate_functional(const GpuArch& arch, const KernelIR& kernel,
+                                     const LaunchDims& dims, const KernelArgs& args,
+                                     AddressSpace& memory, std::vector<ChunkCapture>* capture);
 
 /// Prices a launch from an analytic profile (per-block λ counts and byte
 /// traffic) plus a locality summary, without touching data — used for

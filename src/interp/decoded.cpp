@@ -95,13 +95,13 @@ SIGVP_SIMPLE_OP(op_mul_i, r[d.dst].set_i(wrap_mul_i(r[d.src0].i(), r[d.src1].i()
 SIGVP_OP(op_div_i) {
   RegValue* const r = t.regs;
   if (r[d.src1].i() == 0) [[unlikely]] throw_div_zero(*m.ir);
-  r[d.dst].set_i(r[d.src0].i() / r[d.src1].i());
+  r[d.dst].set_i(wrap_div_i(r[d.src0].i(), r[d.src1].i()));
   ++t.pc;
 }
 SIGVP_OP(op_rem_i) {
   RegValue* const r = t.regs;
   if (r[d.src1].i() == 0) [[unlikely]] throw_rem_zero(*m.ir);
-  r[d.dst].set_i(r[d.src0].i() % r[d.src1].i());
+  r[d.dst].set_i(wrap_rem_i(r[d.src0].i(), r[d.src1].i()));
   ++t.pc;
 }
 SIGVP_SIMPLE_OP(op_min_i, r[d.dst].set_i(std::min(r[d.src0].i(), r[d.src1].i())))

@@ -58,26 +58,8 @@ ChunkRange chunk_range(std::uint64_t num_blocks, std::size_t chunks, std::size_t
   return r;
 }
 
-/// Composes the per-chunk observer for canonical chunk `c`: the capture
-/// recorder (if any) fires first so it can snapshot pre-store bytes, then
-/// the shard observer. Returns an empty hook when nothing observes.
-MemAccessHook compose_chunk_hook(const Interpreter::Options& options, std::size_t c) {
-  MemAccessHook base;
-  if (options.shard_hook) base = options.shard_hook(c);
-  MemAccessHook capture;
-  if (options.capture_hook) capture = options.capture_hook(c);
-  if (base && capture) {
-    return [base = std::move(base), capture = std::move(capture)](
-               std::uint64_t addr, std::uint32_t bytes, bool is_store) {
-      capture(addr, bytes, is_store);
-      base(addr, bytes, is_store);
-    };
-  }
-  return base ? std::move(base) : std::move(capture);
-}
-
 /// Executes canonical chunk `c` — its blocks serially in row-major order,
-/// observed by the chunk's composed hook — accumulating λ/barrier counts
+/// seen by the chunk's access observer — accumulating λ/barrier counts
 /// into `chunk_profile` (full-size block_visits; merged by the caller in
 /// chunk order). When tracing, records a host-domain span for the chunk:
 /// how the simulator's own threads spent their wall-clock; it never feeds
@@ -85,7 +67,7 @@ MemAccessHook compose_chunk_hook(const Interpreter::Options& options, std::size_
 void run_chunk(const Tier2Program& prog, const KernelIR& ir, const LaunchDims& dims,
                const KernelArgs& args, AddressSpace& global, const Interpreter::Options& options,
                std::size_t c, Tier2Arena& arena, DynamicProfile& chunk_profile) {
-  const MemAccessHook hook = compose_chunk_hook(options, c);
+  const MemAccessHook hook = options.observer ? options.observer(c) : MemAccessHook{};
   trace::Tracer* tracer = trace::Tracer::active();
   const double host_t0 = tracer != nullptr ? tracer->host_now_us() : 0.0;
   const ChunkRange range = chunk_range(dims.num_blocks(), Interpreter::canonical_chunks(dims), c);
@@ -137,8 +119,9 @@ DynamicProfile execute_launch(const KernelIR& ir, const Tier2Program& prog,
   workers = std::min(workers, chunks);
 
   if (workers <= 1) {
-    // Serial path: chunks in canonical order on the calling thread. Shard
-    // hooks still see per-chunk streams so results match the parallel path.
+    // Serial path: chunks in canonical order on the calling thread. The
+    // observer still sees per-chunk streams so results match the parallel
+    // path.
     Tier2Arena arena;
     for (std::size_t c = 0; c < chunks; ++c) {
       run_chunk(prog, ir, dims, args, global, options, c, arena, profile);
@@ -149,7 +132,7 @@ DynamicProfile execute_launch(const KernelIR& ir, const Tier2Program& prog,
 
   // Parallel path: `workers` runner tasks pull chunk indices from a shared
   // counter. Each chunk accumulates into a private profile (and optional
-  // private shard hook); merges happen below in canonical chunk order.
+  // private observer); merges happen below in canonical chunk order.
   std::vector<DynamicProfile> chunk_profiles(chunks);
   for (DynamicProfile& p : chunk_profiles) p.block_visits.assign(ir.blocks.size(), 0);
   std::vector<std::exception_ptr> chunk_errors(chunks);
@@ -225,7 +208,7 @@ DynamicProfile Interpreter::run(const KernelIR& ir, const LaunchDims& dims,
 
   if (engine.verify()) {
     // SIGVP_TIER_VERIFY divergence oracle: snapshot memory (a copy of the
-    // touched pages only), run the engine for real (hooks and all), then
+    // touched pages only), run the engine for real (observer and all), then
     // replay the launch from the snapshot on the reference and insist on
     // identical profile + memory.
     AddressSpace reference = global;

@@ -32,7 +32,8 @@ struct RegValue {
 
 /// Guest integer arithmetic wraps modulo 2^64, as a GPU's integer units do:
 /// each i64 add/sub/mul/neg/abs goes through uint64_t, so overflow is
-/// defined (two's complement) and both engines share one definition.
+/// defined (two's complement) and both engines share one definition; so do
+/// div/rem below.
 inline std::int64_t wrap_add_i(std::int64_t a, std::int64_t b) {
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) + static_cast<std::uint64_t>(b));
 }
@@ -48,9 +49,19 @@ inline std::int64_t wrap_neg_i(std::int64_t a) {
 inline std::int64_t wrap_abs_i(std::int64_t a) {
   return a < 0 ? wrap_neg_i(a) : a;
 }
+/// Division truncates toward zero. Its one overflowing case wraps too:
+/// INT64_MIN / -1 is INT64_MIN and INT64_MIN % -1 is 0. A zero divisor is
+/// not handled here; each engine traps it before calling these.
+inline std::int64_t wrap_div_i(std::int64_t a, std::int64_t b) {
+  return b == -1 ? wrap_neg_i(a) : a / b;
+}
+inline std::int64_t wrap_rem_i(std::int64_t a, std::int64_t b) {
+  return b == -1 ? 0 : a % b;
+}
 
-/// Callback invoked for a global-memory access; the GPU device model plugs
-/// its cache simulator in here.
+/// Observer of global-memory accesses, called before each access is
+/// applied; the GPU device model plugs its L2 simulator (and, on a launch
+/// cache fill, its read/write capture) in here.
 using MemAccessHook =
     std::function<void(std::uint64_t addr, std::uint32_t bytes, bool is_store)>;
 
@@ -87,21 +98,15 @@ class Interpreter {
     /// Abort threshold against runaway kernels (per-thread dynamic instrs).
     std::uint64_t max_instrs_per_thread = kDefaultMaxInstrsPerThread;
 
-    /// Parallel-friendly observer factory: called once per canonical chunk
-    /// (`shard_hook(chunk)`), and the returned hook sees that chunk's
-    /// accesses in deterministic intra-chunk order. Chunks run concurrently,
-    /// so the factory and the hooks it returns must be safe to invoke from
-    /// different threads for *different* chunks. The GPU cost model uses
-    /// this for per-chunk cold L2 shards merged in chunk order.
-    std::function<MemAccessHook(std::size_t chunk)> shard_hook;
-
-    /// Read-set/write-set capture factory, composable with `shard_hook`:
-    /// called once per canonical chunk, and the returned recorder observes
-    /// that chunk's global accesses (before each access is applied, so a
-    /// store recorder can still read the pre-store bytes). Same threading
-    /// contract as shard_hook. The launch-evaluation cache uses this to
-    /// record which memory a launch consumed and produced.
-    std::function<MemAccessHook(std::size_t chunk)> capture_hook;
+    /// Per-chunk access observer: called once per canonical chunk
+    /// (`observer(chunk)`), and the returned hook sees that chunk's global
+    /// accesses in deterministic intra-chunk order, before each access is
+    /// applied (so a store recorder can still read the pre-store bytes).
+    /// Chunks run concurrently, so the factory and the hooks it returns
+    /// must be safe to invoke from different threads for *different*
+    /// chunks. evaluate_functional uses it for per-chunk cold L2 shards
+    /// merged in chunk order, plus the launch cache's read/write capture.
+    std::function<MemAccessHook(std::size_t chunk)> observer;
 
     /// Worker threads for grid-level parallelism. 0 = automatic: the host
     /// default, collapsed to 1 inside an outer ThreadPool worker (nested

@@ -260,13 +260,13 @@ t2_dispatch:
   T2_CASE(div_i) {
     T2_TICK();
     if (r[d->b].i() == 0) [[unlikely]] throw_div_zero(*m.ir);
-    r[d->d].set_i(r[d->a].i() / r[d->b].i());
+    r[d->d].set_i(wrap_div_i(r[d->a].i(), r[d->b].i()));
     T2_NEXT();
   }
   T2_CASE(rem_i) {
     T2_TICK();
     if (r[d->b].i() == 0) [[unlikely]] throw_rem_zero(*m.ir);
-    r[d->d].set_i(r[d->a].i() % r[d->b].i());
+    r[d->d].set_i(wrap_rem_i(r[d->a].i(), r[d->b].i()));
     T2_NEXT();
   }
   T2_SIMPLE(min_i, r[d->d].set_i(std::min(r[d->a].i(), r[d->b].i())))

@@ -59,11 +59,12 @@ AddressSpace::~AddressSpace() {
   if (base_ != nullptr) ::munmap(base_, size_);
 }
 
-void AddressSpace::check_range(std::uint64_t addr, std::size_t n) const {
+void AddressSpace::throw_out_of_bounds(std::uint64_t addr, std::size_t n) const {
   SIGVP_REQUIRE(addr + n <= size_ && addr + n >= addr,
                 name_ + ": access [" + std::to_string(addr) + ", " +
                     std::to_string(addr + n) + ") out of bounds (size " +
                     std::to_string(size_) + ")");
+  __builtin_unreachable();  // called only for out-of-bounds ranges
 }
 
 void AddressSpace::mark_range(std::uint64_t addr, std::uint64_t n) {
@@ -99,12 +100,6 @@ void AddressSpace::copy_in(std::uint64_t dst, const void* src, std::size_t n) {
   check_range(dst, n);
   std::memcpy(base_ + dst, src, n);
   mark_range(dst, n);
-}
-
-void AddressSpace::copy_out(void* dst, std::uint64_t src, std::size_t n) const {
-  if (n == 0) return;
-  check_range(src, n);
-  std::memcpy(dst, base_ + src, n);
 }
 
 void AddressSpace::copy_within(std::uint64_t dst, std::uint64_t src, std::size_t n) {

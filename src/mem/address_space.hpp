@@ -63,7 +63,11 @@ class AddressSpace {
   }
 
   void copy_in(std::uint64_t dst, const void* src, std::size_t n);
-  void copy_out(void* dst, std::uint64_t src, std::size_t n) const;
+  void copy_out(void* dst, std::uint64_t src, std::size_t n) const {
+    if (n == 0) return;
+    check_range(src, n);
+    std::memcpy(dst, base_ + src, n);
+  }
   void copy_within(std::uint64_t dst, std::uint64_t src, std::size_t n);
   void fill(std::uint64_t dst, std::uint8_t value, std::size_t n);
 
@@ -90,7 +94,10 @@ class AddressSpace {
   }
 
  private:
-  void check_range(std::uint64_t addr, std::size_t n) const;
+  void check_range(std::uint64_t addr, std::size_t n) const {
+    if (!in_bounds(addr, n)) [[unlikely]] throw_out_of_bounds(addr, n);
+  }
+  [[noreturn, gnu::cold]] void throw_out_of_bounds(std::uint64_t addr, std::size_t n) const;
   void mark_page(std::uint64_t page) {
     std::atomic<std::uint8_t>& flag = dirty_[page];
     // Load first so concurrent writers to one page keep its line shared.

@@ -7,7 +7,8 @@ exact sim-domain counter mismatch fails, the wall-clock tolerance band is a
 floor (small drops pass, large drops fail, faster always passes), and
 --update atomically (re)writes the baseline so a subsequent check passes.
 The launch-cache checker's exact fields are covered too: per-point serial
-hit/miss counts, and the shared sweep's lookup count but not its split.
+hit/miss counts, and the shared sweep's lookup count but not its split; its
+wall-clock speedup is reported but never fails the gate.
 
 Run directly or via ctest: python3 tests/test_bench_check.py
 """
@@ -185,7 +186,8 @@ def cache_result(shared_hits=224, shared_misses=32):
 class CacheCheckTest(unittest.TestCase):
     """The launch-cache gate compares what holds by design: each serial VP
     point's hits and misses exactly, and the shared sweep's lookup count
-    (hits + misses), never its scheduling-dependent split."""
+    (hits + misses), never its scheduling-dependent split nor the
+    host-dependent wall-clock speedup."""
 
     def setUp(self):
         self._tmp = tempfile.TemporaryDirectory()
@@ -214,6 +216,22 @@ class CacheCheckTest(unittest.TestCase):
         proc = self.run_check(cache_result(224, 33))
         self.assertEqual(proc.returncode, 1)
         self.assertIn("shared-sweep lookups", proc.stdout)
+
+    def test_wall_clock_speedup_is_reported_not_gated(self):
+        current = cache_result()
+        current["points"][0]["wall_cached_ms"] = 2900.0
+        current["points"][0]["speedup"] = 1.03  # far below the 4.3x baseline
+        current["shared_sweep"]["speedup"] = 0.9
+        proc = self.run_check(current)
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+        self.assertIn("speedup 1.03x (baseline 4.30x; not gated)", proc.stdout)
+
+    def test_missing_point_fails(self):
+        current = cache_result()
+        current["points"] = []
+        proc = self.run_check(current)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("vps=4 point missing", proc.stdout)
 
     def test_serial_point_counts_are_exact(self):
         current = cache_result()

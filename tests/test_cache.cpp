@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "gpu/cache.hpp"
 #include "gpu/prob_cache.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace sigvp {
 namespace {
@@ -72,6 +78,83 @@ TEST(Cache, RejectsBadConfig) {
   EXPECT_THROW(CacheModel(CacheConfig{1024, 64, 0}), ContractError);   // zero ways
   CacheModel ok(small_cache());
   EXPECT_THROW(ok.access(0, 0), ContractError);
+}
+
+/// The per-set vector LRU that CacheModel's flat tag array replaced, kept as
+/// the oracle: per set, line tags in MRU-first order, move-to-front on a hit,
+/// insert at the front and drop the back on a miss.
+class VectorLru {
+ public:
+  explicit VectorLru(const CacheConfig& config) : config_(config), sets_(config.num_sets()) {}
+
+  std::uint32_t access(std::uint64_t addr, std::uint32_t bytes) {
+    std::uint32_t misses = 0;
+    for (std::uint64_t line = addr / config_.line_bytes;
+         line <= (addr + bytes - 1) / config_.line_bytes; ++line) {
+      ++stats.accesses;
+      auto& set = sets_[line % sets_.size()];
+      auto it = std::find(set.begin(), set.end(), line);
+      if (it != set.end()) {
+        ++stats.hits;
+        set.erase(it);
+      } else {
+        ++stats.misses;
+        ++misses;
+      }
+      set.insert(set.begin(), line);
+      if (set.size() > config_.associativity) set.pop_back();
+    }
+    return misses;
+  }
+
+  void flush() {
+    for (auto& set : sets_) set.clear();
+  }
+
+  CacheStats stats;
+
+ private:
+  CacheConfig config_;
+  std::vector<std::vector<std::uint64_t>> sets_;
+};
+
+TEST(Cache, FlatLruMatchesVectorReferenceOnRandomStreams) {
+  // Direct-mapped, 8-way with power-of-two and non-power-of-two set counts,
+  // and the L2 geometry the device model uses.
+  const CacheConfig configs[] = {{1024, 64, 1}, {4096, 64, 8}, {1536, 64, 8}, {512 << 10, 128, 8}};
+  for (std::size_t c = 0; c < std::size(configs); ++c) {
+    const CacheConfig& cfg = configs[c];
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE("config " + std::to_string(c) + ", seed " + std::to_string(seed));
+      CacheModel model(cfg);
+      VectorLru ref(cfg);
+      Rng rng(seed);
+      // Addresses span four cache capacities; half the accesses revisit the
+      // neighbourhood of the previous one so hits, move-to-front and
+      // eviction all occur. Sizes reach three lines, so accesses cross line
+      // boundaries.
+      const std::uint64_t span = 4 * cfg.size_bytes;
+      std::uint64_t addr = 0;
+      for (int i = 0; i < 20000; ++i) {
+        if (i % 7000 == 6999) {
+          model.flush();
+          ref.flush();
+        }
+        if (rng.next_double() < 0.5) {
+          addr = rng.next_below(span);
+        } else {
+          addr = (addr + rng.next_below(4 * cfg.line_bytes)) % span;
+        }
+        const auto bytes = static_cast<std::uint32_t>(1 + rng.next_below(3 * cfg.line_bytes));
+        ASSERT_EQ(model.access(addr, bytes), ref.access(addr, bytes)) << "access " << i;
+      }
+      EXPECT_EQ(model.stats().accesses, ref.stats.accesses);
+      EXPECT_EQ(model.stats().hits, ref.stats.hits);
+      EXPECT_EQ(model.stats().misses, ref.stats.misses);
+      EXPECT_GT(ref.stats.hits, 0u);
+      EXPECT_GT(ref.stats.misses, 0u);
+    }
+  }
 }
 
 TEST(ProbCache, ColdMissesMatchFootprint) {

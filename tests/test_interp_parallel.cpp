@@ -2,8 +2,8 @@
 // workload in the suite, the memory image must be byte-exact and the
 // DynamicProfile bit-identical for every worker count (the determinism
 // contract in DESIGN.md §10). Also covers the atomic serial fallback, the
-// divergent-barrier release, shard hooks, nested-parallelism budgeting, and
-// program-cache invalidation.
+// divergent-barrier release, the access observer, nested-parallelism
+// budgeting, and program-cache invalidation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -213,7 +213,7 @@ TEST(InterpParallel, CanonicalChunksDependOnlyOnTheGrid) {
   EXPECT_EQ(Interpreter::canonical_chunks(d), 64u);
 }
 
-// --- hooks --------------------------------------------------------------------
+// --- observer -----------------------------------------------------------------
 
 /// Simple guarded store kernel: thread gid stores gid into out[gid].
 KernelIR make_store_kernel(const char* name) {
@@ -239,7 +239,7 @@ KernelIR make_store_kernel(const char* name) {
   return b.build();
 }
 
-TEST(InterpParallel, ShardHookCoversEveryChunkAndAllTraffic) {
+TEST(InterpParallel, ObserverCoversEveryChunkAndAllTraffic) {
   const KernelIR ir = make_store_kernel("shards");
   KernelArgs args;
   args.push_ptr(0);
@@ -255,7 +255,7 @@ TEST(InterpParallel, ShardHookCoversEveryChunkAndAllTraffic) {
   std::atomic<std::uint64_t> bytes{0};
   Interpreter::Options opts;
   opts.workers = 8;
-  opts.shard_hook = [&](std::size_t chunk) -> MemAccessHook {
+  opts.observer = [&](std::size_t chunk) -> MemAccessHook {
     {
       std::lock_guard<std::mutex> lock(mu);
       seen_chunks.insert(chunk);

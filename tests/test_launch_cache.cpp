@@ -1,24 +1,28 @@
 // Tests of the content-addressed launch cache (DESIGN.md §11): hit/replay
 // correctness against recomputation at every interpreter worker count,
 // key-collision safety on input bytes, deterministic insertion-order
-// eviction, fault-plan / hook / atomics bypass, verify mode, and the
-// scenario + sweep integration (cached fleets byte-identical to uncached).
+// eviction, fault-plan / atomics bypass, verify mode, the capture fast path,
+// out-of-bounds errors, and the scenario + sweep integration (cached fleets
+// byte-identical to uncached).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "gpu/capture.hpp"
 #include "gpu/device.hpp"
 #include "gpu/launch_cache.hpp"
 #include "gpu/offline.hpp"
 #include "interp/interpreter.hpp"
+#include "ir/builder.hpp"
 #include "mem/allocator.hpp"
 #include "run/sweep.hpp"
 #include "sim/event_queue.hpp"
+#include "util/rng.hpp"
 #include "workloads/suite.hpp"
 
 namespace sigvp {
@@ -284,33 +288,6 @@ TEST_F(LaunchCacheTest, DeviceWithActiveFaultPlanBypassesTheCache) {
   EXPECT_EQ(cache().stats().entries, 0u);
 }
 
-TEST_F(LaunchCacheTest, CallerObserverForcesBypassAndSeesRealTraffic) {
-  const auto suite = workloads::make_suite();
-  const GpuArch arch = make_quadro4000();
-  const LaunchFixture fx(suite, "vectorAdd");
-
-  std::atomic<std::uint64_t> observed{0};
-  LaunchCache::ObserverFactory observer = [&observed](std::size_t) -> MemAccessHook {
-    return [&observed](std::uint64_t, std::uint32_t, bool) {
-      observed.fetch_add(1, std::memory_order_relaxed);
-    };
-  };
-
-  // Warm the cache with the identical launch, then launch with an observer:
-  // it must NOT be served from the cache (the observer needs real traffic).
-  AddressSpace warm = fx.make_memory(1);
-  cache().evaluate(arch, fx.w->kernel, fx.dims, fx.args, warm);
-  const LaunchCacheStats s0 = cache().stats();
-
-  AddressSpace m = fx.make_memory(1);
-  cache().evaluate(arch, fx.w->kernel, fx.dims, fx.args, m, LaunchCache::Bypass::kNone,
-                   observer);
-  EXPECT_EQ(cache().stats().bypasses, s0.bypasses + 1);
-  EXPECT_EQ(cache().stats().hits, s0.hits);
-  EXPECT_GT(observed.load(), 0u) << "observer must see the real execution's accesses";
-  EXPECT_EQ(all_bytes(m), all_bytes(warm));
-}
-
 TEST_F(LaunchCacheTest, GlobalAtomicsKernelsAreBypassed) {
   const auto suite = workloads::make_suite();
   const GpuArch arch = make_quadro4000();
@@ -411,6 +388,362 @@ TEST_F(LaunchCacheTest, ScalarJitterPartitionsTheCacheByArgBytes) {
   cache().evaluate(arch, st2.kernel, st2.dims(n), st2.args(addrs, n, 1002), mem);
   EXPECT_EQ(cache().stats().hits, before.hits + 1);
   EXPECT_EQ(cache().stats().misses, before.misses);
+}
+
+// --- capture fast path -------------------------------------------------------
+
+TEST(IntervalSet, MatchesAByteCoverageOracleAndReportsEachNewByteOnce) {
+  // Streams that revisit, append to, prepend to, straddle and bridge
+  // intervals, more of them than the MRU holds. The set must equal the
+  // covered bytes, coalesced, and the gaps must be exactly the bytes each
+  // add newly covered (the undo log relies on first-write-wins).
+  constexpr std::uint64_t kSpan = 4096;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    IntervalSet set;
+    std::vector<bool> covered(kSpan, false);
+    std::vector<std::uint64_t> cursor(6);
+    for (std::uint64_t& c : cursor) c = rng.next_below(kSpan - 64);
+    for (int i = 0; i < 3000; ++i) {
+      const std::size_t s = rng.next_below(cursor.size());
+      const std::uint64_t size = 1 + rng.next_below(16);
+      const double pick = rng.next_double();
+      std::uint64_t addr;
+      if (pick < 0.5) {
+        addr = cursor[s];  // append to stream s
+      } else if (pick < 0.7) {
+        addr = cursor[s] >= size ? cursor[s] - size : 0;  // revisit / straddle
+      } else {
+        addr = rng.next_below(kSpan - 32);  // anywhere
+      }
+      addr = std::min(addr, kSpan - size);
+      cursor[s] = std::min(addr + size, kSpan - 32);
+
+      std::vector<MemChunk> gaps;
+      set.add(addr, size, &gaps);
+      std::vector<bool> fresh(kSpan, false);
+      for (std::uint64_t a = addr; a < addr + size; ++a) fresh[a] = !covered[a];
+      for (const MemChunk& g : gaps) {
+        for (std::uint64_t a = g.addr; a < g.end(); ++a) {
+          ASSERT_TRUE(fresh[a]) << "byte " << a << " reported twice or never new, add " << i;
+          fresh[a] = false;
+          covered[a] = true;
+        }
+      }
+      for (std::uint64_t a = addr; a < addr + size; ++a) {
+        ASSERT_FALSE(fresh[a]) << "new byte " << a << " not reported, add " << i;
+      }
+    }
+    std::vector<MemChunk> expected;
+    for (std::uint64_t a = 0; a < kSpan; ++a) {
+      if (!covered[a]) continue;
+      if (!expected.empty() && expected.back().end() == a) {
+        ++expected.back().size;
+      } else {
+        expected.push_back({a, 1});
+      }
+    }
+    EXPECT_EQ(set.ranges(), expected);
+  }
+}
+
+/// A builder kernel plus the memory it starts from, for fill-then-hit checks.
+struct CaptureCase {
+  KernelIR ir;
+  LaunchDims dims;
+  KernelArgs args;
+  std::function<void(AddressSpace&)> init;
+  std::uint64_t read_byte = 0;  // a byte the launch reads before writing it
+};
+
+constexpr std::uint64_t kCaseBytes = 1ull << 20;
+constexpr std::uint32_t kCaseBlocks = 8;
+constexpr std::uint32_t kCaseThreads = 32;
+constexpr std::uint64_t kCaseGids = kCaseBlocks * kCaseThreads;
+
+LaunchDims case_dims() {
+  LaunchDims dims;
+  dims.grid_x = kCaseBlocks;
+  dims.block_x = kCaseThreads;
+  return dims;
+}
+
+/// Emits `gid * scale` into a fresh register.
+KernelBuilder::Reg gid_times(KernelBuilder& b, std::int64_t scale) {
+  const auto tid = b.reg(), cta = b.reg(), ntid = b.reg(), k = b.reg(), out = b.reg();
+  b.special(tid, SpecialReg::kTidX);
+  b.special(cta, SpecialReg::kCtaidX);
+  b.special(ntid, SpecialReg::kNtidX);
+  b.mul_i(out, cta, ntid);
+  b.add_i(out, out, tid);
+  b.mov_imm_i(k, scale);
+  b.mul_i(out, out, k);
+  return out;
+}
+
+/// Fills [addr, addr + bytes) with a nonzero word pattern.
+void fill_pattern(AddressSpace& mem, std::uint64_t addr, std::uint64_t bytes, std::uint32_t salt) {
+  for (std::uint64_t off = 0; off + 4 <= bytes; off += 4) {
+    mem.write<std::uint32_t>(addr + off, static_cast<std::uint32_t>(off * 2654435761u) ^ salt);
+  }
+}
+
+void expect_fill_then_hit_matches_recomputation(LaunchCache& cache, const CaptureCase& c) {
+  const GpuArch arch = make_quadro4000();
+  const auto fresh = [&] {
+    AddressSpace mem(kCaseBytes, "m");
+    c.init(mem);
+    return mem;
+  };
+  cache.set_verify(true);
+
+  AddressSpace fill_mem = fresh();
+  const LaunchCacheStats s0 = cache.stats();
+  const LaunchEvaluation fill = cache.evaluate(arch, c.ir, c.dims, c.args, fill_mem);
+  EXPECT_EQ(cache.stats().misses, s0.misses + 1);
+
+  // Verify mode re-executes the hit against a copy of its memory and throws
+  // on any divergence in stats, profile or write-set bytes.
+  AddressSpace hit_mem = fresh();
+  LaunchEvaluation hit;
+  EXPECT_NO_THROW(hit = cache.evaluate(arch, c.ir, c.dims, c.args, hit_mem));
+  EXPECT_EQ(cache.stats().hits, s0.hits + 1);
+
+  AddressSpace ref_mem = fresh();
+  const LaunchEvaluation ref = evaluate_functional(arch, c.ir, c.dims, c.args, ref_mem);
+  EXPECT_EQ(all_bytes(fill_mem), all_bytes(ref_mem));
+  EXPECT_EQ(all_bytes(hit_mem), all_bytes(ref_mem));
+  expect_profiles_bit_identical(fill.profile, ref.profile);
+  expect_profiles_bit_identical(hit.profile, ref.profile);
+  expect_stats_bit_identical(fill.stats, ref.stats);
+  expect_stats_bit_identical(hit.stats, ref.stats);
+
+  // A changed byte in the read-set is a different input: a miss, not a hit.
+  AddressSpace changed = fresh();
+  changed.write<std::uint8_t>(c.read_byte, changed.read<std::uint8_t>(c.read_byte) ^ 0x5A);
+  const LaunchCacheStats s1 = cache.stats();
+  cache.evaluate(arch, c.ir, c.dims, c.args, changed);
+  EXPECT_EQ(cache.stats().misses, s1.misses + 1);
+  EXPECT_EQ(cache.stats().hits, s1.hits);
+}
+
+TEST_F(LaunchCacheTest, CaptureOfMoreInterleavedStreamsThanTheMruHolds) {
+  // Each thread reads one word from each of 8 separate rows, then writes
+  // one word to each of 8 separate rows: every access moves to another
+  // stream, so the capture's MRU keeps losing the stream it needs next.
+  constexpr std::int64_t kStreams = 8;
+  constexpr std::int64_t kRowBytes = 4096;  // rows never touch
+  constexpr std::uint64_t kIn = 0x10000;
+  constexpr std::uint64_t kOut = 0x40000;
+  KernelBuilder b("streams", 2);
+  const auto pin = b.reg(), pout = b.reg(), acc = b.reg(), v = b.reg();
+  b.block("entry");
+  const auto off = gid_times(b, 4);
+  b.ld_param(pin, 0);
+  b.ld_param(pout, 1);
+  b.add_i(pin, pin, off);
+  b.add_i(pout, pout, off);
+  b.mov_imm_f32(acc, 0.5f);
+  for (std::int64_t k = 0; k < kStreams; ++k) {
+    b.ld_global_f32(v, pin, k * kRowBytes);
+    b.add_f32(acc, acc, v);
+  }
+  for (std::int64_t k = 0; k < kStreams; ++k) {
+    b.mul_f32(v, acc, acc);
+    b.st_global_f32(v, pout, k * kRowBytes);
+    b.add_f32(acc, acc, v);
+  }
+  b.ret();
+
+  CaptureCase c{b.build(), case_dims(), {}, nullptr, kIn + 5 * kRowBytes + 4 * 77 + 1};
+  c.args.push_ptr(kIn);
+  c.args.push_ptr(kOut);
+  c.init = [](AddressSpace& mem) {
+    for (std::int64_t k = 0; k < kStreams; ++k) {
+      for (std::uint64_t g = 0; g < kCaseGids; ++g) {
+        mem.write<float>(kIn + k * kRowBytes + 4 * g, 0.125f * static_cast<float>((g + k) % 17));
+      }
+    }
+  };
+  expect_fill_then_hit_matches_recomputation(cache(), c);
+}
+
+TEST_F(LaunchCacheTest, CaptureOfAdjacentButSeparateWrites) {
+  // Each thread writes two adjacent words with two stores, and one word of
+  // a second region in descending address order, so each store there ends
+  // where the previous one began.
+  constexpr std::uint64_t kIn = 0x10000;
+  constexpr std::uint64_t kOut = 0x20000;
+  constexpr std::uint64_t kDesc = 0x30000;
+  KernelBuilder b("adjacent", 3);
+  const auto pin = b.reg(), pout = b.reg(), pdesc = b.reg(), x = b.reg(), y = b.reg();
+  const auto last = b.reg(), rev = b.reg(), four = b.reg();
+  b.block("entry");
+  const auto off4 = gid_times(b, 4);
+  const auto off8 = gid_times(b, 8);
+  const auto gid = gid_times(b, 1);
+  b.ld_param(pin, 0);
+  b.ld_param(pout, 1);
+  b.ld_param(pdesc, 2);
+  b.add_i(pin, pin, off4);
+  b.add_i(pout, pout, off8);
+  b.ld_global_i32(x, pin);
+  b.add_i(y, x, x);
+  b.st_global_i32(x, pout);
+  b.st_global_i32(y, pout, 4);
+  b.mov_imm_i(last, static_cast<std::int64_t>(kCaseGids - 1));
+  b.sub_i(rev, last, gid);
+  b.mov_imm_i(four, 4);
+  b.mul_i(rev, rev, four);
+  b.add_i(pdesc, pdesc, rev);
+  b.st_global_i32(y, pdesc);
+  b.ret();
+
+  CaptureCase c{b.build(), case_dims(), {}, nullptr, kIn + 4 * 200 + 2};
+  c.args.push_ptr(kIn);
+  c.args.push_ptr(kOut);
+  c.args.push_ptr(kDesc);
+  c.init = [](AddressSpace& mem) {
+    fill_pattern(mem, kIn, 4 * kCaseGids, 0x1234);
+    fill_pattern(mem, kOut, 8 * kCaseGids, 0x77);  // pre-store bytes are not zero
+    fill_pattern(mem, kDesc, 4 * kCaseGids, 0x99);
+  };
+  expect_fill_then_hit_matches_recomputation(cache(), c);
+}
+
+TEST_F(LaunchCacheTest, CaptureOfInPlaceReadModifyWrite) {
+  // buf[gid] = buf[gid] * 2 + 1, then the updated word is read back and
+  // copied out: the read-set's pre-launch bytes come from the undo log.
+  constexpr std::uint64_t kBuf = 0x10000;
+  constexpr std::uint64_t kCopy = 0x20000;
+  KernelBuilder b("rmw", 2);
+  const auto pbuf = b.reg(), pcopy = b.reg(), v = b.reg(), two = b.reg(), one = b.reg();
+  b.block("entry");
+  const auto off = gid_times(b, 4);
+  b.ld_param(pbuf, 0);
+  b.ld_param(pcopy, 1);
+  b.add_i(pbuf, pbuf, off);
+  b.add_i(pcopy, pcopy, off);
+  b.mov_imm_f32(two, 2.0f);
+  b.mov_imm_f32(one, 1.0f);
+  b.ld_global_f32(v, pbuf);
+  b.fma_f32(v, v, two, one);
+  b.st_global_f32(v, pbuf);
+  b.ld_global_f32(v, pbuf);
+  b.st_global_f32(v, pcopy);
+  b.ret();
+
+  CaptureCase c{b.build(), case_dims(), {}, nullptr, kBuf + 4 * 131 + 3};
+  c.args.push_ptr(kBuf);
+  c.args.push_ptr(kCopy);
+  c.init = [](AddressSpace& mem) {
+    for (std::uint64_t g = 0; g < kCaseGids; ++g) {
+      mem.write<float>(kBuf + 4 * g, 0.25f * static_cast<float>(g % 29));
+    }
+  };
+  expect_fill_then_hit_matches_recomputation(cache(), c);
+}
+
+TEST_F(LaunchCacheTest, CaptureOfStoresThatRewriteWrittenBytes) {
+  // Per thread, a 16-byte slot: an i64 store, a full rewrite, a store that
+  // straddles the written bytes and new ones, a store inside written bytes,
+  // then a read-back of the slot's first word (read after write).
+  constexpr std::uint64_t kIn = 0x10000;
+  constexpr std::uint64_t kSlots = 0x20000;
+  constexpr std::uint64_t kCopy = 0x30000;
+  KernelBuilder b("rewrite", 3);
+  const auto pin = b.reg(), pslot = b.reg(), pcopy = b.reg(), x = b.reg(), y = b.reg();
+  const auto one = b.reg();
+  b.block("entry");
+  const auto off8 = gid_times(b, 8);
+  const auto off16 = gid_times(b, 16);
+  b.ld_param(pin, 0);
+  b.ld_param(pslot, 1);
+  b.ld_param(pcopy, 2);
+  b.add_i(pin, pin, off8);
+  b.add_i(pslot, pslot, off16);
+  b.add_i(pcopy, pcopy, off8);
+  b.mov_imm_i(one, 1);
+  b.ld_global_i64(x, pin);
+  b.ld_global_i64(y, pslot);  // pre-launch slot bytes are part of the input
+  b.add_i(x, x, y);
+  b.st_global_i64(x, pslot);
+  b.add_i(x, x, one);
+  b.st_global_i64(x, pslot);
+  b.add_i(x, x, one);
+  b.st_global_i64(x, pslot, 4);
+  b.st_global_i32(one, pslot, 2);
+  b.ld_global_i64(y, pslot);
+  b.st_global_i64(y, pcopy);
+  b.ret();
+
+  CaptureCase c{b.build(), case_dims(), {}, nullptr, kSlots + 16 * 90 + 5};
+  c.args.push_ptr(kIn);
+  c.args.push_ptr(kSlots);
+  c.args.push_ptr(kCopy);
+  c.init = [](AddressSpace& mem) {
+    fill_pattern(mem, kIn, 8 * kCaseGids, 0xABCD);
+    fill_pattern(mem, kSlots, 16 * kCaseGids, 0x5150);
+  };
+  expect_fill_then_hit_matches_recomputation(cache(), c);
+}
+
+TEST_F(LaunchCacheTest, OutOfBoundsGuestAccessThrowsTheAddressSpaceMessageOnEveryPath) {
+  // One thread loads (or stores) a word that runs past the end of memory.
+  // The plain, observed, cache-fill and reference paths all report the
+  // bounds error of AddressSpace itself, unchanged.
+  constexpr std::uint64_t kBytes = 4096;
+  constexpr std::uint64_t kAddr = kBytes - 2;
+  const GpuArch arch = make_quadro4000();
+  for (const bool store : {false, true}) {
+    SCOPED_TRACE(store ? "store" : "load");
+    KernelBuilder b(store ? "oob_store" : "oob_load", 1);
+    const auto p = b.reg(), v = b.reg();
+    b.block("entry");
+    b.ld_param(p, 0);
+    if (store) {
+      b.mov_imm_f32(v, 1.0f);
+      b.st_global_f32(v, p);
+    } else {
+      b.ld_global_f32(v, p);
+    }
+    b.ret();
+    const KernelIR ir = b.build();
+    LaunchDims dims;
+    KernelArgs args;
+    args.push_ptr(kAddr);
+
+    std::string expected;
+    try {
+      AddressSpace mem(kBytes, "m");
+      mem.read<float>(kAddr);
+    } catch (const ContractError& e) {
+      expected = e.what();
+    }
+    ASSERT_NE(expected.find("m: access [4094, 4098) out of bounds"), std::string::npos);
+
+    const auto message_of = [&](const std::function<void(AddressSpace&)>& run) {
+      AddressSpace mem(kBytes, "m");
+      try {
+        run(mem);
+      } catch (const ContractError& e) {
+        return std::string(e.what());
+      }
+      return std::string("no error");
+    };
+    const auto engine = [&](AddressSpace& m) { Interpreter().run(ir, dims, args, m); };
+    const auto reference = [&](AddressSpace& m) { Interpreter::run_reference(ir, dims, args, m); };
+    const auto observed = [&](AddressSpace& m) { evaluate_functional(arch, ir, dims, args, m); };
+    const auto cached = [&](AddressSpace& m) { cache().evaluate(arch, ir, dims, args, m); };
+    EXPECT_EQ(message_of(engine), expected);
+    EXPECT_EQ(message_of(reference), expected);
+    EXPECT_EQ(message_of(observed), expected);
+    const LaunchCacheStats s0 = cache().stats();
+    EXPECT_EQ(message_of(cached), expected);
+    EXPECT_EQ(cache().stats().misses, s0.misses + 1);
+    EXPECT_EQ(cache().stats().entries, 0u);
+  }
 }
 
 // --- scenario + sweep integration -------------------------------------------

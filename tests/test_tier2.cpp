@@ -304,6 +304,77 @@ TEST(Tier2Differential, IntegerOverflowWrapsIdenticallyInEveryEngineSite) {
   }
 }
 
+TEST(Tier2Differential, IntegerDivisionOverflowIsDefinedIdenticallyInBothEngines) {
+  // INT64_MIN / -1 is the one quotient that does not fit in an i64; on the
+  // host it traps. Guest division defines it as INT64_MIN with remainder 0,
+  // in the reference and the engine alike, next to ordinary truncating
+  // division of negative operands.
+  EngineSandbox sandbox;
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::uint32_t kSlots = 6;
+
+  KernelBuilder b("int_div_overflow", 0);
+  const auto tid = b.reg(), cta = b.reg(), ntid = b.reg(), gid = b.reg();
+  const auto min = b.reg(), minus1 = b.reg(), two = b.reg(), base = b.reg(), a = b.reg();
+  std::vector<std::uint8_t> val(kSlots);
+  for (auto& r : val) r = b.reg();
+  b.block("entry");
+  b.special(tid, SpecialReg::kTidX);
+  b.special(cta, SpecialReg::kCtaidX);
+  b.special(ntid, SpecialReg::kNtidX);
+  b.mul_i(gid, cta, ntid);
+  b.add_i(gid, gid, tid);
+  b.mov_imm_i(min, kMin);
+  b.mov_imm_i(minus1, -1);
+  b.mov_imm_i(two, 2);
+  b.mov_imm_i(base, 8 * kSlots);
+  b.mul_i(base, base, gid);
+  b.div_i(val[0], min, minus1);
+  b.rem_i(val[1], min, minus1);
+  b.add_i(a, min, gid);  // INT64_MIN + gid: overflows only for gid 0
+  b.div_i(val[2], a, minus1);
+  b.rem_i(val[3], a, minus1);
+  b.sub_i(a, minus1, gid);  // -1 - gid: ordinary truncation toward zero
+  b.div_i(val[4], a, two);
+  b.rem_i(val[5], a, two);
+  for (std::uint32_t k = 0; k < kSlots; ++k) {
+    b.st_global_i64(val[k], base, static_cast<std::int64_t>(8 * k));
+  }
+  b.ret();
+  const KernelIR ir = b.build();
+
+  LaunchDims dims;
+  dims.grid_x = 3;
+  dims.block_x = 5;
+  const std::uint64_t threads = dims.total_threads();
+  const std::uint64_t bytes = 8 * kSlots * threads;
+  AddressSpace ref_mem(bytes, "ref");
+  const DynamicProfile ref_profile = Interpreter::run_reference(ir, dims, {}, ref_mem);
+  for (std::size_t workers : {1u, 4u}) {
+    AddressSpace mem(bytes, "engine");
+    Interpreter::Options options;
+    options.workers = workers;
+    const DynamicProfile profile = Interpreter().run(ir, dims, {}, mem, options);
+    expect_profiles_identical(ref_profile, profile, "workers=" + std::to_string(workers));
+    EXPECT_EQ(mem.hash_range(0, mem.size(), kMemHashSeed),
+              ref_mem.hash_range(0, ref_mem.size(), kMemHashSeed))
+        << "workers=" << workers;
+  }
+
+  for (std::uint64_t g = 0; g < threads; ++g) {
+    const auto got = [&](std::uint32_t k) {
+      return ref_mem.read<std::int64_t>(8 * kSlots * g + 8 * k);
+    };
+    const auto gi = static_cast<std::int64_t>(g);
+    EXPECT_EQ(got(0), kMin) << g;
+    EXPECT_EQ(got(1), 0) << g;
+    EXPECT_EQ(got(2), g == 0 ? kMin : -(kMin + gi)) << g;
+    EXPECT_EQ(got(3), 0) << g;
+    EXPECT_EQ(got(4), (-1 - gi) / 2) << g;
+    EXPECT_EQ(got(5), (-1 - gi) % 2) << g;
+  }
+}
+
 // --- engine counters ----------------------------------------------------------
 
 TEST(Tier2Promotion, DecisionStreamIsIdenticalAcrossWorkerCounts) {
