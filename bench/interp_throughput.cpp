@@ -7,8 +7,9 @@
 //
 //   interp_throughput [--workers N] [--n SIZE] [--reps R] [--json PATH] [--trace PATH]
 //
-// Without --workers the full {1,2,4,8} ladder runs; `--workers N` restricts
-// the run to one count (CI uses `--workers 1` as a smoke check). Every run
+// Without --workers the full {1,2,4,8} ladder runs (as the CI bench gate
+// does, since the baseline holds every rung); `--workers N` restricts the
+// run to one count. Every run
 // is differenced against the serial profile — any mismatch makes the bench
 // exit nonzero, so the throughput numbers can never outlive the determinism
 // contract they advertise.

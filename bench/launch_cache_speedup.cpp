@@ -6,8 +6,9 @@
 //
 // The fleet premise makes the win structural: every VP launches the same
 // kernels on the same input bytes, so of the VPs x iterations functional
-// interpretations per scenario only the first launch of each distinct
-// argument block must execute — the rest replay recorded write-sets.
+// interpretations per scenario only the first launch of each kernel must
+// execute — the rest replay recorded write-sets, relocated to each VP's
+// own buffer addresses.
 //
 //   launch_cache_speedup [--workers N] [--json PATH]
 //
@@ -33,8 +34,8 @@ namespace sigvp {
 namespace {
 
 /// Iterations per app: uncached work scales with VPs x iterations, cached
-/// work with VPs (first launch per distinct argument block) — so this also
-/// bounds the per-scenario speedup the replay path can show.
+/// work with the number of distinct launches (one per kernel, whatever the
+/// VP count) plus one replay per launch.
 constexpr std::uint32_t kIterations = 8;
 
 /// Workloads with deterministic fill_inputs and read/write-disjoint buffers

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <utility>
 
 #include "gpu/cache.hpp"
 #include "interp/decoded.hpp"
 #include "interp/interpreter.hpp"
+#include "ir/translation.hpp"
 #include "snapshot/serial.hpp"
 #include "util/check.hpp"
 
@@ -61,15 +63,71 @@ std::uint64_t arch_fingerprint(const GpuArch& a) {
   return h;
 }
 
-std::uint64_t base_key_of(const GpuArch& arch, const KernelIR& kernel,
+bool is_pointer(std::uint64_t mask, std::size_t param) {
+  return param < 64 && ((mask >> param) & 1) != 0;
+}
+
+/// The kernel's pointer-parameter mask (0 when the translation-invariance
+/// proof refuses it), proved once per structural fingerprint for the whole
+/// process. Keyed by fingerprint, never by KernelIR address: a freed
+/// kernel's address can be reused by a different one.
+std::uint64_t pointer_mask_of(const KernelIR& kernel, std::uint64_t fingerprint) {
+  static std::mutex mutex;
+  static std::unordered_map<std::uint64_t, std::uint64_t> proved;
+  std::lock_guard<std::mutex> lock(mutex);
+  auto it = proved.find(fingerprint);
+  if (it == proved.end()) {
+    it = proved.emplace(fingerprint, prove_translation_invariant(kernel).mask).first;
+  }
+  return it->second;
+}
+
+/// Pointer arguments are left out: they locate the launch, the entry's
+/// fill-time arguments and the shift rule decide whether it matches. With
+/// an empty mask this is the key over every raw argument bit.
+std::uint64_t base_key_of(const GpuArch& arch, std::uint64_t fingerprint, std::uint64_t mask,
                           const LaunchDims& dims, const KernelArgs& args) {
   std::uint64_t h = arch_fingerprint(arch);
-  h = mix64(h, interp_detail::kernel_fingerprint(kernel));
+  h = mix64(h, fingerprint);
   h = mix64(h, (static_cast<std::uint64_t>(dims.grid_x) << 32) | dims.grid_y);
   h = mix64(h, (static_cast<std::uint64_t>(dims.block_x) << 32) | dims.block_y);
   h = mix64(h, args.values.size());
-  for (std::uint64_t v : args.values) h = mix64(h, v);
+  for (std::size_t i = 0; i < args.values.size(); ++i) {
+    if (!is_pointer(mask, i)) h = mix64(h, args.values[i]);
+  }
   return h;
+}
+
+/// The shift δ that maps a launch filled with `filled` arguments onto one
+/// with `args`: every scalar equal and every pointer moved by one common δ,
+/// a multiple of the L2 line so that each L2 set maps onto set
+/// (s + δ/line) mod sets and every hit/miss stays what it was.
+std::optional<std::uint64_t> relocation(std::uint64_t mask, const KernelArgs& filled,
+                                        const KernelArgs& args, std::uint64_t line_bytes) {
+  if (filled.values.size() != args.values.size()) return std::nullopt;
+  std::optional<std::uint64_t> shift;
+  for (std::size_t i = 0; i < args.values.size(); ++i) {
+    const std::uint64_t d = args.values[i] - filled.values[i];
+    if (!is_pointer(mask, i)) {
+      if (d != 0) return std::nullopt;
+    } else if (!shift) {
+      shift = d;
+    } else if (*shift != d) {
+      return std::nullopt;
+    }
+  }
+  const std::uint64_t delta = shift.value_or(0);
+  if (static_cast<std::int64_t>(delta) % static_cast<std::int64_t>(line_bytes) != 0) {
+    return std::nullopt;
+  }
+  return delta;
+}
+
+bool all_in_bounds(const AddressSpace& mem, const std::vector<MemChunk>& ranges,
+                   std::uint64_t shift) {
+  return std::all_of(ranges.begin(), ranges.end(), [&](const MemChunk& r) {
+    return mem.in_bounds(r.addr + shift, r.size);
+  });
 }
 
 // --- read/write-set capture --------------------------------------------------
@@ -86,14 +144,16 @@ std::vector<MemChunk> merge_ranges(const std::vector<ChunkCapture>& chunks,
   return merged.ranges();
 }
 
-/// Chained content hash over `ranges` of `mem` — the validation-time side.
-/// Range addresses are folded in too, so the chain is well-defined even for
-/// an empty read-set.
-std::uint64_t hash_ranges_in(const AddressSpace& mem, const std::vector<MemChunk>& ranges) {
+/// Chained content hash over `ranges` of `mem`, each read at its address +
+/// `shift` — the validation-time side. The stored (unshifted) range
+/// addresses are folded in too, so the chain is well-defined even for an
+/// empty read-set and equals the fill-time chain wherever the entry lands.
+std::uint64_t hash_ranges_in(const AddressSpace& mem, const std::vector<MemChunk>& ranges,
+                             std::uint64_t shift) {
   std::uint64_t h = kMemHashSeed;
   for (const MemChunk& r : ranges) {
     h = mix64(h, r.addr);
-    h = mem.hash_range(r.addr, r.size, h);
+    h = mem.hash_range(r.addr + shift, r.size, h);
   }
   return h;
 }
@@ -184,6 +244,8 @@ bool env_flag(const char* name, bool fallback) {
 
 struct LaunchCache::Entry {
   std::uint64_t base_key = 0;
+  std::uint64_t pointer_mask = 0;     // of the kernel, as proved at fill time
+  KernelArgs args;                    // fill-time arguments: the ranges' frame
   std::vector<MemChunk> read_ranges;  // sorted, coalesced
   std::uint64_t input_hash = 0;       // pre-launch content of read_ranges
   KernelExecStats stats;
@@ -271,7 +333,9 @@ LaunchEvaluation LaunchCache::evaluate(const GpuArch& arch, const KernelIR& kern
     return out;
   }
 
-  const std::uint64_t base_key = base_key_of(arch, kernel, dims, args);
+  const std::uint64_t fingerprint = interp_detail::kernel_fingerprint(kernel);
+  const std::uint64_t mask = pointer_mask_of(kernel, fingerprint);
+  const std::uint64_t base_key = base_key_of(arch, fingerprint, mask, dims, args);
   const std::size_t shard_idx = (base_key >> 58) % kNumShards;
   Shard& shard = shards_[shard_idx];
 
@@ -285,25 +349,19 @@ LaunchEvaluation LaunchCache::evaluate(const GpuArch& arch, const KernelIR& kern
     if (it != shard.buckets.end()) candidates = it->second;
   }
   for (const std::shared_ptr<const Entry>& e : candidates) {
-    bool fits = true;
-    for (const MemChunk& r : e->read_ranges) {
-      if (!memory.in_bounds(r.addr, r.size)) {
-        fits = false;
-        break;
-      }
+    if (e->pointer_mask != mask) continue;
+    const std::optional<std::uint64_t> shift =
+        relocation(mask, e->args, args, arch.l2.line_bytes);
+    if (!shift || !all_in_bounds(memory, e->read_ranges, *shift) ||
+        !all_in_bounds(memory, e->writes.ranges, *shift) ||
+        hash_ranges_in(memory, e->read_ranges, *shift) != e->input_hash) {
+      continue;
     }
-    for (const MemChunk& r : e->writes.ranges) {
-      if (!fits || !memory.in_bounds(r.addr, r.size)) {
-        fits = false;
-        break;
-      }
-    }
-    if (!fits || hash_ranges_in(memory, e->read_ranges) != e->input_hash) continue;
 
     if (verify_.load(std::memory_order_relaxed)) {
-      verify_hit(*e, arch, kernel, dims, args, memory);
+      verify_hit(*e, *shift, arch, kernel, dims, args, memory);
     }
-    apply_delta(memory, e->writes);
+    apply_delta(memory, e->writes, *shift);
     hits_.fetch_add(1, std::memory_order_relaxed);
     bytes_replayed_.fetch_add(e->writes.total_bytes(), std::memory_order_relaxed);
     LaunchEvaluation out;
@@ -314,19 +372,22 @@ LaunchEvaluation LaunchCache::evaluate(const GpuArch& arch, const KernelIR& kern
   }
 
   misses_.fetch_add(1, std::memory_order_relaxed);
-  LaunchEvaluation out = execute_and_fill(arch, kernel, dims, args, memory, base_key);
+  LaunchEvaluation out = execute_and_fill(arch, kernel, dims, args, memory, base_key, mask);
   out.cache = LaunchCacheOutcome::kMiss;
   return out;
 }
 
 LaunchEvaluation LaunchCache::execute_and_fill(const GpuArch& arch, const KernelIR& kernel,
                                                const LaunchDims& dims, const KernelArgs& args,
-                                               AddressSpace& memory, std::uint64_t base_key) {
+                                               AddressSpace& memory, std::uint64_t base_key,
+                                               std::uint64_t pointer_mask) {
   std::vector<ChunkCapture> capture;
   LaunchEvaluation out = evaluate_functional(arch, kernel, dims, args, memory, &capture);
 
   auto entry = std::make_shared<Entry>();
   entry->base_key = base_key;
+  entry->pointer_mask = pointer_mask;
+  entry->args = args;
   entry->read_ranges = merge_ranges(capture, &ChunkCapture::reads);
   entry->input_hash =
       hash_ranges_buf(entry->read_ranges, pre_image_of(memory, entry->read_ranges, capture));
@@ -350,7 +411,8 @@ void LaunchCache::insert(std::uint64_t base_key, std::shared_ptr<const Entry> en
     std::lock_guard<std::mutex> lock(shard.mutex);
     std::vector<std::shared_ptr<const Entry>>& bucket = shard.buckets[base_key];
     for (const std::shared_ptr<const Entry>& e : bucket) {
-      if (e->input_hash == entry->input_hash && e->read_ranges == entry->read_ranges) {
+      if (e->input_hash == entry->input_hash && e->args == entry->args &&
+          e->read_ranges == entry->read_ranges) {
         return;  // a concurrent miss on the same launch already filled it
       }
     }
@@ -487,6 +549,8 @@ void LaunchCache::export_state(snapshot::Writer& w) const {
   for (std::size_t i = fifo_head_; i < fifo_.size(); ++i) {
     const Entry& e = *fifo_[i].entry;
     w.u64(e.base_key);
+    w.u64(e.pointer_mask);
+    w.u64_vec(e.args.values);
     save_chunks(w, e.read_ranges);
     w.u64(e.input_hash);
     save_stats(w, e.stats);
@@ -502,6 +566,8 @@ void LaunchCache::import_state(snapshot::Reader& r) {
   for (std::uint64_t i = 0; i < n; ++i) {
     auto entry = std::make_shared<Entry>();
     entry->base_key = r.u64();
+    entry->pointer_mask = r.u64();
+    entry->args.values = r.u64_vec();
     entry->read_ranges = load_chunks(r);
     entry->input_hash = r.u64();
     load_stats(r, entry->stats);
@@ -522,20 +588,23 @@ void LaunchCache::import_state(snapshot::Reader& r) {
   }
 }
 
-void LaunchCache::verify_hit(const Entry& entry, const GpuArch& arch, const KernelIR& kernel,
-                             const LaunchDims& dims, const KernelArgs& args,
-                             const AddressSpace& memory) const {
+void LaunchCache::verify_hit(const Entry& entry, std::uint64_t shift, const GpuArch& arch,
+                             const KernelIR& kernel, const LaunchDims& dims,
+                             const KernelArgs& args, const AddressSpace& memory) const {
   // Re-execute against a copy of the caller's memory and demand bit-for-bit
-  // agreement with the stored outcome. Opt-in (SIGVP_LAUNCH_CACHE_VERIFY=1):
-  // the copy proves replay == recompute without disturbing the caller, and
-  // it copies only the pages the caller has touched.
+  // agreement with the stored outcome, at the ranges the hit replays to.
+  // Opt-in (SIGVP_LAUNCH_CACHE_VERIFY=1): the copy proves replay ==
+  // recompute without disturbing the caller, and it copies only the pages
+  // the caller has touched.
   AddressSpace scratch = memory;
   LaunchEvaluation fresh = evaluate_functional(arch, kernel, dims, args, scratch);
   SIGVP_REQUIRE(stats_equal(fresh.stats, entry.stats),
                 kernel.name + ": launch cache verify: stats diverge from recomputation");
   SIGVP_REQUIRE(profiles_equal(fresh.profile, entry.profile),
                 kernel.name + ": launch cache verify: profile diverges from recomputation");
-  const MemDelta recomputed = extract_delta(scratch, entry.writes.ranges);
+  std::vector<MemChunk> ranges = entry.writes.ranges;
+  for (MemChunk& r : ranges) r.addr += shift;
+  const MemDelta recomputed = extract_delta(scratch, std::move(ranges));
   SIGVP_REQUIRE(recomputed.bytes == entry.writes.bytes,
                 kernel.name + ": launch cache verify: write-set bytes diverge");
 }

@@ -57,20 +57,27 @@ struct LaunchCacheStats {
 /// Key derivation (see DESIGN.md §11):
 ///   base key  = mix(arch fingerprint, kernel structural fingerprint
 ///               via interp_detail::kernel_fingerprint, launch dims,
-///               raw argument bits)
+///               bits of every argument that is not a pointer)
 ///   input hash = chained hash of the *pre-launch* bytes of every memory
 ///               range the launch read (reconstructed on the fill path from
 ///               an undo log, since reads interleave with writes)
-/// A lookup recomputes the input hash over the caller's current memory and
-/// only hits when it matches — so two launches with equal fingerprints/dims/
-/// args but different input bytes are distinct entries in one bucket.
+/// The pointer parameters come from prove_translation_invariant (proved
+/// once per kernel fingerprint; a refused kernel has none, so all its
+/// arguments are keyed). An entry keeps its fill-time arguments. A
+/// candidate matches when every scalar is equal and every pointer moved by
+/// one common shift δ, a multiple of the L2 line; the lookup then hashes
+/// the caller's bytes at each read range + δ and only hits when the chain
+/// matches — so launches with equal keys but different input bytes are
+/// distinct entries in one bucket. A hit replays the write-set at + δ:
+/// identical VPs whose buffers sit at different addresses share entries.
 ///
 /// Determinism contract: a hit is byte-identical in memory and bit-identical
 /// in stats/profile to recomputation for any interpreter worker count,
 /// because the interpreter itself guarantees worker-independent results and
 /// the write-set is captured from one such execution. The opt-in
 /// SIGVP_LAUNCH_CACHE_VERIFY=1 mode re-executes every hit against a copy of
-/// memory and throws ContractError on any divergence.
+/// memory and throws ContractError on any divergence at the relocated
+/// write ranges.
 ///
 /// Bypass rules (never cached, never replayed):
 ///  - kFault: the device has an active FaultPlan — fault rolls and
@@ -125,9 +132,10 @@ class LaunchCache {
   /// Monotonic counters + current residency, coherent snapshot.
   LaunchCacheStats stats() const;
 
-  /// Serializes every resident entry in global FIFO (fill) order — the
-  /// order eviction replays — so an import rebuilds a byte-identical
-  /// resident set including its future eviction sequence.
+  /// Serializes every resident entry — fill-time arguments and pointer
+  /// mask included — in global FIFO (fill) order, the order eviction
+  /// replays, so an import rebuilds a byte-identical resident set including
+  /// its future eviction sequence and relocation frames.
   void export_state(snapshot::Writer& w) const;
 
   /// Re-inserts entries previously written by export_state, preserving
@@ -145,9 +153,10 @@ class LaunchCache {
 
   LaunchEvaluation execute_and_fill(const GpuArch& arch, const KernelIR& kernel,
                                     const LaunchDims& dims, const KernelArgs& args,
-                                    AddressSpace& memory, std::uint64_t base_key);
-  void verify_hit(const Entry& entry, const GpuArch& arch, const KernelIR& kernel,
-                  const LaunchDims& dims, const KernelArgs& args,
+                                    AddressSpace& memory, std::uint64_t base_key,
+                                    std::uint64_t pointer_mask);
+  void verify_hit(const Entry& entry, std::uint64_t shift, const GpuArch& arch,
+                  const KernelIR& kernel, const LaunchDims& dims, const KernelArgs& args,
                   const AddressSpace& memory) const;
   void insert(std::uint64_t base_key, std::shared_ptr<const Entry> entry);
 

@@ -199,6 +199,79 @@ bool is_sqrt_op(Opcode op) {
   }
 }
 
+std::uint32_t source_count(Opcode op) {
+  switch (op) {
+    case Opcode::kNop:
+    case Opcode::kMovImmI:
+    case Opcode::kMovImmF32:
+    case Opcode::kMovImmF64:
+    case Opcode::kReadSpecial:
+    case Opcode::kLdParam:
+    case Opcode::kJmp:
+    case Opcode::kRet:
+    case Opcode::kBar:
+      return 0;
+
+    case Opcode::kMov:
+    case Opcode::kNegI:
+    case Opcode::kAbsI:
+    case Opcode::kCvtF32ToI:
+    case Opcode::kCvtF64ToI:
+    case Opcode::kNotB:
+    case Opcode::kSqrtF32:
+    case Opcode::kRsqrtF32:
+    case Opcode::kExpF32:
+    case Opcode::kLogF32:
+    case Opcode::kSinF32:
+    case Opcode::kCosF32:
+    case Opcode::kAbsF32:
+    case Opcode::kNegF32:
+    case Opcode::kFloorF32:
+    case Opcode::kCvtIToF32:
+    case Opcode::kCvtF64ToF32:
+    case Opcode::kSqrtF64:
+    case Opcode::kExpF64:
+    case Opcode::kLogF64:
+    case Opcode::kSinF64:
+    case Opcode::kCosF64:
+    case Opcode::kAbsF64:
+    case Opcode::kNegF64:
+    case Opcode::kFloorF64:
+    case Opcode::kCvtIToF64:
+    case Opcode::kCvtF32ToF64:
+    case Opcode::kBraZ:
+    case Opcode::kBraNZ:
+    case Opcode::kLdGlobalF32:
+    case Opcode::kLdGlobalF64:
+    case Opcode::kLdGlobalI32:
+    case Opcode::kLdGlobalI64:
+    case Opcode::kLdGlobalU8:
+    case Opcode::kLdSharedF32:
+    case Opcode::kLdSharedF64:
+    case Opcode::kLdSharedI64:
+      return 1;
+
+    case Opcode::kSelect:
+    case Opcode::kFmaF32:
+    case Opcode::kFmaF64:
+      return 3;
+
+    default:  // binary ALU ops, stores (address, value) and atomics
+      return 2;
+  }
+}
+
+bool writes_register(Opcode op) {
+  switch (instr_class(op)) {
+    case InstrClass::kBranch:
+      return false;
+    case InstrClass::kStore:
+      return op == Opcode::kAtomAddGlobalI64 || op == Opcode::kAtomAddGlobalF32;
+    default:
+      return op != Opcode::kNop;
+  }
+}
+
 std::uint32_t memory_width_bytes(Opcode op) {
   switch (op) {
     case Opcode::kLdGlobalU8:

@@ -94,6 +94,14 @@ bool is_sfu_op(Opcode op);
 /// have SSE instructions); the rest (exp/log/sin/cos) are full libm calls.
 bool is_sqrt_op(Opcode op);
 
+/// Number of register operands an opcode reads: its sources are src0, src1,
+/// ... up to this count. Unused `src*` fields default to register 0, so
+/// dataflow over the IR must consult this instead of the raw fields.
+std::uint32_t source_count(Opcode op);
+
+/// True when the opcode writes its `dst` register.
+bool writes_register(Opcode op);
+
 /// Number of bytes moved by a memory opcode (0 for non-memory opcodes).
 std::uint32_t memory_width_bytes(Opcode op);
 

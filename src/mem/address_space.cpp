@@ -186,10 +186,10 @@ MemDelta extract_delta(const AddressSpace& space, std::vector<MemChunk> ranges) 
   return out;
 }
 
-void apply_delta(AddressSpace& space, const MemDelta& delta) {
+void apply_delta(AddressSpace& space, const MemDelta& delta, std::uint64_t shift) {
   std::uint64_t off = 0;
   for (const MemChunk& r : delta.ranges) {
-    space.copy_in(r.addr, delta.bytes.data() + off, r.size);
+    space.copy_in(r.addr + shift, delta.bytes.data() + off, r.size);
     off += r.size;
   }
 }

@@ -152,7 +152,8 @@ struct MemDelta {
 /// Captures the current contents of `ranges` from `space` into a MemDelta.
 MemDelta extract_delta(const AddressSpace& space, std::vector<MemChunk> ranges);
 
-/// Writes `delta` back into `space` (bounds-checked per range).
-void apply_delta(AddressSpace& space, const MemDelta& delta);
+/// Writes `delta` back into `space`, each range at its address + `shift`
+/// (mod 2^64; bounds-checked per range).
+void apply_delta(AddressSpace& space, const MemDelta& delta, std::uint64_t shift);
 
 }  // namespace sigvp

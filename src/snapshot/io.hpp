@@ -28,7 +28,10 @@ inline constexpr char kSnapshotMagic[8] = {'S', 'V', 'P', 'S', 'N', 'A', 'P', '1
 /// Version 4: single-domain scenarios run through the fleet executor, so
 /// their captures are folded fleet captures (one contributor, fabric
 /// counters included) and version-3 checkpoints are rejected up front.
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+/// Version 5: launch-cache entries carry their fill-time arguments and
+/// pointer-parameter mask (relocatable keys), so version-4 cache payloads,
+/// keyed on raw pointer bits, are rejected instead of misparsed.
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// Writes `payload` wrapped in the container, via write-temp + fsync +
 /// atomic rename — a crash at any instant leaves either the previous file

@@ -157,6 +157,67 @@ TEST(Cache, FlatLruMatchesVectorReferenceOnRandomStreams) {
   }
 }
 
+TEST(Cache, StatsAreInvariantUnderACommonLineMultipleShift) {
+  // The launch cache relocates a hit by one common shift δ of every pointer:
+  // line l moves to l + δ/line, so set s becomes (s + δ/line) mod sets — a
+  // permutation of sets under which every access hits or misses as before.
+  const CacheConfig configs[] = {{4096, 64, 2}, {1536, 64, 8}, {512 << 10, 128, 8}};
+  for (std::size_t c = 0; c < std::size(configs); ++c) {
+    const CacheConfig& cfg = configs[c];
+    for (const std::uint64_t seed : {11u, 12u, 13u}) {
+      SCOPED_TRACE("config " + std::to_string(c) + ", seed " + std::to_string(seed));
+      Rng rng(seed);
+      // Two streams over buffers 8 capacities apart, the shift up to ±2^20
+      // lines either way (addresses stay positive).
+      const std::uint64_t base = std::uint64_t{1} << 40;
+      const std::uint64_t bufs[2] = {base, base + 8 * cfg.size_bytes};
+      const auto lines = static_cast<std::int64_t>(rng.next_below(std::uint64_t{1} << 21)) -
+                         (std::int64_t{1} << 20);
+      const std::uint64_t delta =
+          static_cast<std::uint64_t>(lines * static_cast<std::int64_t>(cfg.line_bytes));
+      CacheModel original(cfg), moved(cfg);
+      for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t addr =
+            bufs[rng.next_below(2)] + rng.next_below(2 * cfg.size_bytes);
+        const auto bytes = static_cast<std::uint32_t>(1 + rng.next_below(2 * cfg.line_bytes));
+        ASSERT_EQ(original.access(addr, bytes), moved.access(addr + delta, bytes))
+            << "access " << i;
+      }
+      EXPECT_EQ(original.stats().hits, moved.stats().hits);
+      EXPECT_EQ(original.stats().misses, moved.stats().misses);
+      EXPECT_GT(original.stats().hits, 0u);
+      EXPECT_GT(original.stats().misses, 0u);
+    }
+  }
+}
+
+TEST(Cache, ShiftingOneOfTwoStreamsChangesTheStats) {
+  // Direct-mapped, 16 sets of 64 B. Streams A and B one capacity apart
+  // share every set and evict each other; moving B alone by half the
+  // capacity separates them. This is why a relocated launch-cache hit
+  // needs one common shift for all pointers.
+  const CacheConfig cfg{1024, 64, 1};
+  auto run = [&](std::uint64_t a, std::uint64_t b) {
+    CacheModel model(cfg);
+    for (int rep = 0; rep < 2; ++rep) {
+      for (std::uint64_t i = 0; i < 8; ++i) {
+        model.access(a + 64 * i, 4);
+        model.access(b + 64 * i, 4);
+      }
+    }
+    return model.stats();
+  };
+  const CacheStats aligned = run(0, 1024);
+  EXPECT_EQ(aligned.accesses, 32u);
+  EXPECT_EQ(aligned.hits, 0u);
+  const CacheStats both_moved = run(512, 1536);
+  EXPECT_EQ(both_moved.hits, 0u);
+  EXPECT_EQ(both_moved.misses, 32u);
+  const CacheStats b_moved = run(0, 1536);
+  EXPECT_EQ(b_moved.hits, 16u);
+  EXPECT_EQ(b_moved.misses, 16u);
+}
+
 TEST(ProbCache, ColdMissesMatchFootprint) {
   ProbCacheModel p(CacheConfig{512 * 1024, 128, 8});
   MemoryBehavior b;

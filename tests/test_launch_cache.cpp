@@ -1,14 +1,17 @@
 // Tests of the content-addressed launch cache (DESIGN.md §11): hit/replay
 // correctness against recomputation at every interpreter worker count,
 // key-collision safety on input bytes, deterministic insertion-order
-// eviction, fault-plan / atomics bypass, verify mode, the capture fast path,
-// out-of-bounds errors, and the scenario + sweep integration (cached fleets
-// byte-identical to uncached).
+// eviction, fault-plan / atomics bypass, verify mode, relocated hits at a
+// common line-multiple pointer shift, the capture fast path, out-of-bounds
+// errors, and the scenario + sweep integration (cached fleets byte-identical
+// to uncached).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "gpu/offline.hpp"
 #include "interp/interpreter.hpp"
 #include "ir/builder.hpp"
+#include "ir/translation.hpp"
 #include "mem/allocator.hpp"
 #include "run/sweep.hpp"
 #include "sim/event_queue.hpp"
@@ -66,6 +70,21 @@ struct LaunchFixture {
     return mem;
   }
 };
+
+/// `fx` with buffer i moved by shifts[i] bytes and its arguments rebuilt at
+/// the new addresses: a VP whose allocator placed the same buffers elsewhere.
+LaunchFixture moved(const LaunchFixture& fx, const std::vector<std::int64_t>& shifts) {
+  LaunchFixture out = fx;
+  for (std::size_t i = 0; i < out.addrs.size(); ++i) {
+    out.addrs[i] += static_cast<std::uint64_t>(shifts[i]);
+  }
+  out.args = out.w->args(out.addrs, out.n);
+  return out;
+}
+
+LaunchFixture moved(const LaunchFixture& fx, std::int64_t shift) {
+  return moved(fx, std::vector<std::int64_t>(fx.addrs.size(), shift));
+}
 
 std::vector<std::uint8_t> all_bytes(const AddressSpace& mem) {
   std::vector<std::uint8_t> out(mem.size());
@@ -388,6 +407,156 @@ TEST_F(LaunchCacheTest, ScalarJitterPartitionsTheCacheByArgBytes) {
   cache().evaluate(arch, st2.kernel, st2.dims(n), st2.args(addrs, n, 1002), mem);
   EXPECT_EQ(cache().stats().hits, before.hits + 1);
   EXPECT_EQ(cache().stats().misses, before.misses);
+}
+
+// --- relocation ----------------------------------------------------------------
+
+TEST_F(LaunchCacheTest, RelocatedHitsEqualRecomputationAtRandomLineMultipleShifts) {
+  // Seeded differential: fill once at the fixture's addresses, then move
+  // every buffer by one random multiple of the L2 line. Each move must hit
+  // and equal a fresh evaluation at the moved addresses in memory, stats
+  // (L2 hits/misses included) and profile.
+  const auto suite = workloads::make_suite();
+  const GpuArch arch = make_quadro4000();
+  const auto line = static_cast<std::int64_t>(arch.l2.line_bytes);
+  Rng rng(2024);
+  for (const char* app : {"vectorAdd", "BlackScholes", "matrixMul", "SobelFilter",
+                          "convolutionSeparable", "dct8x8", "nbody", "reduction",
+                          "recursiveGaussian"}) {
+    SCOPED_TRACE(app);
+    const LaunchFixture fx(suite, app);
+    ASSERT_NE(prove_translation_invariant(fx.w->kernel).mask, 0u);
+    std::uint64_t lo = kMemBytes, hi = 0;
+    for (std::size_t i = 0; i < fx.addrs.size(); ++i) {
+      lo = std::min(lo, fx.addrs[i]);
+      hi = std::max(hi, fx.addrs[i] + fx.bufs[i].bytes);
+    }
+    const std::int64_t min_lines = -static_cast<std::int64_t>(lo) / line;
+    const std::int64_t max_lines = static_cast<std::int64_t>(kMemBytes - hi) / line;
+
+    AddressSpace fill_mem = fx.make_memory(1);
+    cache().evaluate(arch, fx.w->kernel, fx.dims, fx.args, fill_mem);
+    for (int round = 0; round < 4; ++round) {
+      std::int64_t lines = 0;
+      while (lines == 0) {
+        lines = min_lines + static_cast<std::int64_t>(
+                                rng.next_below(static_cast<std::uint64_t>(max_lines - min_lines + 1)));
+      }
+      SCOPED_TRACE("shift " + std::to_string(lines * line));
+      const LaunchFixture at = moved(fx, lines * line);
+      AddressSpace hit_mem = at.make_memory(1);
+      cache().set_verify(round == 3);  // verify mode recomputes at the moved ranges
+      const LaunchCacheStats before = cache().stats();
+      const LaunchEvaluation hit =
+          cache().evaluate(arch, at.w->kernel, at.dims, at.args, hit_mem);
+      EXPECT_EQ(cache().stats().hits, before.hits + 1);
+      EXPECT_EQ(cache().stats().misses, before.misses);
+
+      AddressSpace ref_mem = at.make_memory(1);
+      const LaunchEvaluation ref = evaluate_functional(arch, at.w->kernel, at.dims, at.args, ref_mem);
+      EXPECT_EQ(all_bytes(hit_mem), all_bytes(ref_mem));
+      expect_stats_bit_identical(hit.stats, ref.stats);
+      expect_profiles_bit_identical(hit.profile, ref.profile);
+    }
+  }
+}
+
+TEST_F(LaunchCacheTest, ShiftsThatBreakRelocationMissAndStillEqualRecomputation) {
+  const auto suite = workloads::make_suite();
+  const GpuArch arch = make_quadro4000();
+  const auto line = static_cast<std::int64_t>(arch.l2.line_bytes);
+  const LaunchFixture fx(suite, "vectorAdd");  // (a, b, c: pointers; n)
+  AddressSpace fill_mem = fx.make_memory(1);
+  cache().evaluate(arch, fx.w->kernel, fx.dims, fx.args, fill_mem);
+
+  auto expect_miss = [&](const LaunchFixture& at) {
+    AddressSpace mem = at.make_memory(1);
+    const LaunchCacheStats before = cache().stats();
+    const LaunchEvaluation got = cache().evaluate(arch, at.w->kernel, at.dims, at.args, mem);
+    EXPECT_EQ(cache().stats().misses, before.misses + 1);
+    EXPECT_EQ(cache().stats().hits, before.hits);
+    AddressSpace ref_mem = at.make_memory(1);
+    const LaunchEvaluation ref = evaluate_functional(arch, at.w->kernel, at.dims, at.args, ref_mem);
+    EXPECT_EQ(all_bytes(mem), all_bytes(ref_mem));
+    expect_stats_bit_identical(got.stats, ref.stats);
+  };
+  {
+    SCOPED_TRACE("non-uniform shift");
+    expect_miss(moved(fx, {64 * line, 64 * line, 65 * line}));
+  }
+  {
+    SCOPED_TRACE("shift that is not a line multiple");
+    expect_miss(moved(fx, line / 2));
+  }
+  {
+    SCOPED_TRACE("changed scalar");
+    LaunchFixture at = moved(fx, 8 * line);
+    at.args.values.back() -= 1;  // n
+    expect_miss(at);
+  }
+}
+
+TEST_F(LaunchCacheTest, RefusedKernelKeysOnPointerBitsAndNeverRelocates) {
+  // out[i] = in[i] + (in < threshold): the kernel reads its input pointer as
+  // a number, so moving the buffers across the threshold changes the output
+  // and a relocated hit would replay wrong bytes.
+  KernelBuilder b("pointer_compare", 4);
+  const auto pin = b.reg(), pout = b.reg(), thr = b.reg(), n = b.reg();
+  const auto tid = b.reg(), cta = b.reg(), ntid = b.reg(), gid = b.reg(), cond = b.reg();
+  const auto two = b.reg(), off = b.reg(), ain = b.reg(), aout = b.reg();
+  const auto x = b.reg(), lt = b.reg(), f = b.reg(), y = b.reg();
+  b.block("entry");
+  b.ld_param(pin, 0);
+  b.ld_param(pout, 1);
+  b.ld_param(thr, 2);
+  b.ld_param(n, 3);
+  b.special(tid, SpecialReg::kTidX);
+  b.special(cta, SpecialReg::kCtaidX);
+  b.special(ntid, SpecialReg::kNtidX);
+  b.mul_i(gid, cta, ntid);
+  b.add_i(gid, gid, tid);
+  b.set_lt_i(cond, gid, n);
+  b.bra_z(cond, "exit");
+  b.block("body");
+  b.mov_imm_i(two, 2);
+  b.shl_b(off, gid, two);
+  b.add_i(ain, pin, off);
+  b.add_i(aout, pout, off);
+  b.ld_global_f32(x, ain);
+  b.set_lt_i(lt, pin, thr);
+  b.cvt_i_to_f32(f, lt);
+  b.add_f32(y, x, f);
+  b.st_global_f32(y, aout);
+  b.ret();
+  b.block("exit");
+  b.ret();
+  const KernelIR ir = b.build();
+  ASSERT_FALSE(prove_translation_invariant(ir).proved());
+
+  const GpuArch arch = make_quadro4000();
+  constexpr std::uint64_t kN = 256, kThreshold = 1 << 20;
+  auto launch = [&](std::uint64_t base) {
+    AddressSpace mem(kMemBytes, "m");
+    for (std::uint64_t i = 0; i < kN; ++i) mem.write<float>(base + 4 * i, 0.5f * i);
+    KernelArgs args;
+    args.push_ptr(base);
+    args.push_ptr(base + 4 * kN);
+    args.push_i64(kThreshold);
+    args.push_i64(kN);
+    const LaunchCacheStats before = cache().stats();
+    cache().evaluate(arch, ir, LaunchDims{kN / 64, 1, 64, 1}, args, mem);
+    const bool hit = cache().stats().hits == before.hits + 1;
+    std::vector<float> out(kN);
+    for (std::uint64_t i = 0; i < kN; ++i) out[i] = mem.read<float>(base + 4 * (kN + i));
+    return std::make_pair(hit, out);
+  };
+  const auto below = launch(kThreshold - 64 * 1024);
+  EXPECT_FALSE(below.first);
+  EXPECT_TRUE(launch(kThreshold - 64 * 1024).first);  // same pointers: today's key hits
+  const auto above = launch(kThreshold + 64 * 1024);  // a 64 KiB common shift
+  EXPECT_FALSE(above.first);
+  EXPECT_EQ(below.second[3], 2.5f);
+  EXPECT_EQ(above.second[3], 1.5f);
 }
 
 // --- capture fast path -------------------------------------------------------

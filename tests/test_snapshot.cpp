@@ -598,6 +598,121 @@ TEST(SnapshotSweep, ResumeIsBitIdenticalToUninterruptedAtAnyWorkerCount) {
   }
 }
 
+/// Functional ΣVP fleet of `vps` identical vectorAdd VPs, uncoalesced, so
+/// every VP launches at its own buffer addresses.
+run::SweepJob functional_fleet_job(const workloads::Workload& w, std::size_t vps,
+                                   const std::string& name) {
+  workloads::AppTraits t = w.traits;
+  t.iterations = 3;
+  t.launches_per_iter = 1;
+  t.iter_h2d_bytes = 0;
+  t.iter_d2h_bytes = 0;
+  run::SweepJob job;
+  job.name = name;
+  job.group = w.app;
+  job.config.backend = Backend::kSigmaVp;
+  job.config.mode = ExecMode::kFunctional;
+  job.config.functional_io = true;
+  job.config.dispatch.coalesce = false;
+  for (std::size_t i = 0; i < vps; ++i) {
+    AppInstance a;
+    a.workload = &w;
+    a.n = w.test_n;
+    a.traits = t;
+    job.apps.push_back(std::move(a));
+  }
+  return job;
+}
+
+TEST(SnapshotSweep, KillResumeWithRelocatedCacheEntriesIsBitIdenticalAtAnyWorkerCount) {
+  const TempDir tmp("relocated");
+  const auto suite = workloads::make_suite();
+  const workloads::Workload& w = workloads::find(suite, "vectorAdd");
+  const std::vector<run::SweepJob> jobs = {functional_fleet_job(w, 4, "a"),
+                                           functional_fleet_job(w, 3, "b")};
+  LaunchCache& cache = LaunchCache::instance();
+  cache.clear();
+  cache.set_enabled(true);
+  const auto golden = sweep_bytes(run::SweepRunner(2).run(jobs));
+
+  // Job a alone from a cold cache: VP 0 fills the one entry, VPs 1-3 hit it
+  // at their own addresses, and so does every later iteration.
+  cache.clear();
+  const LaunchCacheStats s0 = cache.stats();
+  run::SweepRunner(1).run({jobs[0]});
+  EXPECT_EQ(cache.stats().misses - s0.misses, 1u);
+  EXPECT_EQ(cache.stats().hits - s0.hits, 4u * 3u - 1u);
+  snapshot::Writer cw;
+  cache.export_state(cw);
+  const std::vector<std::uint8_t> cache_after_a = cw.take();
+
+  // The checkpoint a kill right after job a leaves: a done, b not started,
+  // the cache holding a's one entry (filled at VP 0's addresses).
+  run::SweepSnapshotOptions snap;
+  snap.dir = tmp.str();
+  snap.every_us = 300.0;
+  run::SweepRunner(2).run(jobs, snap, nullptr);
+  snapshot::SweepCheckpoint cp = snapshot::decode_sweep_checkpoint(snapshot::load_snapshot_file(
+      snapshot::CheckpointStore(tmp.str()).find_latest_valid().path));
+  ASSERT_EQ(cp.jobs.size(), 2u);
+  cp.jobs[1] = snapshot::JobCheckpoint{};
+  cp.cache_blob = cache_after_a;
+
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    snapshot::CheckpointStore(tmp.str()).publish(snapshot::encode_sweep_checkpoint(cp));
+    cache.clear();
+    const LaunchCacheStats before = cache.stats();
+    run::SweepResumeInfo ri;
+    const run::SweepResult resumed = run::SweepRunner(workers).run(jobs, snap, &ri);
+    EXPECT_EQ(ri.jobs_resumed, 1u);
+    EXPECT_EQ(sweep_bytes(resumed), golden);
+    // Job b re-ran entirely on the imported, relocated entry.
+    EXPECT_EQ(cache.stats().misses - before.misses, 0u);
+    EXPECT_EQ(cache.stats().hits - before.hits, 3u * 3u);
+  }
+  cache.clear();
+}
+
+TEST(SnapshotSweep, VersionFourCheckpointIsRejected) {
+  // Version-4 launch-cache payloads key entries on raw pointer bits and
+  // carry no fill-time arguments; a resume must refuse them, not misparse.
+  const TempDir tmp("v4");
+  const auto suite = workloads::make_suite();
+  const std::vector<run::SweepJob> jobs = {
+      functional_fleet_job(workloads::find(suite, "vectorAdd"), 2, "a")};
+  const auto golden = sweep_bytes(run::SweepRunner(1).run(jobs));
+  run::SweepSnapshotOptions snap;
+  snap.dir = tmp.str();
+  snap.every_us = 300.0;
+  run::SweepRunner(1).run(jobs, snap, nullptr);
+
+  std::size_t patched = 0;
+  for (const auto& e : fs::directory_iterator(tmp.path)) {
+    std::fstream f(e.path(), std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(sizeof(snapshot::kSnapshotMagic));
+    const char v4[4] = {4, 0, 0, 0};  // u32 version, little-endian
+    f.write(v4, sizeof(v4));
+    ++patched;
+    try {
+      f.close();
+      snapshot::load_snapshot_file(e.path().string());
+      ADD_FAILURE() << "version-4 file accepted: " << e.path();
+    } catch (const snapshot::SnapshotError& err) {
+      EXPECT_NE(std::string(err.what()).find("unsupported version 4"), std::string::npos)
+          << err.what();
+    }
+  }
+  ASSERT_GT(patched, 0u);
+
+  run::SweepResumeInfo info;
+  const run::SweepResult fresh = run::SweepRunner(2).run(jobs, snap, &info);
+  EXPECT_TRUE(info.resumed_from.empty());
+  EXPECT_EQ(info.jobs_resumed, 0u);
+  EXPECT_EQ(info.rejected.size(), patched);
+  EXPECT_EQ(sweep_bytes(fresh), golden);
+}
+
 TEST(SnapshotSweep, CheckpointForADifferentSweepIsRejected) {
   const TempDir tmp("reject");
   const auto suite = workloads::make_app_suite();
