@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "util/check.hpp"
 
@@ -62,7 +63,11 @@ namespace {
   }
 
 SIGVP_SIMPLE_OP(op_nop, (void)d)
-SIGVP_SIMPLE_OP(op_load_const, r[d.dst].bits = static_cast<std::uint64_t>(d.imm))
+// FP immediates are pre-encoded as bit patterns (decode_kernel), so all three
+// immediate moves load constant bits.
+SIGVP_SIMPLE_OP(op_mov_imm_i, r[d.dst].bits = static_cast<std::uint64_t>(d.imm))
+constexpr InstrFn op_mov_imm_f32 = op_mov_imm_i;
+constexpr InstrFn op_mov_imm_f64 = op_mov_imm_i;
 SIGVP_SIMPLE_OP(op_mov, r[d.dst] = r[d.src0])
 SIGVP_SIMPLE_OP(op_select, r[d.dst] = r[d.src0].truthy() ? r[d.src1] : r[d.src2])
 
@@ -114,8 +119,8 @@ SIGVP_SIMPLE_OP(op_set_eq_i, r[d.dst].set_i(r[d.src0].i() == r[d.src1].i()))
 SIGVP_SIMPLE_OP(op_set_ne_i, r[d.dst].set_i(r[d.src0].i() != r[d.src1].i()))
 SIGVP_SIMPLE_OP(op_set_gt_i, r[d.dst].set_i(r[d.src0].i() > r[d.src1].i()))
 SIGVP_SIMPLE_OP(op_set_ge_i, r[d.dst].set_i(r[d.src0].i() >= r[d.src1].i()))
-SIGVP_SIMPLE_OP(op_cvt_f32_to_i, r[d.dst].set_i(static_cast<std::int64_t>(r[d.src0].f32())))
-SIGVP_SIMPLE_OP(op_cvt_f64_to_i, r[d.dst].set_i(static_cast<std::int64_t>(r[d.src0].f64())))
+SIGVP_SIMPLE_OP(op_cvt_f32_to_i, r[d.dst].set_i(cvt_f32_to_i(r[d.src0].f32())))
+SIGVP_SIMPLE_OP(op_cvt_f64_to_i, r[d.dst].set_i(cvt_f64_to_i(r[d.src0].f64())))
 
 // --- bit ---------------------------------------------------------------------
 SIGVP_SIMPLE_OP(op_and_b, r[d.dst].bits = r[d.src0].bits & r[d.src1].bits)
@@ -301,118 +306,12 @@ SIGVP_ST_SHARED(op_st_shared_i64, std::int64_t, t.regs[d.src1].i())
 #undef SIGVP_SIMPLE_OP
 #undef SIGVP_OP
 
-InstrFn handler_for(Opcode op) {
-  switch (op) {
-    case Opcode::kNop: return op_nop;
-    case Opcode::kMovImmI:
-    case Opcode::kMovImmF32:
-    case Opcode::kMovImmF64: return op_load_const;
-    case Opcode::kMov: return op_mov;
-    case Opcode::kReadSpecial: return op_read_special;
-    case Opcode::kLdParam: return op_ld_param;
-    case Opcode::kSelect: return op_select;
-
-    case Opcode::kAddI: return op_add_i;
-    case Opcode::kSubI: return op_sub_i;
-    case Opcode::kMulI: return op_mul_i;
-    case Opcode::kDivI: return op_div_i;
-    case Opcode::kRemI: return op_rem_i;
-    case Opcode::kMinI: return op_min_i;
-    case Opcode::kMaxI: return op_max_i;
-    case Opcode::kNegI: return op_neg_i;
-    case Opcode::kAbsI: return op_abs_i;
-    case Opcode::kSetLtI: return op_set_lt_i;
-    case Opcode::kSetLeI: return op_set_le_i;
-    case Opcode::kSetEqI: return op_set_eq_i;
-    case Opcode::kSetNeI: return op_set_ne_i;
-    case Opcode::kSetGtI: return op_set_gt_i;
-    case Opcode::kSetGeI: return op_set_ge_i;
-    case Opcode::kCvtF32ToI: return op_cvt_f32_to_i;
-    case Opcode::kCvtF64ToI: return op_cvt_f64_to_i;
-
-    case Opcode::kAndB: return op_and_b;
-    case Opcode::kOrB: return op_or_b;
-    case Opcode::kXorB: return op_xor_b;
-    case Opcode::kNotB: return op_not_b;
-    case Opcode::kShlB: return op_shl_b;
-    case Opcode::kShrB: return op_shr_b;
-    case Opcode::kShrA: return op_shr_a;
-
-    case Opcode::kAddF32: return op_add_f32;
-    case Opcode::kSubF32: return op_sub_f32;
-    case Opcode::kMulF32: return op_mul_f32;
-    case Opcode::kDivF32: return op_div_f32;
-    case Opcode::kFmaF32: return op_fma_f32;
-    case Opcode::kSqrtF32: return op_sqrt_f32;
-    case Opcode::kRsqrtF32: return op_rsqrt_f32;
-    case Opcode::kExpF32: return op_exp_f32;
-    case Opcode::kLogF32: return op_log_f32;
-    case Opcode::kSinF32: return op_sin_f32;
-    case Opcode::kCosF32: return op_cos_f32;
-    case Opcode::kMinF32: return op_min_f32;
-    case Opcode::kMaxF32: return op_max_f32;
-    case Opcode::kAbsF32: return op_abs_f32;
-    case Opcode::kNegF32: return op_neg_f32;
-    case Opcode::kFloorF32: return op_floor_f32;
-    case Opcode::kSetLtF32: return op_set_lt_f32;
-    case Opcode::kSetLeF32: return op_set_le_f32;
-    case Opcode::kSetEqF32: return op_set_eq_f32;
-    case Opcode::kSetGtF32: return op_set_gt_f32;
-    case Opcode::kSetGeF32: return op_set_ge_f32;
-    case Opcode::kCvtIToF32: return op_cvt_i_to_f32;
-    case Opcode::kCvtF64ToF32: return op_cvt_f64_to_f32;
-
-    case Opcode::kAddF64: return op_add_f64;
-    case Opcode::kSubF64: return op_sub_f64;
-    case Opcode::kMulF64: return op_mul_f64;
-    case Opcode::kDivF64: return op_div_f64;
-    case Opcode::kFmaF64: return op_fma_f64;
-    case Opcode::kSqrtF64: return op_sqrt_f64;
-    case Opcode::kExpF64: return op_exp_f64;
-    case Opcode::kLogF64: return op_log_f64;
-    case Opcode::kSinF64: return op_sin_f64;
-    case Opcode::kCosF64: return op_cos_f64;
-    case Opcode::kMinF64: return op_min_f64;
-    case Opcode::kMaxF64: return op_max_f64;
-    case Opcode::kAbsF64: return op_abs_f64;
-    case Opcode::kNegF64: return op_neg_f64;
-    case Opcode::kFloorF64: return op_floor_f64;
-    case Opcode::kSetLtF64: return op_set_lt_f64;
-    case Opcode::kSetLeF64: return op_set_le_f64;
-    case Opcode::kSetEqF64: return op_set_eq_f64;
-    case Opcode::kSetGtF64: return op_set_gt_f64;
-    case Opcode::kSetGeF64: return op_set_ge_f64;
-    case Opcode::kCvtIToF64: return op_cvt_i_to_f64;
-    case Opcode::kCvtF32ToF64: return op_cvt_f32_to_f64;
-
-    case Opcode::kJmp: return op_jmp;
-    case Opcode::kBraZ: return op_bra_z;
-    case Opcode::kBraNZ: return op_bra_nz;
-    case Opcode::kRet: return op_ret;
-    case Opcode::kBar: return op_bar;
-
-    case Opcode::kLdGlobalF32: return op_ld_global_f32;
-    case Opcode::kLdGlobalF64: return op_ld_global_f64;
-    case Opcode::kLdGlobalI32: return op_ld_global_i32;
-    case Opcode::kLdGlobalI64: return op_ld_global_i64;
-    case Opcode::kLdGlobalU8: return op_ld_global_u8;
-    case Opcode::kStGlobalF32: return op_st_global_f32;
-    case Opcode::kStGlobalF64: return op_st_global_f64;
-    case Opcode::kStGlobalI32: return op_st_global_i32;
-    case Opcode::kStGlobalI64: return op_st_global_i64;
-    case Opcode::kStGlobalU8: return op_st_global_u8;
-    case Opcode::kAtomAddGlobalI64: return op_atom_add_global_i64;
-    case Opcode::kAtomAddGlobalF32: return op_atom_add_global_f32;
-
-    case Opcode::kLdSharedF32: return op_ld_shared_f32;
-    case Opcode::kLdSharedF64: return op_ld_shared_f64;
-    case Opcode::kLdSharedI64: return op_ld_shared_i64;
-    case Opcode::kStSharedF32: return op_st_shared_f32;
-    case Opcode::kStSharedF64: return op_st_shared_f64;
-    case Opcode::kStSharedI64: return op_st_shared_i64;
-  }
-  return op_nop;
-}
+/// The handler of every opcode: `op_<snake name>` of its SIGVP_OPCODES row.
+constexpr InstrFn kHandlers[] = {
+#define SIGVP_HANDLER(op, snake, ...) op_##snake,
+    SIGVP_OPCODES(SIGVP_HANDLER)
+#undef SIGVP_HANDLER
+};
 
 void fnv1a(std::uint64_t& h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -476,9 +375,11 @@ DecodedProgram decode_kernel(const KernelIR& ir) {
     SIGVP_REQUIRE(!b.instrs.empty() && is_terminator(b.instrs.back().op),
                   ir.name + ": pc ran past the end of a block");
     for (const Instr& in : b.instrs) {
+      SIGVP_REQUIRE(static_cast<std::size_t>(in.op) < kOpcodeCount,
+                    ir.name + ": unknown opcode " + std::to_string(static_cast<int>(in.op)));
       DecodedInstr d;
       d.op = in.op;
-      d.fn = handler_for(in.op);
+      d.fn = kHandlers[static_cast<std::size_t>(in.op)];
       d.dst = in.dst;
       d.src0 = in.src0;
       d.src1 = in.src1;
@@ -505,19 +406,10 @@ DecodedProgram decode_kernel(const KernelIR& ir) {
         }
       }
       if (is_global_memory_op(in.op)) {
-        const std::uint32_t width = memory_width_bytes(in.op);
-        switch (in.op) {
-          case Opcode::kLdGlobalF32:
-          case Opcode::kLdGlobalF64:
-          case Opcode::kLdGlobalI32:
-          case Opcode::kLdGlobalI64:
-          case Opcode::kLdGlobalU8:
-            db.global_load_bytes += width;
-            break;
-          default:  // stores and atomics count as store traffic
-            db.global_store_bytes += width;
-            break;
-        }
+        // Stores and atomics (class St) count as store traffic.
+        std::uint64_t& bytes = instr_class(in.op) == InstrClass::kLoad ? db.global_load_bytes
+                                                                        : db.global_store_bytes;
+        bytes += memory_width_bytes(in.op);
       }
       prog.code.push_back(d);
     }

@@ -83,8 +83,9 @@ struct DecodedProgram {
 /// excluded (renaming is not a semantic change).
 std::uint64_t kernel_fingerprint(const KernelIR& ir);
 
-/// Decodes `ir` into the flat executable form. Throws ContractError on
-/// branches to nonexistent blocks (the builder/validator never emit them).
+/// Decodes `ir` into the flat executable form. Throws ContractError on an
+/// opcode outside SIGVP_OPCODES and on branches to nonexistent blocks (the
+/// builder/validator never emit either), so both engines refuse such IR.
 DecodedProgram decode_kernel(const KernelIR& ir);
 
 /// Per-thread execution state. Registers live in the arena's slab, not in

@@ -191,9 +191,7 @@ std::size_t Interpreter::canonical_chunks(const LaunchDims& dims) {
 bool Interpreter::uses_global_atomics(const KernelIR& ir) {
   for (const BasicBlock& b : ir.blocks) {
     for (const Instr& in : b.instrs) {
-      if (in.op == Opcode::kAtomAddGlobalI64 || in.op == Opcode::kAtomAddGlobalF32) {
-        return true;
-      }
+      if (is_atomic_op(in.op)) return true;
     }
   }
   return false;

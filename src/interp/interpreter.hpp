@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 
 #include "interp/launch.hpp"
 #include "interp/profile.hpp"
@@ -58,6 +59,16 @@ inline std::int64_t wrap_div_i(std::int64_t a, std::int64_t b) {
 inline std::int64_t wrap_rem_i(std::int64_t a, std::int64_t b) {
   return b == -1 ? 0 : a % b;
 }
+/// Float-to-integer conversion truncates toward zero. NaN and values whose
+/// truncation lies outside the i64 range give INT64_MIN, the "integer
+/// indefinite" value x86-64's cvttss2si/cvttsd2si return; a plain
+/// static_cast is undefined behaviour there. Every float converts to double
+/// exactly, so the f32 form shares the f64 definition.
+inline std::int64_t cvt_f64_to_i(double x) {
+  return x >= -0x1p63 && x < 0x1p63 ? static_cast<std::int64_t>(x)
+                                    : std::numeric_limits<std::int64_t>::min();
+}
+inline std::int64_t cvt_f32_to_i(float x) { return cvt_f64_to_i(static_cast<double>(x)); }
 
 /// Observer of global-memory accesses, called before each access is
 /// applied; the GPU device model plugs its L2 simulator (and, on a launch
@@ -142,7 +153,7 @@ class Interpreter {
   /// merges independent of the worker count.
   static std::size_t canonical_chunks(const LaunchDims& dims);
 
-  /// True when `ir` contains a global atomic (kAtomAddGlobal*); such
+  /// True when `ir` contains a global atomic (is_atomic_op); such
   /// kernels execute their chunks serially in canonical order.
   static bool uses_global_atomics(const KernelIR& ir);
 };

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -8,53 +10,120 @@
 
 namespace sigvp::interp_detail {
 
-/// Opcode space of the Tier-2 threaded-code engine (DESIGN.md §15). The
-/// X-macro keeps the enum, the computed-goto label table, and the dispatch
-/// bodies in tier2.cpp in lockstep: adding an op here without a body is a
-/// compile error, not a runtime hole.
-///
-/// Generic ops mirror the reference handler set one-to-one; the fused block at
-/// the end holds the peephole superinstructions. Every fused op executes its
-/// constituent micro-ops in the original program order — all destination
-/// registers are written, every memory access fires in sequence, and the
-/// per-thread budget ticks once per micro-op — so fusion is invisible to the
-/// byte-exactness contract by construction.
-#define SIGVP_TIER2_OPS(X)                                                    \
-  X(nop) X(load_const) X(mov) X(select) X(read_special) X(ld_param)           \
-  X(add_i) X(sub_i) X(mul_i) X(div_i) X(rem_i) X(min_i) X(max_i)              \
-  X(neg_i) X(abs_i)                                                           \
-  X(set_lt_i) X(set_le_i) X(set_eq_i) X(set_ne_i) X(set_gt_i) X(set_ge_i)     \
-  X(cvt_f32_to_i) X(cvt_f64_to_i)                                             \
-  X(and_b) X(or_b) X(xor_b) X(not_b) X(shl_b) X(shr_b) X(shr_a)               \
-  X(add_f32) X(sub_f32) X(mul_f32) X(div_f32) X(fma_f32) X(sqrt_f32)          \
-  X(rsqrt_f32) X(exp_f32) X(log_f32) X(sin_f32) X(cos_f32) X(min_f32)         \
-  X(max_f32) X(abs_f32) X(neg_f32) X(floor_f32)                               \
-  X(set_lt_f32) X(set_le_f32) X(set_eq_f32) X(set_gt_f32) X(set_ge_f32)       \
-  X(cvt_i_to_f32) X(cvt_f64_to_f32)                                           \
-  X(add_f64) X(sub_f64) X(mul_f64) X(div_f64) X(fma_f64) X(sqrt_f64)          \
-  X(exp_f64) X(log_f64) X(sin_f64) X(cos_f64) X(min_f64) X(max_f64)           \
-  X(abs_f64) X(neg_f64) X(floor_f64)                                          \
-  X(set_lt_f64) X(set_le_f64) X(set_eq_f64) X(set_gt_f64) X(set_ge_f64)       \
-  X(cvt_i_to_f64) X(cvt_f32_to_f64)                                           \
-  X(jmp) X(bra_z) X(bra_nz) X(ret) X(bar)                                     \
-  X(ld_global_f32) X(ld_global_f64) X(ld_global_i32) X(ld_global_i64)         \
-  X(ld_global_u8)                                                             \
-  X(st_global_f32) X(st_global_f64) X(st_global_i32) X(st_global_i64)         \
-  X(st_global_u8) X(atom_add_global_i64) X(atom_add_global_f32)               \
-  X(ld_shared_f32) X(ld_shared_f64) X(ld_shared_i64)                          \
-  X(st_shared_f32) X(st_shared_f64) X(st_shared_i64)                          \
-  /* fused superinstructions (two micro-ops per dispatch) */                  \
+/// The engine's semantics of every pure register op, written once:
+///   X(opcode, snake name, body)
+/// A pure op reads only registers and writes only its destination: no
+/// memory, no control flow, no trap, no launch constant. In `body`, `D` is
+/// the destination register and `A`/`B`/`C` are src0..src2 (RegValue).
+/// tier2.cpp expands each row into the op's threaded handler, its
+/// vector-prologue lane loop and the micro-ops of the fused
+/// superinstructions; lowering derives which ops may join the vector
+/// prologue from it. The reference (decoded.cpp) keeps hand-written bodies,
+/// so the engine-vs-reference differentials compare two definitions; the
+/// two share only the scalar helpers of interp/interpreter.hpp.
+// clang-format off
+#define SIGVP_PURE_OPS(X)                                                          \
+  X(kMov,         mov,            D = A)                                           \
+  X(kSelect,      select,         D = A.truthy() ? B : C)                          \
+  X(kAddI,        add_i,          D.set_i(wrap_add_i(A.i(), B.i())))               \
+  X(kSubI,        sub_i,          D.set_i(wrap_sub_i(A.i(), B.i())))               \
+  X(kMulI,        mul_i,          D.set_i(wrap_mul_i(A.i(), B.i())))               \
+  X(kMinI,        min_i,          D.set_i(std::min(A.i(), B.i())))                 \
+  X(kMaxI,        max_i,          D.set_i(std::max(A.i(), B.i())))                 \
+  X(kNegI,        neg_i,          D.set_i(wrap_neg_i(A.i())))                      \
+  X(kAbsI,        abs_i,          D.set_i(wrap_abs_i(A.i())))                      \
+  X(kSetLtI,      set_lt_i,       D.set_i(A.i() < B.i()))                          \
+  X(kSetLeI,      set_le_i,       D.set_i(A.i() <= B.i()))                         \
+  X(kSetEqI,      set_eq_i,       D.set_i(A.i() == B.i()))                         \
+  X(kSetNeI,      set_ne_i,       D.set_i(A.i() != B.i()))                         \
+  X(kSetGtI,      set_gt_i,       D.set_i(A.i() > B.i()))                          \
+  X(kSetGeI,      set_ge_i,       D.set_i(A.i() >= B.i()))                         \
+  X(kCvtF32ToI,   cvt_f32_to_i,   D.set_i(cvt_f32_to_i(A.f32())))                  \
+  X(kCvtF64ToI,   cvt_f64_to_i,   D.set_i(cvt_f64_to_i(A.f64())))                  \
+  X(kAndB,        and_b,          D.bits = A.bits & B.bits)                        \
+  X(kOrB,         or_b,           D.bits = A.bits | B.bits)                        \
+  X(kXorB,        xor_b,          D.bits = A.bits ^ B.bits)                        \
+  X(kNotB,        not_b,          D.bits = ~A.bits)                                \
+  X(kShlB,        shl_b,          D.bits = A.bits << (B.bits & 63))                \
+  X(kShrB,        shr_b,          D.bits = A.bits >> (B.bits & 63))                \
+  X(kShrA,        shr_a,          D.set_i(A.i() >> (B.bits & 63)))                 \
+  X(kAddF32,      add_f32,        D.set_f32(A.f32() + B.f32()))                    \
+  X(kSubF32,      sub_f32,        D.set_f32(A.f32() - B.f32()))                    \
+  X(kMulF32,      mul_f32,        D.set_f32(A.f32() * B.f32()))                    \
+  X(kDivF32,      div_f32,        D.set_f32(A.f32() / B.f32()))                    \
+  X(kFmaF32,      fma_f32,        D.set_f32(std::fma(A.f32(), B.f32(), C.f32())))  \
+  X(kSqrtF32,     sqrt_f32,       D.set_f32(std::sqrt(A.f32())))                   \
+  X(kRsqrtF32,    rsqrt_f32,      D.set_f32(1.0f / std::sqrt(A.f32())))            \
+  X(kExpF32,      exp_f32,        D.set_f32(std::exp(A.f32())))                    \
+  X(kLogF32,      log_f32,        D.set_f32(std::log(A.f32())))                    \
+  X(kSinF32,      sin_f32,        D.set_f32(std::sin(A.f32())))                    \
+  X(kCosF32,      cos_f32,        D.set_f32(std::cos(A.f32())))                    \
+  X(kMinF32,      min_f32,        D.set_f32(std::fmin(A.f32(), B.f32())))          \
+  X(kMaxF32,      max_f32,        D.set_f32(std::fmax(A.f32(), B.f32())))          \
+  X(kAbsF32,      abs_f32,        D.set_f32(std::fabs(A.f32())))                   \
+  X(kNegF32,      neg_f32,        D.set_f32(-A.f32()))                             \
+  X(kFloorF32,    floor_f32,      D.set_f32(std::floor(A.f32())))                  \
+  X(kSetLtF32,    set_lt_f32,     D.set_i(A.f32() < B.f32()))                      \
+  X(kSetLeF32,    set_le_f32,     D.set_i(A.f32() <= B.f32()))                     \
+  X(kSetEqF32,    set_eq_f32,     D.set_i(A.f32() == B.f32()))                     \
+  X(kSetGtF32,    set_gt_f32,     D.set_i(A.f32() > B.f32()))                      \
+  X(kSetGeF32,    set_ge_f32,     D.set_i(A.f32() >= B.f32()))                     \
+  X(kCvtIToF32,   cvt_i_to_f32,   D.set_f32(static_cast<float>(A.i())))            \
+  X(kCvtF64ToF32, cvt_f64_to_f32, D.set_f32(static_cast<float>(A.f64())))          \
+  X(kAddF64,      add_f64,        D.set_f64(A.f64() + B.f64()))                    \
+  X(kSubF64,      sub_f64,        D.set_f64(A.f64() - B.f64()))                    \
+  X(kMulF64,      mul_f64,        D.set_f64(A.f64() * B.f64()))                    \
+  X(kDivF64,      div_f64,        D.set_f64(A.f64() / B.f64()))                    \
+  X(kFmaF64,      fma_f64,        D.set_f64(std::fma(A.f64(), B.f64(), C.f64())))  \
+  X(kSqrtF64,     sqrt_f64,       D.set_f64(std::sqrt(A.f64())))                   \
+  X(kExpF64,      exp_f64,        D.set_f64(std::exp(A.f64())))                    \
+  X(kLogF64,      log_f64,        D.set_f64(std::log(A.f64())))                    \
+  X(kSinF64,      sin_f64,        D.set_f64(std::sin(A.f64())))                    \
+  X(kCosF64,      cos_f64,        D.set_f64(std::cos(A.f64())))                    \
+  X(kMinF64,      min_f64,        D.set_f64(std::fmin(A.f64(), B.f64())))          \
+  X(kMaxF64,      max_f64,        D.set_f64(std::fmax(A.f64(), B.f64())))          \
+  X(kAbsF64,      abs_f64,        D.set_f64(std::fabs(A.f64())))                   \
+  X(kNegF64,      neg_f64,        D.set_f64(-A.f64()))                             \
+  X(kFloorF64,    floor_f64,      D.set_f64(std::floor(A.f64())))                  \
+  X(kSetLtF64,    set_lt_f64,     D.set_i(A.f64() < B.f64()))                      \
+  X(kSetLeF64,    set_le_f64,     D.set_i(A.f64() <= B.f64()))                     \
+  X(kSetEqF64,    set_eq_f64,     D.set_i(A.f64() == B.f64()))                     \
+  X(kSetGtF64,    set_gt_f64,     D.set_i(A.f64() > B.f64()))                      \
+  X(kSetGeF64,    set_ge_f64,     D.set_i(A.f64() >= B.f64()))                     \
+  X(kCvtIToF64,   cvt_i_to_f64,   D.set_f64(static_cast<double>(A.i())))           \
+  X(kCvtF32ToF64, cvt_f32_to_f64, D.set_f64(static_cast<double>(A.f32())))
+// clang-format on
+
+/// The peephole superinstructions: two micro-ops per dispatch. Every fused
+/// op executes its constituent micro-ops in the original program order —
+/// all destination registers are written, every memory access fires in
+/// sequence, and the per-thread budget ticks once per micro-op — so fusion
+/// is invisible to the byte-exactness contract by construction.
+#define SIGVP_FUSED_OPS(X)                                                    \
   X(mul_add_i) X(shl_add_i) X(add_add_i) X(add_i_jmp)                         \
   X(set_lt_i_bra_z) X(set_lt_i_bra_nz) X(set_ge_i_bra_z) X(set_ge_i_bra_nz)  \
   X(ld_ld_f32) X(ld_add_f32) X(ld_mul_f32) X(ld_sub_f32)                      \
   X(add_st_f32) X(mul_st_f32) X(sub_st_f32) X(fma_st_f32) X(mul_add_f32)
 
+/// Opcode space of the threaded-code engine (DESIGN.md §15): one generic
+/// op per IR opcode, named and ordered as in SIGVP_OPCODES, then the fused
+/// ops. The computed-goto label table in tier2.cpp is generated from the
+/// same two lists, so an op without a body is a compile error, not a
+/// runtime hole.
+// clang-format off
 enum class SOp : std::uint16_t {
-#define SIGVP_T2_ENUM(name) k_##name,
-  SIGVP_TIER2_OPS(SIGVP_T2_ENUM)
-#undef SIGVP_T2_ENUM
-      kCount
+#define SIGVP_SOP_GENERIC(op, name, ...) k_##name,
+  SIGVP_OPCODES(SIGVP_SOP_GENERIC)
+#undef SIGVP_SOP_GENERIC
+#define SIGVP_SOP_FUSED(name) k_##name,
+  SIGVP_FUSED_OPS(SIGVP_SOP_FUSED)
+#undef SIGVP_SOP_FUSED
+  kCount
 };
+// clang-format on
+
+/// The generic (one micro-op) engine op of an opcode.
+constexpr SOp generic_sop(Opcode op) { return static_cast<SOp>(op); }
 
 /// Lanes of padding after each register's lane array in the SoA slab: one
 /// cache line. Without it the lane arrays sit a power of two apart (2 KiB at

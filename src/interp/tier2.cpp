@@ -42,6 +42,19 @@ struct T2Ctx {
                                       m.ir->name + ": non-vector op reached the prologue");
 }
 
+// One always-inlined function per SIGVP_PURE_OPS row, `pure_<name>(D, A, B,
+// C)`: the engine's single definition of that op. The threaded handlers,
+// the vector prologue's lane loops and the fused micro-ops all call it, so
+// each compiles to the same body the row spells out.
+#define SIGVP_PURE_FN(opc, name, body)                                          \
+  [[gnu::always_inline]] inline void pure_##name(                               \
+      [[maybe_unused]] RegValue& D, [[maybe_unused]] const RegValue& A,         \
+      [[maybe_unused]] const RegValue& B, [[maybe_unused]] const RegValue& C) { \
+    body;                                                                       \
+  }
+SIGVP_PURE_OPS(SIGVP_PURE_FN)
+#undef SIGVP_PURE_FN
+
 // ---------------------------------------------------------------------------
 // Vector prologue: the pure-register prefix of the entry block, executed in
 // lane lockstep over the SoA slab. Each case is a tight loop over lanes with
@@ -61,9 +74,9 @@ void run_vec_prologue(T2Ctx& m, const std::vector<VecOp>& ops, std::uint32_t lan
     const RegValue* const B = slab + v.b;
     const RegValue* const C = slab + v.c;
 
-#define T2_VEC(opc, stmt)                                 \
-  case Opcode::opc:                                       \
-    for (std::uint32_t l = 0; l < lanes; ++l) { stmt; }   \
+#define T2_VEC(opc, name, body)                                                    \
+  case Opcode::opc:                                                                \
+    for (std::uint32_t l = 0; l < lanes; ++l) pure_##name(D[l], A[l], B[l], C[l]); \
     break;
 
     switch (v.op) {
@@ -107,64 +120,7 @@ void run_vec_prologue(T2Ctx& m, const std::vector<VecOp>& ops, std::uint32_t lan
         for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = val;
         break;
       }
-      T2_VEC(kMov, D[l] = A[l])
-      T2_VEC(kSelect, D[l] = A[l].truthy() ? B[l] : C[l])
-      T2_VEC(kAddI, D[l].set_i(wrap_add_i(A[l].i(), B[l].i())))
-      T2_VEC(kSubI, D[l].set_i(wrap_sub_i(A[l].i(), B[l].i())))
-      T2_VEC(kMulI, D[l].set_i(wrap_mul_i(A[l].i(), B[l].i())))
-      T2_VEC(kMinI, D[l].set_i(std::min(A[l].i(), B[l].i())))
-      T2_VEC(kMaxI, D[l].set_i(std::max(A[l].i(), B[l].i())))
-      T2_VEC(kNegI, D[l].set_i(wrap_neg_i(A[l].i())))
-      T2_VEC(kAbsI, D[l].set_i(wrap_abs_i(A[l].i())))
-      T2_VEC(kSetLtI, D[l].set_i(A[l].i() < B[l].i()))
-      T2_VEC(kSetLeI, D[l].set_i(A[l].i() <= B[l].i()))
-      T2_VEC(kSetEqI, D[l].set_i(A[l].i() == B[l].i()))
-      T2_VEC(kSetNeI, D[l].set_i(A[l].i() != B[l].i()))
-      T2_VEC(kSetGtI, D[l].set_i(A[l].i() > B[l].i()))
-      T2_VEC(kSetGeI, D[l].set_i(A[l].i() >= B[l].i()))
-      T2_VEC(kCvtF32ToI, D[l].set_i(static_cast<std::int64_t>(A[l].f32())))
-      T2_VEC(kCvtF64ToI, D[l].set_i(static_cast<std::int64_t>(A[l].f64())))
-      T2_VEC(kAndB, D[l].bits = A[l].bits & B[l].bits)
-      T2_VEC(kOrB, D[l].bits = A[l].bits | B[l].bits)
-      T2_VEC(kXorB, D[l].bits = A[l].bits ^ B[l].bits)
-      T2_VEC(kNotB, D[l].bits = ~A[l].bits)
-      T2_VEC(kShlB, D[l].bits = A[l].bits << (B[l].bits & 63))
-      T2_VEC(kShrB, D[l].bits = A[l].bits >> (B[l].bits & 63))
-      T2_VEC(kShrA, D[l].set_i(A[l].i() >> (B[l].bits & 63)))
-      T2_VEC(kAddF32, D[l].set_f32(A[l].f32() + B[l].f32()))
-      T2_VEC(kSubF32, D[l].set_f32(A[l].f32() - B[l].f32()))
-      T2_VEC(kMulF32, D[l].set_f32(A[l].f32() * B[l].f32()))
-      T2_VEC(kDivF32, D[l].set_f32(A[l].f32() / B[l].f32()))
-      T2_VEC(kFmaF32, D[l].set_f32(std::fma(A[l].f32(), B[l].f32(), C[l].f32())))
-      T2_VEC(kMinF32, D[l].set_f32(std::fmin(A[l].f32(), B[l].f32())))
-      T2_VEC(kMaxF32, D[l].set_f32(std::fmax(A[l].f32(), B[l].f32())))
-      T2_VEC(kAbsF32, D[l].set_f32(std::fabs(A[l].f32())))
-      T2_VEC(kNegF32, D[l].set_f32(-A[l].f32()))
-      T2_VEC(kFloorF32, D[l].set_f32(std::floor(A[l].f32())))
-      T2_VEC(kSetLtF32, D[l].set_i(A[l].f32() < B[l].f32()))
-      T2_VEC(kSetLeF32, D[l].set_i(A[l].f32() <= B[l].f32()))
-      T2_VEC(kSetEqF32, D[l].set_i(A[l].f32() == B[l].f32()))
-      T2_VEC(kSetGtF32, D[l].set_i(A[l].f32() > B[l].f32()))
-      T2_VEC(kSetGeF32, D[l].set_i(A[l].f32() >= B[l].f32()))
-      T2_VEC(kCvtIToF32, D[l].set_f32(static_cast<float>(A[l].i())))
-      T2_VEC(kCvtF64ToF32, D[l].set_f32(static_cast<float>(A[l].f64())))
-      T2_VEC(kAddF64, D[l].set_f64(A[l].f64() + B[l].f64()))
-      T2_VEC(kSubF64, D[l].set_f64(A[l].f64() - B[l].f64()))
-      T2_VEC(kMulF64, D[l].set_f64(A[l].f64() * B[l].f64()))
-      T2_VEC(kDivF64, D[l].set_f64(A[l].f64() / B[l].f64()))
-      T2_VEC(kFmaF64, D[l].set_f64(std::fma(A[l].f64(), B[l].f64(), C[l].f64())))
-      T2_VEC(kMinF64, D[l].set_f64(std::fmin(A[l].f64(), B[l].f64())))
-      T2_VEC(kMaxF64, D[l].set_f64(std::fmax(A[l].f64(), B[l].f64())))
-      T2_VEC(kAbsF64, D[l].set_f64(std::fabs(A[l].f64())))
-      T2_VEC(kNegF64, D[l].set_f64(-A[l].f64()))
-      T2_VEC(kFloorF64, D[l].set_f64(std::floor(A[l].f64())))
-      T2_VEC(kSetLtF64, D[l].set_i(A[l].f64() < B[l].f64()))
-      T2_VEC(kSetLeF64, D[l].set_i(A[l].f64() <= B[l].f64()))
-      T2_VEC(kSetEqF64, D[l].set_i(A[l].f64() == B[l].f64()))
-      T2_VEC(kSetGtF64, D[l].set_i(A[l].f64() > B[l].f64()))
-      T2_VEC(kSetGeF64, D[l].set_i(A[l].f64() >= B[l].f64()))
-      T2_VEC(kCvtIToF64, D[l].set_f64(static_cast<double>(A[l].i())))
-      T2_VEC(kCvtF32ToF64, D[l].set_f64(static_cast<double>(A[l].f32())))
+      SIGVP_PURE_OPS(T2_VEC)
       default:
         throw_vec_unsupported(m);  // lowering and this switch drifted apart
     }
@@ -188,9 +144,12 @@ void run_t2_thread(T2Ctx& m, T2Thread& t, const std::uint64_t max_instrs) {
 
 #if defined(__GNUC__) || defined(__clang__)
   static const void* const table[] = {
-#define SIGVP_T2_LABEL(name) &&t2_##name,
-      SIGVP_TIER2_OPS(SIGVP_T2_LABEL)
+#define SIGVP_T2_LABEL(op, name, ...) &&t2_##name,
+      SIGVP_OPCODES(SIGVP_T2_LABEL)
 #undef SIGVP_T2_LABEL
+#define SIGVP_T2_FUSED_LABEL(name) &&t2_##name,
+      SIGVP_FUSED_OPS(SIGVP_T2_FUSED_LABEL)
+#undef SIGVP_T2_FUSED_LABEL
   };
 #define T2_CASE(name) t2_##name:
 #define T2_GO() goto* table[d->sop]
@@ -220,14 +179,24 @@ t2_dispatch:
     d = m.code + t2_p;                                   \
     T2_GO();                                             \
   } while (0)
-#define T2_SIMPLE(name, body) \
-  T2_CASE(name) { T2_TICK(); body; T2_NEXT(); }
+// Pure op `name` (SIGVP_PURE_OPS) on the first / second micro-op's operands.
+// The second micro-ops of the fused pairs are at most binary, so their C is
+// an unused placeholder.
+#define T2_OP1(name) pure_##name(r[d->d], r[d->a], r[d->b], r[d->c])
+#define T2_OP2(name) pure_##name(r[d->d2], r[d->a2], r[d->b2], r[d->c])
 #define T2_GADDR(slot, immv) (r[(slot)].bits + static_cast<std::uint64_t>(immv))
 
-  T2_SIMPLE(nop, (void)0)
-  T2_SIMPLE(load_const, r[d->d].bits = static_cast<std::uint64_t>(d->imm))
-  T2_SIMPLE(mov, r[d->d] = r[d->a])
-  T2_SIMPLE(select, r[d->d] = r[d->a].truthy() ? r[d->b] : r[d->c])
+  T2_CASE(nop) {
+    T2_TICK();
+    T2_NEXT();
+  }
+  // FP immediates are pre-encoded as bit patterns, so the three immediate
+  // moves share one body.
+  T2_CASE(mov_imm_i) T2_CASE(mov_imm_f32) T2_CASE(mov_imm_f64) {
+    T2_TICK();
+    r[d->d].bits = static_cast<std::uint64_t>(d->imm);
+    T2_NEXT();
+  }
 
   T2_CASE(read_special) {
     T2_TICK();
@@ -253,10 +222,17 @@ t2_dispatch:
     T2_NEXT();
   }
 
-  // --- integer ---------------------------------------------------------------
-  T2_SIMPLE(add_i, r[d->d].set_i(wrap_add_i(r[d->a].i(), r[d->b].i())))
-  T2_SIMPLE(sub_i, r[d->d].set_i(wrap_sub_i(r[d->a].i(), r[d->b].i())))
-  T2_SIMPLE(mul_i, r[d->d].set_i(wrap_mul_i(r[d->a].i(), r[d->b].i())))
+  // --- pure register ops: one handler per SIGVP_PURE_OPS row ------------------
+#define T2_PURE(opc, name, body) \
+  T2_CASE(name) {                \
+    T2_TICK();                   \
+    T2_OP1(name);                \
+    T2_NEXT();                   \
+  }
+  SIGVP_PURE_OPS(T2_PURE)
+#undef T2_PURE
+
+  // --- integer division (traps on a zero divisor) ----------------------------
   T2_CASE(div_i) {
     T2_TICK();
     if (r[d->b].i() == 0) [[unlikely]] throw_div_zero(*m.ir);
@@ -269,76 +245,6 @@ t2_dispatch:
     r[d->d].set_i(wrap_rem_i(r[d->a].i(), r[d->b].i()));
     T2_NEXT();
   }
-  T2_SIMPLE(min_i, r[d->d].set_i(std::min(r[d->a].i(), r[d->b].i())))
-  T2_SIMPLE(max_i, r[d->d].set_i(std::max(r[d->a].i(), r[d->b].i())))
-  T2_SIMPLE(neg_i, r[d->d].set_i(wrap_neg_i(r[d->a].i())))
-  T2_SIMPLE(abs_i, r[d->d].set_i(wrap_abs_i(r[d->a].i())))
-  T2_SIMPLE(set_lt_i, r[d->d].set_i(r[d->a].i() < r[d->b].i()))
-  T2_SIMPLE(set_le_i, r[d->d].set_i(r[d->a].i() <= r[d->b].i()))
-  T2_SIMPLE(set_eq_i, r[d->d].set_i(r[d->a].i() == r[d->b].i()))
-  T2_SIMPLE(set_ne_i, r[d->d].set_i(r[d->a].i() != r[d->b].i()))
-  T2_SIMPLE(set_gt_i, r[d->d].set_i(r[d->a].i() > r[d->b].i()))
-  T2_SIMPLE(set_ge_i, r[d->d].set_i(r[d->a].i() >= r[d->b].i()))
-  T2_SIMPLE(cvt_f32_to_i, r[d->d].set_i(static_cast<std::int64_t>(r[d->a].f32())))
-  T2_SIMPLE(cvt_f64_to_i, r[d->d].set_i(static_cast<std::int64_t>(r[d->a].f64())))
-
-  // --- bit -------------------------------------------------------------------
-  T2_SIMPLE(and_b, r[d->d].bits = r[d->a].bits & r[d->b].bits)
-  T2_SIMPLE(or_b, r[d->d].bits = r[d->a].bits | r[d->b].bits)
-  T2_SIMPLE(xor_b, r[d->d].bits = r[d->a].bits ^ r[d->b].bits)
-  T2_SIMPLE(not_b, r[d->d].bits = ~r[d->a].bits)
-  T2_SIMPLE(shl_b, r[d->d].bits = r[d->a].bits << (r[d->b].bits & 63))
-  T2_SIMPLE(shr_b, r[d->d].bits = r[d->a].bits >> (r[d->b].bits & 63))
-  T2_SIMPLE(shr_a, r[d->d].set_i(r[d->a].i() >> (r[d->b].bits & 63)))
-
-  // --- fp32 ------------------------------------------------------------------
-  T2_SIMPLE(add_f32, r[d->d].set_f32(r[d->a].f32() + r[d->b].f32()))
-  T2_SIMPLE(sub_f32, r[d->d].set_f32(r[d->a].f32() - r[d->b].f32()))
-  T2_SIMPLE(mul_f32, r[d->d].set_f32(r[d->a].f32() * r[d->b].f32()))
-  T2_SIMPLE(div_f32, r[d->d].set_f32(r[d->a].f32() / r[d->b].f32()))
-  T2_SIMPLE(fma_f32, r[d->d].set_f32(std::fma(r[d->a].f32(), r[d->b].f32(), r[d->c].f32())))
-  T2_SIMPLE(sqrt_f32, r[d->d].set_f32(std::sqrt(r[d->a].f32())))
-  T2_SIMPLE(rsqrt_f32, r[d->d].set_f32(1.0f / std::sqrt(r[d->a].f32())))
-  T2_SIMPLE(exp_f32, r[d->d].set_f32(std::exp(r[d->a].f32())))
-  T2_SIMPLE(log_f32, r[d->d].set_f32(std::log(r[d->a].f32())))
-  T2_SIMPLE(sin_f32, r[d->d].set_f32(std::sin(r[d->a].f32())))
-  T2_SIMPLE(cos_f32, r[d->d].set_f32(std::cos(r[d->a].f32())))
-  T2_SIMPLE(min_f32, r[d->d].set_f32(std::fmin(r[d->a].f32(), r[d->b].f32())))
-  T2_SIMPLE(max_f32, r[d->d].set_f32(std::fmax(r[d->a].f32(), r[d->b].f32())))
-  T2_SIMPLE(abs_f32, r[d->d].set_f32(std::fabs(r[d->a].f32())))
-  T2_SIMPLE(neg_f32, r[d->d].set_f32(-r[d->a].f32()))
-  T2_SIMPLE(floor_f32, r[d->d].set_f32(std::floor(r[d->a].f32())))
-  T2_SIMPLE(set_lt_f32, r[d->d].set_i(r[d->a].f32() < r[d->b].f32()))
-  T2_SIMPLE(set_le_f32, r[d->d].set_i(r[d->a].f32() <= r[d->b].f32()))
-  T2_SIMPLE(set_eq_f32, r[d->d].set_i(r[d->a].f32() == r[d->b].f32()))
-  T2_SIMPLE(set_gt_f32, r[d->d].set_i(r[d->a].f32() > r[d->b].f32()))
-  T2_SIMPLE(set_ge_f32, r[d->d].set_i(r[d->a].f32() >= r[d->b].f32()))
-  T2_SIMPLE(cvt_i_to_f32, r[d->d].set_f32(static_cast<float>(r[d->a].i())))
-  T2_SIMPLE(cvt_f64_to_f32, r[d->d].set_f32(static_cast<float>(r[d->a].f64())))
-
-  // --- fp64 ------------------------------------------------------------------
-  T2_SIMPLE(add_f64, r[d->d].set_f64(r[d->a].f64() + r[d->b].f64()))
-  T2_SIMPLE(sub_f64, r[d->d].set_f64(r[d->a].f64() - r[d->b].f64()))
-  T2_SIMPLE(mul_f64, r[d->d].set_f64(r[d->a].f64() * r[d->b].f64()))
-  T2_SIMPLE(div_f64, r[d->d].set_f64(r[d->a].f64() / r[d->b].f64()))
-  T2_SIMPLE(fma_f64, r[d->d].set_f64(std::fma(r[d->a].f64(), r[d->b].f64(), r[d->c].f64())))
-  T2_SIMPLE(sqrt_f64, r[d->d].set_f64(std::sqrt(r[d->a].f64())))
-  T2_SIMPLE(exp_f64, r[d->d].set_f64(std::exp(r[d->a].f64())))
-  T2_SIMPLE(log_f64, r[d->d].set_f64(std::log(r[d->a].f64())))
-  T2_SIMPLE(sin_f64, r[d->d].set_f64(std::sin(r[d->a].f64())))
-  T2_SIMPLE(cos_f64, r[d->d].set_f64(std::cos(r[d->a].f64())))
-  T2_SIMPLE(min_f64, r[d->d].set_f64(std::fmin(r[d->a].f64(), r[d->b].f64())))
-  T2_SIMPLE(max_f64, r[d->d].set_f64(std::fmax(r[d->a].f64(), r[d->b].f64())))
-  T2_SIMPLE(abs_f64, r[d->d].set_f64(std::fabs(r[d->a].f64())))
-  T2_SIMPLE(neg_f64, r[d->d].set_f64(-r[d->a].f64()))
-  T2_SIMPLE(floor_f64, r[d->d].set_f64(std::floor(r[d->a].f64())))
-  T2_SIMPLE(set_lt_f64, r[d->d].set_i(r[d->a].f64() < r[d->b].f64()))
-  T2_SIMPLE(set_le_f64, r[d->d].set_i(r[d->a].f64() <= r[d->b].f64()))
-  T2_SIMPLE(set_eq_f64, r[d->d].set_i(r[d->a].f64() == r[d->b].f64()))
-  T2_SIMPLE(set_gt_f64, r[d->d].set_i(r[d->a].f64() > r[d->b].f64()))
-  T2_SIMPLE(set_ge_f64, r[d->d].set_i(r[d->a].f64() >= r[d->b].f64()))
-  T2_SIMPLE(cvt_i_to_f64, r[d->d].set_f64(static_cast<double>(r[d->a].i())))
-  T2_SIMPLE(cvt_f32_to_f64, r[d->d].set_f64(static_cast<double>(r[d->a].f32())))
 
   // --- control flow ----------------------------------------------------------
   T2_CASE(jmp) {
@@ -460,35 +366,35 @@ t2_dispatch:
   // micro-op.
   T2_CASE(mul_add_i) {
     T2_TICK();
-    r[d->d].set_i(wrap_mul_i(r[d->a].i(), r[d->b].i()));
+    T2_OP1(mul_i);
     T2_TICK();
-    r[d->d2].set_i(wrap_add_i(r[d->a2].i(), r[d->b2].i()));
+    T2_OP2(add_i);
     T2_NEXT();
   }
   T2_CASE(shl_add_i) {
     T2_TICK();
-    r[d->d].bits = r[d->a].bits << (r[d->b].bits & 63);
+    T2_OP1(shl_b);
     T2_TICK();
-    r[d->d2].set_i(wrap_add_i(r[d->a2].i(), r[d->b2].i()));
+    T2_OP2(add_i);
     T2_NEXT();
   }
   T2_CASE(add_add_i) {
     T2_TICK();
-    r[d->d].set_i(wrap_add_i(r[d->a].i(), r[d->b].i()));
+    T2_OP1(add_i);
     T2_TICK();
-    r[d->d2].set_i(wrap_add_i(r[d->a2].i(), r[d->b2].i()));
+    T2_OP2(add_i);
     T2_NEXT();
   }
   T2_CASE(add_i_jmp) {
     T2_TICK();
-    r[d->d].set_i(wrap_add_i(r[d->a].i(), r[d->b].i()));
+    T2_OP1(add_i);
     T2_TICK();
     T2_TAKE(d->target_pc, d->target_block);
   }
-#define T2_SET_BRA(name, cmp, taken_when_false)                              \
+#define T2_SET_BRA(name, set, taken_when_false)                              \
   T2_CASE(name) {                                                            \
     T2_TICK();                                                               \
-    r[d->d].set_i(r[d->a].i() cmp r[d->b].i());                              \
+    T2_OP1(set);                                                             \
     T2_TICK();                                                               \
     if (r[d->a2].truthy() != (taken_when_false))                             \
       T2_TAKE(d->target_pc, d->target_block);                                \
@@ -496,10 +402,10 @@ t2_dispatch:
     T2_TAKE(d->fall_pc, d->fall_block);                                      \
   }
   // bra_z takes when the predicate is false; bra_nz when it is true.
-  T2_SET_BRA(set_lt_i_bra_z, <, true)
-  T2_SET_BRA(set_lt_i_bra_nz, <, false)
-  T2_SET_BRA(set_ge_i_bra_z, >=, true)
-  T2_SET_BRA(set_ge_i_bra_nz, >=, false)
+  T2_SET_BRA(set_lt_i_bra_z, set_lt_i, true)
+  T2_SET_BRA(set_lt_i_bra_nz, set_lt_i, false)
+  T2_SET_BRA(set_ge_i_bra_z, set_ge_i, true)
+  T2_SET_BRA(set_ge_i_bra_nz, set_ge_i, false)
 #undef T2_SET_BRA
   T2_CASE(ld_ld_f32) {
     T2_TICK();
@@ -516,49 +422,41 @@ t2_dispatch:
     }
     T2_NEXT();
   }
-#define T2_LD_ARITH(name, op)                                   \
+#define T2_LD_ARITH(name, arith)                                 \
   T2_CASE(name) {                                               \
     T2_TICK();                                                  \
     const std::uint64_t addr = T2_GADDR(d->a, d->imm);          \
     if (m.hook) (*m.hook)(addr, 4, false);                      \
     r[d->d].set_f32(m.global->read<float>(addr));               \
     T2_TICK();                                                  \
-    r[d->d2].set_f32(r[d->a2].f32() op r[d->b2].f32());         \
+    T2_OP2(arith);                                              \
     T2_NEXT();                                                  \
   }
-  T2_LD_ARITH(ld_add_f32, +)
-  T2_LD_ARITH(ld_mul_f32, *)
-  T2_LD_ARITH(ld_sub_f32, -)
+  T2_LD_ARITH(ld_add_f32, add_f32)
+  T2_LD_ARITH(ld_mul_f32, mul_f32)
+  T2_LD_ARITH(ld_sub_f32, sub_f32)
 #undef T2_LD_ARITH
-#define T2_ARITH_ST(name, op)                                   \
+#define T2_ARITH_ST(name, arith)                                \
   T2_CASE(name) {                                               \
     T2_TICK();                                                  \
-    r[d->d].set_f32(r[d->a].f32() op r[d->b].f32());            \
+    T2_OP1(arith);                                              \
     T2_TICK();                                                  \
     const std::uint64_t addr = T2_GADDR(d->a2, d->imm2);        \
     if (m.hook) (*m.hook)(addr, 4, true);                       \
     m.global->write<float>(addr, r[d->b2].f32());               \
     T2_NEXT();                                                  \
   }
-  T2_ARITH_ST(add_st_f32, +)
-  T2_ARITH_ST(mul_st_f32, *)
-  T2_ARITH_ST(sub_st_f32, -)
+  T2_ARITH_ST(add_st_f32, add_f32)
+  T2_ARITH_ST(mul_st_f32, mul_f32)
+  T2_ARITH_ST(sub_st_f32, sub_f32)
+  T2_ARITH_ST(fma_st_f32, fma_f32)
 #undef T2_ARITH_ST
-  T2_CASE(fma_st_f32) {
-    T2_TICK();
-    r[d->d].set_f32(std::fma(r[d->a].f32(), r[d->b].f32(), r[d->c].f32()));
-    T2_TICK();
-    const std::uint64_t addr = T2_GADDR(d->a2, d->imm2);
-    if (m.hook) (*m.hook)(addr, 4, true);
-    m.global->write<float>(addr, r[d->b2].f32());
-    T2_NEXT();
-  }
   T2_CASE(mul_add_f32) {
     // Two separate roundings through set_f32's bit_cast — never an fma.
     T2_TICK();
-    r[d->d].set_f32(r[d->a].f32() * r[d->b].f32());
+    T2_OP1(mul_f32);
     T2_TICK();
-    r[d->d2].set_f32(r[d->a2].f32() + r[d->b2].f32());
+    T2_OP2(add_f32);
     T2_NEXT();
   }
 
@@ -568,7 +466,8 @@ t2_dispatch:
 #undef T2_ST_GLOBAL
 #undef T2_LD_SHARED
 #undef T2_ST_SHARED
-#undef T2_SIMPLE
+#undef T2_OP1
+#undef T2_OP2
 #undef T2_GADDR
 #undef T2_TAKE
 #undef T2_NEXT

@@ -211,11 +211,11 @@ void KernelBuilder::st_global_i64(Reg value, Reg addr, std::int64_t offset) {
 void KernelBuilder::st_global_u8(Reg value, Reg addr, std::int64_t offset) {
   emit_store(Opcode::kStGlobalU8, value, addr, offset);
 }
-void KernelBuilder::atom_add_global_i64(Reg value, Reg addr, std::int64_t offset) {
-  emit_store(Opcode::kAtomAddGlobalI64, value, addr, offset);
+void KernelBuilder::atom_add_global_i64(Reg dst, Reg value, Reg addr, std::int64_t offset) {
+  emit(Instr{Opcode::kAtomAddGlobalI64, dst, addr, value, 0, offset, 0.0});
 }
-void KernelBuilder::atom_add_global_f32(Reg value, Reg addr, std::int64_t offset) {
-  emit_store(Opcode::kAtomAddGlobalF32, value, addr, offset);
+void KernelBuilder::atom_add_global_f32(Reg dst, Reg value, Reg addr, std::int64_t offset) {
+  emit(Instr{Opcode::kAtomAddGlobalF32, dst, addr, value, 0, offset, 0.0});
 }
 void KernelBuilder::ld_shared_f32(Reg dst, Reg addr, std::int64_t offset) {
   emit_load(Opcode::kLdSharedF32, dst, addr, offset);

@@ -143,8 +143,9 @@ class KernelBuilder {
   void st_global_i32(Reg value, Reg addr, std::int64_t offset = 0);
   void st_global_i64(Reg value, Reg addr, std::int64_t offset = 0);
   void st_global_u8(Reg value, Reg addr, std::int64_t offset = 0);
-  void atom_add_global_i64(Reg value, Reg addr, std::int64_t offset = 0);
-  void atom_add_global_f32(Reg value, Reg addr, std::int64_t offset = 0);
+  /// Atomic add of `value` to the global cell; `dst` receives the old value.
+  void atom_add_global_i64(Reg dst, Reg value, Reg addr, std::int64_t offset = 0);
+  void atom_add_global_f32(Reg dst, Reg value, Reg addr, std::int64_t offset = 0);
   void ld_shared_f32(Reg dst, Reg addr, std::int64_t offset = 0);
   void ld_shared_f64(Reg dst, Reg addr, std::int64_t offset = 0);
   void ld_shared_i64(Reg dst, Reg addr, std::int64_t offset = 0);

@@ -26,18 +26,7 @@ std::uint64_t KernelIR::static_size() const {
 bool KernelIR::uses_shared_memory() const {
   for (const BasicBlock& b : blocks) {
     for (const Instr& in : b.instrs) {
-      switch (in.op) {
-        case Opcode::kBar:
-        case Opcode::kLdSharedF32:
-        case Opcode::kLdSharedF64:
-        case Opcode::kLdSharedI64:
-        case Opcode::kStSharedF32:
-        case Opcode::kStSharedF64:
-        case Opcode::kStSharedI64:
-          return true;
-        default:
-          break;
-      }
+      if (in.op == Opcode::kBar || is_shared_memory_op(in.op)) return true;
     }
   }
   return false;

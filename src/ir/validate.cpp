@@ -8,20 +8,6 @@ namespace sigvp {
 
 namespace {
 
-bool is_shared_op(Opcode op) {
-  switch (op) {
-    case Opcode::kLdSharedF32:
-    case Opcode::kLdSharedF64:
-    case Opcode::kLdSharedI64:
-    case Opcode::kStSharedF32:
-    case Opcode::kStSharedF64:
-    case Opcode::kStSharedI64:
-      return true;
-    default:
-      return false;
-  }
-}
-
 void check_regs(const KernelIR& ir, const Instr& in, const std::string& where) {
   const auto nr = ir.num_regs;
   auto check = [&](std::uint8_t r, const char* slot) {
@@ -50,6 +36,8 @@ void validate_kernel(const KernelIR& ir) {
 
     for (std::size_t ii = 0; ii < b.instrs.size(); ++ii) {
       const Instr& in = b.instrs[ii];
+      SIGVP_REQUIRE(static_cast<std::size_t>(in.op) < kOpcodeCount,
+                    "unknown opcode " + std::to_string(static_cast<int>(in.op)) + " in " + where);
       const bool last = (ii + 1 == b.instrs.size());
 
       if (is_terminator(in.op)) {
@@ -73,7 +61,7 @@ void validate_kernel(const KernelIR& ir) {
                       "parameter index out of range in " + where);
       }
 
-      if (is_shared_op(in.op)) {
+      if (is_shared_memory_op(in.op)) {
         SIGVP_REQUIRE(ir.shared_bytes > 0,
                       "shared-memory access without shared_bytes in " + where);
       }

@@ -414,12 +414,12 @@ Workload make_histogram() {
   b.ld_param(n, 2);
   emit_guard(b, gid, n);
 
-  const auto addr = b.reg(), v = b.reg(), haddr = b.reg(), one = b.reg();
+  const auto addr = b.reg(), v = b.reg(), haddr = b.reg(), one = b.reg(), old = b.reg();
   b.add_i(addr, pdata, gid);  // u8 elements: stride 1
   b.ld_global_u8(v, addr);
   b.addr_of(haddr, phist, v, 3);
   b.mov_imm_i(one, 1);
-  b.atom_add_global_i64(one, haddr);
+  b.atom_add_global_i64(old, one, haddr);
   emit_guard_exit(b);
 
   Workload w;

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <ostream>
+#include <utility>
 
 #include "interp/interpreter.hpp"
 #include "ir/builder.hpp"
@@ -187,6 +189,44 @@ TEST(Interp, Conversions) {
   EXPECT_DOUBLE_EQ(mem.read<double>(8), 41.0);
 }
 
+TEST(Interp, FloatToIntConversionIsDefinedOnEveryInput) {
+  // Truncation toward zero; NaN and values beyond the i64 range give
+  // INT64_MIN (x86-64's "integer indefinite"), in f32 and f64 alike.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // clang-format off
+  const std::pair<double, std::int64_t> cases[] = {
+      {-2.75, -2},     {2.75, 2},      {0x1p62, std::int64_t{1} << 62},
+      {-0x1p63, kMin}, {0x1p63, kMin}, {1e30, kMin},
+      {-1e30, kMin},   {1e300, kMin},  {inf, kMin},
+      {-inf, kMin},    {nan, kMin},    {-0.0, 0},
+  };
+  // clang-format on
+  for (const auto& [x, expected] : cases) {
+    const bool fits_f32 = !std::isfinite(x) || std::fabs(x) <= std::numeric_limits<float>::max();
+    AddressSpace mem(kMem, "m");
+    run1(
+        [&](KernelBuilder& b) {
+          const auto f32 = b.reg(), f64 = b.reg(), i32 = b.reg(), i64 = b.reg(),
+                     addr = b.reg();
+          b.mov_imm_f32(f32, fits_f32 ? static_cast<float>(x) : 0.0f);
+          b.mov_imm_f64(f64, x);
+          b.cvt_f32_to_i(i32, f32);
+          b.cvt_f64_to_i(i64, f64);
+          b.mov_imm_i(addr, 0);
+          b.st_global_i64(i32, addr);
+          b.st_global_i64(i64, addr, 8);
+          b.ret();
+        },
+        mem);
+    if (fits_f32) {
+      EXPECT_EQ(mem.read<std::int64_t>(0), expected) << x;
+    }
+    EXPECT_EQ(mem.read<std::int64_t>(8), expected) << x;
+  }
+}
+
 TEST(Interp, SelectPicksByCondition) {
   AddressSpace mem(kMem, "m");
   run1(
@@ -351,9 +391,7 @@ TEST(Interp, AtomicAddAccumulatesAcrossThreads) {
   b.block("entry");
   b.ld_param(out, 0);
   b.mov_imm_i(one, 1);
-  // atom.add writes the old value into dst (scratch register `old`).
-  (void)old;
-  b.atom_add_global_i64(one, out);
+  b.atom_add_global_i64(old, one, out);  // old <- the cell's previous value
   b.ret();
   const KernelIR ir = b.build();
 

@@ -165,7 +165,7 @@ TEST(InterpParallel, FloatAtomicAccumulationOrderSurvivesParallelRequest) {
   b.mov_imm_i(one, 1);
   b.shl_b(t24, one, t24);  // 2^(gid % 24), exactly representable in f32
   b.cvt_i_to_f32(v, t24);
-  b.atom_add_global_f32(v, out);
+  b.atom_add_global_f32(v, v, out);
   b.ret();
   const KernelIR ir = b.build();
   ASSERT_TRUE(Interpreter::uses_global_atomics(ir));

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iterator>
 #include <map>
+#include <string>
 
 #include "ir/builder.hpp"
 #include "ir/disasm.hpp"
@@ -128,6 +130,14 @@ TEST(Validate, SharedOpWithoutSharedBytesRejected) {
   EXPECT_THROW(validate_kernel(ir), ContractError);
 }
 
+TEST(Validate, OpcodeOutsideTheTableRejected) {
+  for (const int bad : {static_cast<int>(kOpcodeCount), 200, 255}) {
+    KernelIR ir = tiny_kernel();
+    ir.blocks[0].instrs[2].op = static_cast<Opcode>(bad);
+    EXPECT_THROW(validate_kernel(ir), ContractError) << bad;
+  }
+}
+
 TEST(Validate, RegisterOutOfRangeRejected) {
   KernelIR ir;
   ir.name = "bad";
@@ -188,6 +198,148 @@ TEST(Opcode, MemoryTraitsConsistent) {
   EXPECT_FALSE(is_terminator(Opcode::kBar));
   EXPECT_TRUE(is_branch_with_target(Opcode::kBraNZ));
   EXPECT_FALSE(is_branch_with_target(Opcode::kRet));
+}
+
+TEST(Opcode, EveryOpcodeFactMatchesThePinnedTable) {
+  // Every per-opcode fact, pinned for the whole opcode set. The numeric
+  // values must never move: kernel_fingerprint hashes them, and the
+  // fingerprint keys the launch cache, the engine's program cache and
+  // snapshot entries. Flags: T terminator, B branch with a target block,
+  // M memory op, G global memory op, S SFU op, Q sqrt-class SFU op,
+  // W writes its dst register.
+  struct Row {
+    Opcode op;
+    int value;
+    const char* name;
+    InstrClass cls;
+    std::uint32_t sources;
+    std::uint32_t width;
+    const char* flags;
+  };
+  // clang-format off
+  const Row rows[] = {
+      {Opcode::kNop,                0, "nop",                  InstrClass::kInt,   0, 0, ""},
+      {Opcode::kMovImmI,            1, "mov.imm.i",            InstrClass::kInt,   0, 0, "W"},
+      {Opcode::kMovImmF32,          2, "mov.imm.f32",          InstrClass::kInt,   0, 0, "W"},
+      {Opcode::kMovImmF64,          3, "mov.imm.f64",          InstrClass::kInt,   0, 0, "W"},
+      {Opcode::kMov,                4, "mov",                  InstrClass::kInt,   1, 0, "W"},
+      {Opcode::kReadSpecial,        5, "mov.special",          InstrClass::kInt,   0, 0, "W"},
+      {Opcode::kLdParam,            6, "ld.param",             InstrClass::kInt,   0, 0, "W"},
+      {Opcode::kSelect,             7, "selp",                 InstrClass::kInt,   3, 0, "W"},
+      {Opcode::kAddI,               8, "add.i",                InstrClass::kInt,   2, 0, "W"},
+      {Opcode::kSubI,               9, "sub.i",                InstrClass::kInt,   2, 0, "W"},
+      {Opcode::kMulI,              10, "mul.i",                InstrClass::kInt,   2, 0, "W"},
+      {Opcode::kDivI,              11, "div.i",                InstrClass::kInt,   2, 0, "W"},
+      {Opcode::kRemI,              12, "rem.i",                InstrClass::kInt,   2, 0, "W"},
+      {Opcode::kMinI,              13, "min.i",                InstrClass::kInt,   2, 0, "W"},
+      {Opcode::kMaxI,              14, "max.i",                InstrClass::kInt,   2, 0, "W"},
+      {Opcode::kNegI,              15, "neg.i",                InstrClass::kInt,   1, 0, "W"},
+      {Opcode::kAbsI,              16, "abs.i",                InstrClass::kInt,   1, 0, "W"},
+      {Opcode::kSetLtI,            17, "set.lt.i",             InstrClass::kInt,   2, 0, "W"},
+      {Opcode::kSetLeI,            18, "set.le.i",             InstrClass::kInt,   2, 0, "W"},
+      {Opcode::kSetEqI,            19, "set.eq.i",             InstrClass::kInt,   2, 0, "W"},
+      {Opcode::kSetNeI,            20, "set.ne.i",             InstrClass::kInt,   2, 0, "W"},
+      {Opcode::kSetGtI,            21, "set.gt.i",             InstrClass::kInt,   2, 0, "W"},
+      {Opcode::kSetGeI,            22, "set.ge.i",             InstrClass::kInt,   2, 0, "W"},
+      {Opcode::kCvtF32ToI,         23, "cvt.i.f32",            InstrClass::kInt,   1, 0, "W"},
+      {Opcode::kCvtF64ToI,         24, "cvt.i.f64",            InstrClass::kInt,   1, 0, "W"},
+      {Opcode::kAndB,              25, "and.b",                InstrClass::kBit,   2, 0, "W"},
+      {Opcode::kOrB,               26, "or.b",                 InstrClass::kBit,   2, 0, "W"},
+      {Opcode::kXorB,              27, "xor.b",                InstrClass::kBit,   2, 0, "W"},
+      {Opcode::kNotB,              28, "not.b",                InstrClass::kBit,   1, 0, "W"},
+      {Opcode::kShlB,              29, "shl.b",                InstrClass::kBit,   2, 0, "W"},
+      {Opcode::kShrB,              30, "shr.b",                InstrClass::kBit,   2, 0, "W"},
+      {Opcode::kShrA,              31, "shr.a",                InstrClass::kBit,   2, 0, "W"},
+      {Opcode::kAddF32,            32, "add.f32",              InstrClass::kFp32,  2, 0, "W"},
+      {Opcode::kSubF32,            33, "sub.f32",              InstrClass::kFp32,  2, 0, "W"},
+      {Opcode::kMulF32,            34, "mul.f32",              InstrClass::kFp32,  2, 0, "W"},
+      {Opcode::kDivF32,            35, "div.f32",              InstrClass::kFp32,  2, 0, "W"},
+      {Opcode::kFmaF32,            36, "fma.f32",              InstrClass::kFp32,  3, 0, "W"},
+      {Opcode::kSqrtF32,           37, "sqrt.f32",             InstrClass::kFp32,  1, 0, "SQW"},
+      {Opcode::kRsqrtF32,          38, "rsqrt.f32",            InstrClass::kFp32,  1, 0, "SQW"},
+      {Opcode::kExpF32,            39, "exp.f32",              InstrClass::kFp32,  1, 0, "SW"},
+      {Opcode::kLogF32,            40, "log.f32",              InstrClass::kFp32,  1, 0, "SW"},
+      {Opcode::kSinF32,            41, "sin.f32",              InstrClass::kFp32,  1, 0, "SW"},
+      {Opcode::kCosF32,            42, "cos.f32",              InstrClass::kFp32,  1, 0, "SW"},
+      {Opcode::kMinF32,            43, "min.f32",              InstrClass::kFp32,  2, 0, "W"},
+      {Opcode::kMaxF32,            44, "max.f32",              InstrClass::kFp32,  2, 0, "W"},
+      {Opcode::kAbsF32,            45, "abs.f32",              InstrClass::kFp32,  1, 0, "W"},
+      {Opcode::kNegF32,            46, "neg.f32",              InstrClass::kFp32,  1, 0, "W"},
+      {Opcode::kFloorF32,          47, "floor.f32",            InstrClass::kFp32,  1, 0, "W"},
+      {Opcode::kSetLtF32,          48, "set.lt.f32",           InstrClass::kFp32,  2, 0, "W"},
+      {Opcode::kSetLeF32,          49, "set.le.f32",           InstrClass::kFp32,  2, 0, "W"},
+      {Opcode::kSetEqF32,          50, "set.eq.f32",           InstrClass::kFp32,  2, 0, "W"},
+      {Opcode::kSetGtF32,          51, "set.gt.f32",           InstrClass::kFp32,  2, 0, "W"},
+      {Opcode::kSetGeF32,          52, "set.ge.f32",           InstrClass::kFp32,  2, 0, "W"},
+      {Opcode::kCvtIToF32,         53, "cvt.f32.i",            InstrClass::kFp32,  1, 0, "W"},
+      {Opcode::kCvtF64ToF32,       54, "cvt.f32.f64",          InstrClass::kFp32,  1, 0, "W"},
+      {Opcode::kAddF64,            55, "add.f64",              InstrClass::kFp64,  2, 0, "W"},
+      {Opcode::kSubF64,            56, "sub.f64",              InstrClass::kFp64,  2, 0, "W"},
+      {Opcode::kMulF64,            57, "mul.f64",              InstrClass::kFp64,  2, 0, "W"},
+      {Opcode::kDivF64,            58, "div.f64",              InstrClass::kFp64,  2, 0, "W"},
+      {Opcode::kFmaF64,            59, "fma.f64",              InstrClass::kFp64,  3, 0, "W"},
+      {Opcode::kSqrtF64,           60, "sqrt.f64",             InstrClass::kFp64,  1, 0, "SQW"},
+      {Opcode::kExpF64,            61, "exp.f64",              InstrClass::kFp64,  1, 0, "SW"},
+      {Opcode::kLogF64,            62, "log.f64",              InstrClass::kFp64,  1, 0, "SW"},
+      {Opcode::kSinF64,            63, "sin.f64",              InstrClass::kFp64,  1, 0, "SW"},
+      {Opcode::kCosF64,            64, "cos.f64",              InstrClass::kFp64,  1, 0, "SW"},
+      {Opcode::kMinF64,            65, "min.f64",              InstrClass::kFp64,  2, 0, "W"},
+      {Opcode::kMaxF64,            66, "max.f64",              InstrClass::kFp64,  2, 0, "W"},
+      {Opcode::kAbsF64,            67, "abs.f64",              InstrClass::kFp64,  1, 0, "W"},
+      {Opcode::kNegF64,            68, "neg.f64",              InstrClass::kFp64,  1, 0, "W"},
+      {Opcode::kFloorF64,          69, "floor.f64",            InstrClass::kFp64,  1, 0, "W"},
+      {Opcode::kSetLtF64,          70, "set.lt.f64",           InstrClass::kFp64,  2, 0, "W"},
+      {Opcode::kSetLeF64,          71, "set.le.f64",           InstrClass::kFp64,  2, 0, "W"},
+      {Opcode::kSetEqF64,          72, "set.eq.f64",           InstrClass::kFp64,  2, 0, "W"},
+      {Opcode::kSetGtF64,          73, "set.gt.f64",           InstrClass::kFp64,  2, 0, "W"},
+      {Opcode::kSetGeF64,          74, "set.ge.f64",           InstrClass::kFp64,  2, 0, "W"},
+      {Opcode::kCvtIToF64,         75, "cvt.f64.i",            InstrClass::kFp64,  1, 0, "W"},
+      {Opcode::kCvtF32ToF64,       76, "cvt.f64.f32",          InstrClass::kFp64,  1, 0, "W"},
+      {Opcode::kJmp,               77, "bra",                  InstrClass::kBranch, 0, 0, "TB"},
+      {Opcode::kBraZ,              78, "bra.z",                InstrClass::kBranch, 1, 0, "TB"},
+      {Opcode::kBraNZ,             79, "bra.nz",               InstrClass::kBranch, 1, 0, "TB"},
+      {Opcode::kRet,               80, "ret",                  InstrClass::kBranch, 0, 0, "T"},
+      {Opcode::kBar,               81, "bar.sync",             InstrClass::kBranch, 0, 0, ""},
+      {Opcode::kLdGlobalF32,       82, "ld.global.f32",        InstrClass::kLoad,  1, 4, "MGW"},
+      {Opcode::kLdGlobalF64,       83, "ld.global.f64",        InstrClass::kLoad,  1, 8, "MGW"},
+      {Opcode::kLdGlobalI32,       84, "ld.global.i32",        InstrClass::kLoad,  1, 4, "MGW"},
+      {Opcode::kLdGlobalI64,       85, "ld.global.i64",        InstrClass::kLoad,  1, 8, "MGW"},
+      {Opcode::kLdGlobalU8,        86, "ld.global.u8",         InstrClass::kLoad,  1, 1, "MGW"},
+      {Opcode::kStGlobalF32,       87, "st.global.f32",        InstrClass::kStore, 2, 4, "MG"},
+      {Opcode::kStGlobalF64,       88, "st.global.f64",        InstrClass::kStore, 2, 8, "MG"},
+      {Opcode::kStGlobalI32,       89, "st.global.i32",        InstrClass::kStore, 2, 4, "MG"},
+      {Opcode::kStGlobalI64,       90, "st.global.i64",        InstrClass::kStore, 2, 8, "MG"},
+      {Opcode::kStGlobalU8,        91, "st.global.u8",         InstrClass::kStore, 2, 1, "MG"},
+      {Opcode::kAtomAddGlobalI64,  92, "atom.add.global.i64",  InstrClass::kStore, 2, 8, "MGW"},
+      {Opcode::kAtomAddGlobalF32,  93, "atom.add.global.f32",  InstrClass::kStore, 2, 4, "MGW"},
+      {Opcode::kLdSharedF32,       94, "ld.shared.f32",        InstrClass::kLoad,  1, 4, "MW"},
+      {Opcode::kLdSharedF64,       95, "ld.shared.f64",        InstrClass::kLoad,  1, 8, "MW"},
+      {Opcode::kLdSharedI64,       96, "ld.shared.i64",        InstrClass::kLoad,  1, 8, "MW"},
+      {Opcode::kStSharedF32,       97, "st.shared.f32",        InstrClass::kStore, 2, 4, "M"},
+      {Opcode::kStSharedF64,       98, "st.shared.f64",        InstrClass::kStore, 2, 8, "M"},
+      {Opcode::kStSharedI64,       99, "st.shared.i64",        InstrClass::kStore, 2, 8, "M"},
+  };
+  // clang-format on
+  ASSERT_EQ(std::size(rows), 100u);
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    const Row& r = rows[i];
+    const std::string flags = r.flags;
+    const auto has = [&](char f) { return flags.find(f) != std::string::npos; };
+    SCOPED_TRACE(r.name);
+    EXPECT_EQ(r.value, static_cast<int>(i));
+    EXPECT_EQ(static_cast<int>(r.op), r.value);
+    EXPECT_EQ(opcode_name(r.op), r.name);
+    EXPECT_EQ(instr_class(r.op), r.cls);
+    EXPECT_EQ(source_count(r.op), r.sources);
+    EXPECT_EQ(memory_width_bytes(r.op), r.width);
+    EXPECT_EQ(is_terminator(r.op), has('T'));
+    EXPECT_EQ(is_branch_with_target(r.op), has('B'));
+    EXPECT_EQ(is_memory_op(r.op), has('M'));
+    EXPECT_EQ(is_global_memory_op(r.op), has('G'));
+    EXPECT_EQ(is_sfu_op(r.op), has('S'));
+    EXPECT_EQ(is_sqrt_op(r.op), has('Q'));
+    EXPECT_EQ(writes_register(r.op), has('W'));
+  }
 }
 
 TEST(Disasm, RendersInstructionsAndBlockHistogram) {
@@ -381,12 +533,11 @@ TEST(Translation, RefusesARegisterHoldingPointerAndNonPointerValues) {
 }
 
 TEST(Translation, AnAtomicMayOverwriteAPointerRegisterOnlyWhenItIsDead) {
-  // Atomics return the old value in dst, which the builder leaves at r0:
-  // here r0 is the pointer p.
+  // Atomics return the old value in dst; here dst is the pointer p itself.
   const KernelIR dead = params_kernel([](KernelBuilder& b, Reg p, Reg q, Reg) {
     const Reg x = b.reg();
     b.ld_global_i64(x, q);
-    b.atom_add_global_i64(x, p);
+    b.atom_add_global_i64(p, x, p);
   });
   const PointerParams proof = prove_translation_invariant(dead);
   EXPECT_TRUE(proof.proved()) << proof.refusal;
@@ -394,8 +545,8 @@ TEST(Translation, AnAtomicMayOverwriteAPointerRegisterOnlyWhenItIsDead) {
   expect_refused(params_kernel([](KernelBuilder& b, Reg p, Reg q, Reg) {
                    const Reg x = b.reg();
                    b.ld_global_i64(x, q);
-                   b.atom_add_global_i64(x, p);
-                   b.st_global_i64(x, p);  // reads the overwritten r0
+                   b.atom_add_global_i64(p, x, p);
+                   b.st_global_i64(x, p);  // reads the overwritten p
                  }),
                  "holds pointer and non-pointer values");
 }

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <random>
 #include <set>
 #include <string>
 #include <utility>
@@ -23,6 +24,7 @@
 #include "interp/interpreter.hpp"
 #include "interp/tier2.hpp"
 #include "ir/builder.hpp"
+#include "ir/validate.hpp"
 #include "mem/allocator.hpp"
 #include "run/sweep.hpp"
 #include "snapshot/io.hpp"
@@ -207,7 +209,7 @@ TEST(Tier2Differential, IntegerOverflowWrapsIdenticallyInEveryEngineSite) {
   KernelBuilder b("int_overflow", 0);
   const auto tid = b.reg(), cta = b.reg(), ntid = b.reg(), gid = b.reg();
   const auto max = b.reg(), min = b.reg(), one = b.reg(), stride = b.reg();
-  const auto base = b.reg(), u = b.reg();
+  const auto base = b.reg(), u = b.reg(), old = b.reg();
   std::vector<std::uint8_t> slot(kSlots);
   std::vector<std::uint8_t> val(kSlots);
   for (auto& r : slot) r = b.reg();
@@ -255,7 +257,7 @@ TEST(Tier2Differential, IntegerOverflowWrapsIdenticallyInEveryEngineSite) {
   b.add_i(val[12], val[12], max);
   b.st_global_i64(val[12], slot[12]);
   b.mov_imm_i(u, kAtomAddr);
-  b.atom_add_global_i64(max, u);
+  b.atom_add_global_i64(old, max, u);
   b.add_i(val[13], min, gid);
   b.jmp("tail");
   b.block("tail");
@@ -372,6 +374,183 @@ TEST(Tier2Differential, IntegerDivisionOverflowIsDefinedIdenticallyInBothEngines
     EXPECT_EQ(got(3), 0) << g;
     EXPECT_EQ(got(4), (-1 - gi) / 2) << g;
     EXPECT_EQ(got(5), (-1 - gi) % 2) << g;
+  }
+}
+
+// --- every pure op, in both engine sites -------------------------------------
+
+/// Runs `ir` on the reference and on the engine at one and four workers over
+/// fresh memory of `bytes` bytes; the engine's profile and memory must equal
+/// the reference's. Returns the reference memory.
+AddressSpace expect_engine_matches_reference(const KernelIR& ir, const LaunchDims& dims,
+                                             const KernelArgs& args, std::uint64_t bytes) {
+  AddressSpace ref_mem(bytes, "ref");
+  const DynamicProfile ref_profile = Interpreter::run_reference(ir, dims, args, ref_mem);
+  for (std::size_t workers : {1u, 4u}) {
+    AddressSpace mem(bytes, "engine");
+    Interpreter::Options options;
+    options.workers = workers;
+    const DynamicProfile profile = Interpreter().run(ir, dims, args, mem, options);
+    const std::string label = ir.name + " workers=" + std::to_string(workers);
+    expect_profiles_identical(ref_profile, profile, label);
+    EXPECT_EQ(mem.hash_range(0, mem.size(), kMemHashSeed),
+              ref_mem.hash_range(0, ref_mem.size(), kMemHashSeed))
+        << label;
+  }
+  return ref_mem;
+}
+
+TEST(Tier2Differential, EveryPureOpMatchesTheReferenceInThePrologueAndTheThreadedCode) {
+  // Each SIGVP_PURE_OPS row runs on edge values (NaN, ±0, ±inf, INT64_MIN
+  // and MAX, shift counts of 64 and more, floats beyond the i64 range) and
+  // seeded random bits, at two sites: in the entry block's vector prologue
+  // (operands from immediate moves, before any memory op) and in threaded
+  // code after a store. SFU ops never join the prologue, so both of their
+  // copies run threaded. The engine's memory and profile must equal the
+  // reference's.
+  EngineSandbox sandbox;
+  // clang-format off
+  std::vector<std::uint64_t> values = {
+      0, 1, ~0ull, 0x8000000000000000ull, 0x7fffffffffffffffull, 63, 64, 65, 200,
+      0x7fc00000,                         // f32 NaN
+      0x80000000,                         // f32 -0
+      0x7f800000, 0xff800000,             // f32 ±inf
+      0x7149f2ca, 0xf149f2ca,             // f32 ±1e30
+      0x5f000000, 0xdf000000,             // f32 ±2^63
+      0x3fc00000, 0xc0200000,             // f32 1.5, -2.5
+      0x7ff8000000000000ull,              // f64 NaN (f64 -0 is INT64_MIN above)
+      0x7ff0000000000000ull, 0xfff0000000000000ull,  // f64 ±inf
+      0x7e37e43c8800759cull, 0xfe37e43c8800759cull,  // f64 ±1e300
+      0x43e0000000000000ull, 0xc3e0000000000000ull,  // f64 ±2^63
+      0x3ff8000000000000ull, 0xc004000000000000ull,  // f64 1.5, -2.5
+  };
+  // clang-format on
+  std::mt19937_64 rng(24);
+  for (int i = 0; i < 12; ++i) values.push_back(rng());
+  struct Operands {
+    std::uint64_t a, b, c;
+  };
+  std::vector<Operands> cases;
+  for (const std::uint64_t v : values) {
+    cases.push_back({v, values[rng() % values.size()], values[rng() % values.size()]});
+  }
+  const auto ncases = static_cast<std::uint32_t>(cases.size());
+
+  const Opcode pure_ops[] = {
+#define SIGVP_PURE_ROW(opc, name, body) Opcode::opc,
+      SIGVP_PURE_OPS(SIGVP_PURE_ROW)
+#undef SIGVP_PURE_ROW
+  };
+  for (const Opcode op : pure_ops) {
+    SCOPED_TRACE(std::string(opcode_name(op)));
+    // r0..r6: tid, ctaid, ntid, gid, row bytes, row base, A; r7 B, r8 C,
+    // r9 the threaded copy's result, r10.. the prologue copies' results.
+    enum : std::uint8_t { kTid, kCta, kNtid, kGid, kRowBytes, kBase, kA, kB, kC, kD };
+    const auto prologue_dst = [](std::uint32_t k) { return static_cast<std::uint8_t>(kD + 1 + k); };
+    KernelIR ir;
+    ir.name = std::string("pure_") + std::string(opcode_name(op));
+    ir.num_regs = kD + 1 + ncases;
+    BasicBlock entry{"entry", {}};
+    auto& code = entry.instrs;
+    const auto emit = [&](Opcode o, std::uint8_t dst, std::uint8_t a = 0, std::uint8_t b = 0,
+                          std::int64_t imm = 0) {
+      code.push_back(Instr{o, dst, a, b, 0, imm, 0.0});
+    };
+    const auto emit_case = [&](const Operands& c, std::uint8_t dst) {
+      emit(Opcode::kMovImmI, kA, 0, 0, static_cast<std::int64_t>(c.a));
+      emit(Opcode::kMovImmI, kB, 0, 0, static_cast<std::int64_t>(c.b));
+      emit(Opcode::kMovImmI, kC, 0, 0, static_cast<std::int64_t>(c.c));
+      code.push_back(Instr{op, dst, kA, kB, kC, 0, 0.0});
+    };
+    emit(Opcode::kReadSpecial, kTid, 0, 0, static_cast<std::int64_t>(SpecialReg::kTidX));
+    emit(Opcode::kReadSpecial, kCta, 0, 0, static_cast<std::int64_t>(SpecialReg::kCtaidX));
+    emit(Opcode::kReadSpecial, kNtid, 0, 0, static_cast<std::int64_t>(SpecialReg::kNtidX));
+    emit(Opcode::kMulI, kGid, kCta, kNtid);
+    emit(Opcode::kAddI, kGid, kGid, kTid);
+    emit(Opcode::kMovImmI, kRowBytes, 0, 0, 16 * ncases);
+    emit(Opcode::kMulI, kBase, kGid, kRowBytes);
+    for (std::uint32_t k = 0; k < ncases; ++k) emit_case(cases[k], prologue_dst(k));
+    for (std::uint32_t k = 0; k < ncases; ++k) {
+      emit(Opcode::kStGlobalI64, 0, kBase, prologue_dst(k), 8 * k);
+    }
+    for (std::uint32_t k = 0; k < ncases; ++k) {
+      emit_case(cases[k], kD);
+      emit(Opcode::kStGlobalI64, 0, kBase, kD, 8 * (ncases + k));
+    }
+    emit(Opcode::kRet, 0);
+    ir.blocks.push_back(std::move(entry));
+    validate_kernel(ir);
+
+    LaunchDims dims;
+    dims.grid_x = 2;
+    dims.block_x = 3;
+    // The prologue: the 7 address ops, then every case unless the op is an
+    // SFU op (the prologue then stops at the first case's op).
+    const auto lowered = interp_detail::lower_program(ir, 2);
+    EXPECT_EQ(lowered->prologue.size(), is_sfu_op(op) ? 7u + 3u : 7u + 4u * ncases);
+    expect_engine_matches_reference(ir, dims, {}, 16 * ncases * dims.total_threads());
+  }
+}
+
+TEST(Tier2Differential, OpcodeOutsideTheTableIsRefusedByBothEngines) {
+  // IR not made by the builder may hold any byte as its opcode. Both engines
+  // refuse it at decode time instead of running a fallback handler or
+  // jumping past the dispatch table.
+  EngineSandbox sandbox;
+  for (const int bad : {static_cast<int>(kOpcodeCount), 200, 255}) {
+    KernelBuilder b("bad_opcode", 0);
+    const auto x = b.reg();
+    b.block("entry");
+    b.mov_imm_i(x, 1);
+    b.add_i(x, x, x);
+    b.ret();
+    KernelIR ir = b.build();
+    ir.blocks[0].instrs[1].op = static_cast<Opcode>(bad);
+    EXPECT_THROW(validate_kernel(ir), ContractError) << bad;
+    AddressSpace mem(4096, "m");
+    EXPECT_THROW(Interpreter::run_reference(ir, LaunchDims{}, {}, mem), ContractError) << bad;
+    EXPECT_THROW(Interpreter().run(ir, LaunchDims{}, {}, mem), ContractError) << bad;
+  }
+}
+
+TEST(Tier2Differential, AnAtomicWritesOnlyItsResultRegister) {
+  // Each global atomic returns the old value in the register it names and
+  // leaves every other register alone, r0 (here the pointer parameter)
+  // included, in both engines.
+  EngineSandbox sandbox;
+  constexpr std::uint64_t kBuf = 64;
+  KernelBuilder b("atomic_r0", 1);
+  const auto p = b.reg(), one = b.reg(), onef = b.reg(), old = b.reg(), oldf = b.reg();
+  const auto tid = b.reg(), stride = b.reg(), slot = b.reg();
+  ASSERT_EQ(p, 0);
+  b.block("entry");
+  b.ld_param(p, 0);
+  b.mov_imm_i(one, 1);
+  b.mov_imm_f32(onef, 1.0f);
+  b.atom_add_global_i64(old, one, p);
+  b.atom_add_global_f32(oldf, onef, p, 8);
+  b.special(tid, SpecialReg::kTidX);
+  b.mov_imm_i(stride, 24);
+  b.mul_i(slot, tid, stride);
+  b.add_i(slot, slot, p);
+  b.st_global_i64(p, slot, 16);
+  b.st_global_i64(old, slot, 24);
+  b.st_global_f32(oldf, slot, 32);
+  b.ret();
+  const KernelIR ir = b.build();
+
+  KernelArgs args;
+  args.push_ptr(kBuf);
+  LaunchDims dims;
+  dims.block_x = 4;
+  const AddressSpace mem = expect_engine_matches_reference(ir, dims, args, 4096);
+  EXPECT_EQ(mem.read<std::int64_t>(kBuf), 4);
+  EXPECT_EQ(mem.read<float>(kBuf + 8), 4.0f);
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    const std::uint64_t at = kBuf + 24 * t + 16;
+    EXPECT_EQ(mem.read<std::uint64_t>(at), kBuf) << t;  // r0 still holds p
+    EXPECT_EQ(mem.read<std::int64_t>(at + 8), static_cast<std::int64_t>(t)) << t;
+    EXPECT_EQ(mem.read<float>(at + 16), static_cast<float>(t)) << t;
   }
 }
 
