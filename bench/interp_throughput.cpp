@@ -1,35 +1,40 @@
-// Measures the block-parallel kernel interpreter (DESIGN.md §10): wall-clock
-// and dynamic instrs/sec for every workload in the suite at a ladder of
-// worker counts, so the parallel-interpreter speedup is measured rather than
-// claimed. Kernels with global atomics execute serially at every worker
-// count (the determinism fallback), so they are reported separately and
-// excluded from the speedup aggregate.
+// Measures the kernel execution engine (DESIGN.md §10, §15) on every
+// functional kernel: the Fig. 11 workload suite plus the app-pipeline
+// stages. Per kernel, Interpreter::run_reference runs once and the engine
+// (Interpreter::run) runs `--reps` times at each worker count of
+// {1, 2, 4, 8}; Minstr/s is the median of the reps. Kernels with global
+// atomics execute their chunks serially at every worker count.
 //
-//   interp_throughput [--workers N] [--n SIZE] [--reps R] [--json PATH] [--trace PATH]
+//   interp_throughput [--n SIZE] [--reps R] [--json PATH] [--trace PATH]
 //
-// Without --workers the full {1,2,4,8} ladder runs (as the CI bench gate
-// does, since the baseline holds every rung); `--workers N` restricts the
-// run to one count. Every run
-// is differenced against the serial profile — any mismatch makes the bench
-// exit nonzero, so the throughput numbers can never outlive the determinism
-// contract they advertise.
+// Every engine run is differenced against the reference's profile and its
+// final memory contents (AddressSpace::content_digest): any mismatch makes
+// the bench exit nonzero, so the throughput numbers can never outlive the
+// byte-exactness contract they advertise. Instruction, compile and
+// fused-superinstruction counts are pure functions of the launch stream,
+// and scripts/bench_regression_check.py compares them exactly; Minstr/s is
+// host-domain and only reported.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "interp/interpreter.hpp"
+#include "interp/tier2.hpp"
 #include "mem/address_space.hpp"
 #include "mem/allocator.hpp"
 #include "run/json_writer.hpp"
 #include "run/sweep.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workloads/suite.hpp"
 
@@ -37,99 +42,148 @@ namespace sigvp {
 namespace {
 
 constexpr std::uint64_t kSpace = 256ull * 1024 * 1024;
+constexpr std::size_t kWorkerCounts[] = {1, 2, 4, 8};
 
-struct RunSample {
-  std::size_t workers = 0;
-  double wall_ms = 0.0;
-  std::uint64_t instrs = 0;
-  double instrs_per_sec = 0.0;
-};
-
-struct AppReport {
+/// One kernel to bench: a suite workload, or one stage of an app pipeline
+/// (which reuses the owning workload's buffer set).
+struct BenchUnit {
   std::string app;
-  std::string kernel;  // kernel name, for per-kernel attribution (tier bench)
-  bool atomic = false;
+  std::string kernel_name;
+  const KernelIR* kernel = nullptr;
   std::uint64_t n = 0;
-  std::vector<RunSample> runs;
-
-  /// Per-kernel Minstr/s at workers=1 — the number the tier bench and the
-  /// baseline gate attribute wins/regressions to.
-  double minstr_per_sec_w1() const {
-    for (const RunSample& s : runs) {
-      if (s.workers == 1) return s.instrs_per_sec / 1e6;
-    }
-    return runs.empty() ? 0.0 : runs.front().instrs_per_sec / 1e6;
-  }
+  LaunchDims dims;
+  std::function<KernelArgs(const std::vector<std::uint64_t>& addrs)> args;
+  const workloads::Workload* buffers_of = nullptr;  // whose buffers(n) to allocate
 };
 
-/// One timed launch of `w` at size `n` with the given worker count. Fresh
-/// memory per call; returns the profile (for the differential check) and
-/// the wall-clock of the `run` call alone.
-DynamicProfile timed_run(const workloads::Workload& w, std::uint64_t n, std::size_t workers,
-                         double& wall_ms) {
+struct UnitResult {
+  std::string app;
+  std::string kernel;
+  std::uint64_t n = 0;
+  bool atomic = false;
+  std::uint64_t instrs = 0;
+  std::uint64_t compiles = 0;
+  std::uint64_t fused = 0;
+  double ref_minstr_s = 0.0;
+  std::vector<double> minstr_s;  // engine, median of reps, per kWorkerCounts entry
+};
+
+struct Run {
+  DynamicProfile profile;
+  std::uint64_t digest = 0;  // content_digest of the final memory
+  double minstr_s = 0.0;     // of the launch call alone
+};
+
+/// One launch of `u` on fresh memory: on the reference, or on the engine
+/// with `workers` workers.
+Run one_run(const BenchUnit& u, bool reference, std::size_t workers) {
   AddressSpace mem(kSpace, "bench");
   FreeListAllocator alloc(4096, mem.size() - 4096);
+  const auto specs = u.buffers_of->buffers(u.n);
   std::vector<std::uint64_t> addrs;
-  for (const auto& b : w.buffers(n)) {
-    const auto a = alloc.allocate(b.bytes);
-    SIGVP_REQUIRE(a.has_value(), w.app + ": bench arena too small for n");
+  std::vector<std::vector<std::uint8_t>> host(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto a = alloc.allocate(specs[i].bytes);
+    SIGVP_REQUIRE(a.has_value(), u.app + ": bench arena too small for n");
     addrs.push_back(*a);
-    if (b.is_input) {
-      for (std::uint64_t off = 0; off + 4 <= b.bytes; off += 4) {
-        mem.write<float>(*a + off, 0.5f);
+    host[i].assign(specs[i].bytes, 0);
+  }
+  // Real input data when the workload provides it (pipeline stages read
+  // indices/weights from memory); flat 0.5f fill otherwise.
+  if (u.buffers_of->fill_inputs) {
+    u.buffers_of->fill_inputs(u.n, host);
+  } else {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (!specs[i].is_input) continue;
+      for (std::uint64_t off = 0; off + 4 <= specs[i].bytes; off += 4) {
+        const float v = 0.5f;
+        std::memcpy(host[i].data() + off, &v, 4);
       }
     }
   }
-
-  Interpreter interp;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (specs[i].is_input) mem.copy_in(addrs[i], host[i].data(), host[i].size());
+  }
+  const KernelArgs args = u.args(addrs);
   Interpreter::Options options;
   options.workers = workers;
+  Run out;
   const auto start = std::chrono::steady_clock::now();
-  DynamicProfile profile = interp.run(w.kernel, w.dims(n), w.args(addrs, n), mem, options);
-  wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+  out.profile = reference ? Interpreter::run_reference(*u.kernel, u.dims, args, mem)
+                          : Interpreter().run(*u.kernel, u.dims, args, mem, options);
+  const double us =
+      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start)
           .count();
-  return profile;
+  out.minstr_s = us > 0.0 ? static_cast<double>(out.profile.total_instrs()) / us : 0.0;
+  out.digest = mem.content_digest(kMemHashSeed);
+  return out;
 }
 
-bool profiles_equal(const DynamicProfile& a, const DynamicProfile& b) {
-  return a.block_visits == b.block_visits && a.instr_counts == b.instr_counts &&
-         a.global_load_bytes == b.global_load_bytes &&
-         a.global_store_bytes == b.global_store_bytes &&
-         a.barriers_waited == b.barriers_waited && a.sfu_instrs == b.sfu_instrs &&
-         a.sqrt_instrs == b.sqrt_instrs;
+bool runs_equal(const Run& a, const Run& b) {
+  const DynamicProfile& p = a.profile;
+  const DynamicProfile& q = b.profile;
+  return a.digest == b.digest && p.block_visits == q.block_visits &&
+         p.instr_counts.counts == q.instr_counts.counts &&
+         p.global_load_bytes == q.global_load_bytes &&
+         p.global_store_bytes == q.global_store_bytes && p.barriers_waited == q.barriers_waited &&
+         p.sfu_instrs == q.sfu_instrs && p.sqrt_instrs == q.sqrt_instrs;
 }
 
-std::string to_json(const std::vector<AppReport>& apps,
-                    const std::vector<std::size_t>& ladder, double total_wall_ms,
-                    double speedup_max_vs_1) {
+std::vector<BenchUnit> make_units(const std::vector<workloads::Workload>& suite,
+                                  const std::vector<workloads::Workload>& apps,
+                                  std::uint64_t size_override) {
+  const auto size_of = [&](const workloads::Workload& w) {
+    return size_override != 0 ? size_override : (w.estimate_n != 0 ? w.estimate_n : w.test_n);
+  };
+  std::vector<BenchUnit> units;
+  for (const auto& w : suite) {
+    BenchUnit u{w.app, w.kernel.name, &w.kernel, size_of(w), {}, {}, &w};
+    u.dims = w.dims(u.n);
+    u.args = [&w, n = u.n](const std::vector<std::uint64_t>& addrs) { return w.args(addrs, n); };
+    units.push_back(std::move(u));
+  }
+  for (const auto& w : apps) {
+    for (const auto& stage : w.stages) {
+      BenchUnit u{w.app, stage.kernel.name, &stage.kernel, size_of(w), {}, {}, &w};
+      u.dims = stage.dims(u.n);
+      u.args = [&stage, n = u.n](const std::vector<std::uint64_t>& addrs) {
+        return stage.args(addrs, n, /*jitter=*/0);
+      };
+      units.push_back(std::move(u));
+    }
+  }
+  return units;
+}
+
+std::string to_json(const std::vector<UnitResult>& results, std::size_t reps, double wall_ms) {
   using run::json::escape;
   using run::json::number;
+  std::uint64_t total_compiles = 0, total_fused = 0;
+  for (const UnitResult& r : results) {
+    total_compiles += r.compiles;
+    total_fused += r.fused;
+  }
   std::ostringstream os;
   os << "{\n  \"bench\": \"interp_throughput\",\n";
-  os << "  \"worker_counts\": [";
-  for (std::size_t i = 0; i < ladder.size(); ++i) {
-    if (i != 0) os << ", ";
-    os << ladder[i];
-  }
-  os << "],\n  \"wall_ms\": " << number(total_wall_ms) << ",\n";
-  os << "  \"nonatomic_speedup_max_workers_vs_1\": " << number(speedup_max_vs_1) << ",\n";
-  os << "  \"apps\": [\n";
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    const AppReport& a = apps[i];
-    os << "    {\"app\": \"" << escape(a.app) << "\", \"kernel\": \"" << escape(a.kernel)
-       << "\", \"atomic\": " << (a.atomic ? "true" : "false") << ", \"n\": " << a.n
-       << ", \"minstr_per_sec_w1\": " << number(a.minstr_per_sec_w1()) << ", \"runs\": [";
-    for (std::size_t r = 0; r < a.runs.size(); ++r) {
-      const RunSample& s = a.runs[r];
-      if (r != 0) os << ", ";
-      os << "{\"workers\": " << s.workers << ", \"wall_ms\": " << number(s.wall_ms)
-         << ", \"instrs\": " << s.instrs
-         << ", \"instrs_per_sec\": " << number(s.instrs_per_sec) << "}";
+  os << "  \"reps\": " << reps << ",\n  \"worker_counts\": [";
+  for (const std::size_t w : kWorkerCounts) os << (w != kWorkerCounts[0] ? ", " : "") << w;
+  os << "],\n";
+  os << "  \"wall_ms\": " << number(wall_ms) << ",\n";
+  os << "  \"total_compiles\": " << total_compiles << ",\n";
+  os << "  \"total_fused_superinsts\": " << total_fused << ",\n";
+  os << "  \"kernels\": [\n";
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const UnitResult& r = results[i];
+    os << "    {\"kernel\": \"" << escape(r.kernel) << "\", \"app\": \"" << escape(r.app);
+    os << "\", \"n\": " << r.n << ", \"atomic\": " << (r.atomic ? "true" : "false");
+    os << ", \"instrs\": " << r.instrs << ", \"compiles\": " << r.compiles;
+    os << ", \"fused_superinsts\": " << r.fused;
+    os << ", \"ref_minstr_per_sec\": " << number(r.ref_minstr_s) << ", \"runs\": [";
+    for (std::size_t w = 0; w < r.minstr_s.size(); ++w) {
+      os << (w != 0 ? ", " : "") << "{\"workers\": " << kWorkerCounts[w];
+      os << ", \"minstr_per_sec\": " << number(r.minstr_s[w]) << "}";
     }
-    os << "]}";
-    if (i + 1 != apps.size()) os << ",";
-    os << "\n";
+    os << "]}" << (i + 1 != results.size() ? ",\n" : "\n");
   }
   os << "  ]\n}\n";
   return os.str();
@@ -141,15 +195,12 @@ std::string to_json(const std::vector<AppReport>& apps,
 int main(int argc, char** argv) {
   using namespace sigvp;
 
-  std::size_t only_workers = 0;
   std::uint64_t size_override = 0;
-  std::size_t reps = 1;
+  std::size_t reps = 3;
   std::string json_path = "BENCH_interp.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--workers" && i + 1 < argc) {
-      only_workers = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--n" && i + 1 < argc) {
+    if (arg == "--n" && i + 1 < argc) {
       size_override = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--reps" && i + 1 < argc) {
       reps = std::max<std::size_t>(1, std::strtoul(argv[++i], nullptr, 10));
@@ -160,83 +211,78 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<std::size_t> ladder = {1, 2, 4, 8};
-  if (only_workers != 0) ladder = {only_workers};
+  std::cout << "== interp_throughput: execution engine vs the reference interpreter ==\n\n";
 
-  std::cout << "== interp_throughput: block-parallel interpreter, workload suite ==\n\n";
-
-  const auto suite = workloads::make_suite();
-  std::vector<AppReport> reports;
-  // Non-atomic aggregate wall-clock per ladder entry (for the speedup line).
-  std::vector<double> nonatomic_wall_ms(ladder.size(), 0.0);
+  Tier2Engine& engine = Tier2Engine::instance();
+  std::vector<UnitResult> results;
+  std::vector<double> speedups_w1;
   bool mismatch = false;
-
-  TablePrinter table({"Application", "Instrs", "Mode", "Workers", "Wall (ms)", "Minstr/s"});
+  TablePrinter table({"Kernel", "App", "Instrs", "Fused", "Ref", "w=1", "w=2", "w=4", "w=8",
+                      "w=1/Ref"});
   const auto total_start = std::chrono::steady_clock::now();
 
-  for (const auto& w : suite) {
-    AppReport rep;
-    rep.app = w.app;
-    rep.kernel = w.kernel.name;
-    rep.atomic = Interpreter::uses_global_atomics(w.kernel);
-    rep.n = size_override != 0 ? size_override
-                               : (w.estimate_n != 0 ? w.estimate_n : w.test_n);
+  const auto suite = workloads::make_suite();
+  const auto apps = workloads::make_app_suite();
+  for (const BenchUnit& u : make_units(suite, apps, size_override)) {
+    const auto check = [&](const Run& got, const Run& reference, std::size_t workers) {
+      if (runs_equal(got, reference)) return;
+      std::cerr << "ENGINE DIVERGENCE: " << u.kernel_name << " @ workers=" << workers;
+      std::cerr << " diverged from the reference profile/memory\n";
+      mismatch = true;
+    };
 
-    // Serial reference: correctness anchor for every other worker count.
-    double ref_ms = 0.0;
-    const DynamicProfile reference = timed_run(w, rep.n, 1, ref_ms);
+    // Fresh program cache per kernel; the first engine launch lowers, untimed.
+    engine.reset();
+    const Run reference = one_run(u, /*reference=*/true, 1);
+    check(one_run(u, /*reference=*/false, 1), reference, 1);
 
-    for (std::size_t li = 0; li < ladder.size(); ++li) {
-      const std::size_t workers = ladder[li];
-      double best_ms = 0.0;
+    UnitResult res{u.app, u.kernel_name, u.n, Interpreter::uses_global_atomics(*u.kernel),
+                   reference.profile.total_instrs()};
+    res.ref_minstr_s = reference.minstr_s;
+    for (const std::size_t workers : kWorkerCounts) {
+      std::vector<double> samples;
       for (std::size_t r = 0; r < reps; ++r) {
-        double ms = 0.0;
-        const DynamicProfile p = timed_run(w, rep.n, workers, ms);
-        if (!profiles_equal(p, reference)) {
-          std::cerr << "DETERMINISM VIOLATION: " << w.app << " @ workers=" << workers
-                    << " diverged from the serial profile\n";
-          mismatch = true;
-        }
-        if (r == 0 || ms < best_ms) best_ms = ms;
+        const Run sample = one_run(u, /*reference=*/false, workers);
+        check(sample, reference, workers);
+        samples.push_back(sample.minstr_s);
       }
-      RunSample s;
-      s.workers = workers;
-      s.wall_ms = best_ms;
-      s.instrs = reference.total_instrs();
-      s.instrs_per_sec = best_ms > 0.0 ? 1e3 * static_cast<double>(s.instrs) / best_ms : 0.0;
-      rep.runs.push_back(s);
-      if (!rep.atomic) nonatomic_wall_ms[li] += best_ms;
-      table.add_row({w.app, fmt_int(static_cast<long long>(s.instrs)),
-                     rep.atomic ? "serial(atomic)" : "parallel",
-                     fmt_int(static_cast<long long>(workers)), fmt_fixed(best_ms, 2),
-                     fmt_fixed(s.instrs_per_sec / 1e6, 1)});
+      res.minstr_s.push_back(percentile(samples, 50.0));
     }
-    reports.push_back(std::move(rep));
-  }
+    const Tier2Stats stats = engine.stats();
+    res.compiles = stats.compiles;
+    res.fused = stats.fused_superinsts;
+    speedups_w1.push_back(res.minstr_s.front() / res.ref_minstr_s);
 
-  const double total_wall_ms =
+    std::vector<std::string> row = {res.kernel, res.app + (res.atomic ? " (atomic)" : ""),
+                                    fmt_int(static_cast<long long>(res.instrs)),
+                                    fmt_int(static_cast<long long>(res.fused)),
+                                    fmt_fixed(res.ref_minstr_s, 1)};
+    for (const double m : res.minstr_s) row.push_back(fmt_fixed(m, 1));
+    row.push_back(fmt_ratio(speedups_w1.back()) + "x");
+    table.add_row(row);
+    results.push_back(std::move(res));
+  }
+  engine.reset();
+
+  const double wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - total_start)
           .count();
 
   table.print(std::cout);
+  std::cout << "\nMinstr/s: reference once, engine median of " << reps << " reps.";
+  std::cout << " Engine w=1 over the reference, " << results.size() << " kernels: ";
+  std::cout << fmt_ratio(percentile(speedups_w1, 0.0)) << "x min, ";
+  std::cout << fmt_ratio(percentile(speedups_w1, 50.0)) << "x median, ";
+  std::cout << fmt_ratio(percentile(speedups_w1, 100.0)) << "x max\n";
 
-  double speedup = 1.0;
-  if (ladder.size() > 1 && nonatomic_wall_ms.back() > 0.0) {
-    speedup = nonatomic_wall_ms.front() / nonatomic_wall_ms.back();
-    std::cout << "\nNon-atomic suite wall-clock: " << fmt_fixed(nonatomic_wall_ms.front(), 1)
-              << " ms @ workers=" << ladder.front() << " -> "
-              << fmt_fixed(nonatomic_wall_ms.back(), 1) << " ms @ workers=" << ladder.back()
-              << "  (speedup " << fmt_ratio(speedup) << "x)\n";
-  }
-
-  if (!run::try_write_json_file(to_json(reports, ladder, total_wall_ms, speedup), json_path)) {
+  if (!run::try_write_json_file(to_json(results, reps, wall_ms), json_path)) {
     std::cerr << "error: failed writing JSON results file: " << json_path << "\n";
     return 1;
   }
   std::cout << "\nwrote " << json_path << "\n";
 
   if (mismatch) {
-    std::cerr << "\ninterp_throughput: determinism differential FAILED\n";
+    std::cerr << "\ninterp_throughput: engine-vs-reference differential FAILED\n";
     return 1;
   }
   if (!run::flush_trace()) return 1;

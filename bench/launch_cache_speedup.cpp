@@ -15,6 +15,12 @@
 // Exits nonzero if any cached run's outputs or makespans diverge from the
 // uncached run, or if the cache never hit — the determinism contract is the
 // bench's precondition, not an aspiration.
+//
+// Each VP point's hits, misses, bypasses and replayed bytes are sim-domain
+// counters, and so is the shared sweep's lookup count (hits + misses);
+// scripts/bench_regression_check.py compares them exactly. The shared
+// sweep's hit/miss split depends on which concurrent job fills an entry
+// first, and the speedups are wall-clock: both are only reported.
 
 #include <cstdint>
 #include <iostream>
@@ -209,7 +215,8 @@ int main(int argc, char** argv) {
      << ", \"speedup\": "
      << run::json::number(shared_uncached.wall_ms / shared_cached.wall_ms)
      << ", \"hits\": " << shared_cached.cache.hits
-     << ", \"misses\": " << shared_cached.cache.misses << "}\n";
+     << ", \"misses\": " << shared_cached.cache.misses;
+  os << ", \"lookups\": " << shared_cached.cache.hits + shared_cached.cache.misses << "}\n";
   os << "}\n";
   if (!run::try_write_json_file(os.str(), cli.json_path)) {
     std::cerr << "error: failed writing JSON results file: " << cli.json_path << "\n";

@@ -19,9 +19,9 @@
 //
 //   multigpu_placement [--reps R] [--json PATH]
 //
-// scripts/bench_regression_check.py --multigpu compares every sim-domain
-// field (makespans, speedups, job/migration counters) exactly and bands
-// only the wall-clock jobs/s throughput (25%).
+// scripts/bench_regression_check.py compares every sim-domain field
+// (makespans, speedups, job/migration counters) exactly and only reports
+// the wall-clock ones (wall_ms, jobs/s).
 
 #include <algorithm>
 #include <chrono>
@@ -86,16 +86,6 @@ ScenarioResult timed_run(const ScenarioConfig& cfg, const std::vector<AppInstanc
     }
   }
   return result;
-}
-
-/// Full sim-domain JSON of one result — the byte-identity probe. Host-only
-/// fields (workers, wall_ms) are pinned so only simulation bytes remain.
-std::string result_json(const ScenarioResult& r) {
-  run::SweepResult one;
-  one.jobs.push_back(run::SweepJobResult{"probe", "multigpu", r});
-  one.workers = 1;
-  one.wall_ms = 0.0;
-  return run::sweep_to_json(one, "multigpu_placement_probe");
 }
 
 struct Point {
