@@ -29,7 +29,7 @@ run::SweepJob make_job(const workloads::Workload& w, const std::string& name,
   job.config.backend = Backend::kSigmaVp;
   job.config.mode = ExecMode::kAnalytic;
   job.config.calib.ipc = ipc;
-  job.apps = {AppInstance{&w, m, traits}};
+  job.apps = {AppInstance{.workload = &w, .n = m, .traits = traits}};
   return job;
 }
 

@@ -66,7 +66,8 @@ std::vector<AppInstance> make_fleet(const workloads::Workload& w, std::uint64_t 
   t.noncuda_guest_instrs = 0.0;
   std::vector<AppInstance> apps;
   apps.reserve(vps);
-  for (std::size_t i = 0; i < vps; ++i) apps.push_back(AppInstance{&w, n, t});
+  const AppInstance app{.workload = &w, .n = n, .traits = t};
+  for (std::size_t i = 0; i < vps; ++i) apps.push_back(app);
   return apps;
 }
 

@@ -65,7 +65,7 @@ struct UnitResult {
   std::uint64_t compiles = 0;
   std::uint64_t fused = 0;
   double ref_minstr_s = 0.0;
-  std::vector<double> minstr_s;  // engine, median of reps, per kWorkerCounts entry
+  std::vector<double> minstr_s{};  // engine, median of reps, per kWorkerCounts entry
 };
 
 struct Run {

@@ -72,7 +72,8 @@ run::SweepJob make_fleet_job(const workloads::Workload& w, std::uint64_t n, std:
   t.launches_per_iter = 1;
   t.iter_h2d_bytes = 0;
   t.iter_d2h_bytes = 0;
-  for (std::size_t i = 0; i < vps; ++i) job.apps.push_back(AppInstance{&w, n, t});
+  const AppInstance app{.workload = &w, .n = n, .traits = t};
+  for (std::size_t i = 0; i < vps; ++i) job.apps.push_back(app);
   return job;
 }
 

@@ -63,7 +63,7 @@ std::vector<AppInstance> skewed_fleet(const workloads::Workload& w) {
   for (int i = 0; i < 16; ++i) {
     workloads::AppTraits t = w.traits;
     t.iterations = (i % 4 == 0) ? 12 : 3;
-    apps.push_back(AppInstance{&w, w.test_n, t});
+    apps.push_back(AppInstance{.workload = &w, .n = w.test_n, .traits = t});
     apps.back().jitter = static_cast<std::uint64_t>(i);
   }
   return apps;
@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < 8; ++i) {
     workloads::AppTraits t = w.traits;
     t.iterations = (i == 0 || i == 4) ? 16 : 2;
-    mig_apps.push_back(AppInstance{&w, w.test_n, t});
+    mig_apps.push_back(AppInstance{.workload = &w, .n = w.test_n, .traits = t});
   }
   ScenarioConfig mig_cfg = multigpu_config(std::vector<GpuArch>(4, make_quadro4000()));
   mig_cfg.async_launches = false;  // synchronous: VPs go idle between jobs

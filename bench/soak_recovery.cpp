@@ -81,7 +81,7 @@ std::vector<run::SweepJob> build_fleet_soak_jobs() {
     workloads::AppTraits t = va.traits;
     t.iterations = 3;
     for (std::size_t i = 0; i < 12; ++i) {
-      flat.apps.push_back(AppInstance{&va, va.test_n, t});
+      flat.apps.push_back(AppInstance{.workload = &va, .n = va.test_n, .traits = t});
       flat.apps.back().jitter = i;
     }
   }
@@ -97,7 +97,8 @@ std::vector<run::SweepJob> build_fleet_soak_jobs() {
   {
     workloads::AppTraits t = bs.traits;
     t.iterations = 2;
-    for (std::size_t i = 0; i < 9; ++i) tree.apps.push_back(AppInstance{&bs, bs.test_n, t});
+    const AppInstance app{.workload = &bs, .n = bs.test_n, .traits = t};
+    for (std::size_t i = 0; i < 9; ++i) tree.apps.push_back(app);
   }
   jobs.push_back(std::move(tree));
   return jobs;

@@ -36,7 +36,7 @@ SimTime run_backend(Backend backend) {
   ScenarioConfig cfg;
   cfg.backend = backend;
   cfg.mode = ExecMode::kAnalytic;
-  AppInstance app{&w, kM, table1_traits()};
+  AppInstance app{.workload = &w, .n = kM, .traits = table1_traits()};
   return run_scenario(cfg, {app}).makespan_us;
 }
 

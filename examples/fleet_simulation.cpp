@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   for (const char* app : {"nbody", "smokeParticles", "SobelFilter", "stereoDisparity",
                           "BlackScholes", "MonteCarlo", "mergeSort", "simpleGL"}) {
     const workloads::Workload& w = workloads::find(suite, app);
-    fleet.push_back(AppInstance{&w, w.default_n, std::nullopt});
+    fleet.push_back(AppInstance{.workload = &w, .n = w.default_n, .traits = std::nullopt});
   }
 
   auto make_job = [&](const char* name, Backend backend, bool optimized) {

@@ -38,12 +38,14 @@ enum class Backend {
 
 std::string backend_name(Backend backend);
 
-/// One application instance in a scenario.
+/// One application instance in a scenario. Every member has a default
+/// initializer, so an initializer list may name only the members it sets
+/// (without -Wmissing-field-initializers noise).
 struct AppInstance {
   const workloads::Workload* workload = nullptr;
   std::uint64_t n = 0;
   /// Replaces the workload's default traits (iterations, copies, ...).
-  std::optional<workloads::AppTraits> traits;
+  std::optional<workloads::AppTraits> traits{};
 
   /// Per-VP scalar-jitter seed for pipeline-stage arguments (0 = canonical
   /// scalars). Passed through to every stage's jitter-aware args builder.
@@ -54,12 +56,12 @@ struct AppInstance {
   /// given ascending sim time regardless of prior completions, with
   /// per-request latency (completion - arrival) recorded into
   /// ScenarioResult::latency. Incompatible with `functional_io`.
-  std::vector<SimTime> arrivals;
+  std::vector<SimTime> arrivals{};
 
   /// Optional per-request overrides, aligned with `arrivals` (same length):
   /// mixed request streams from a WorkloadSpec. Empty = every request runs
   /// (workload, n, jitter) above.
-  std::vector<workloads::Request> requests;
+  std::vector<workloads::Request> requests{};
 };
 
 /// Sharded-fleet model (DESIGN.md §16): how many scheduler/dispatcher

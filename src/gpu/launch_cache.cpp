@@ -144,20 +144,6 @@ std::vector<MemChunk> merge_ranges(const std::vector<ChunkCapture>& chunks,
   return merged.ranges();
 }
 
-/// Chained content hash over `ranges` of `mem`, each read at its address +
-/// `shift` — the validation-time side. The stored (unshifted) range
-/// addresses are folded in too, so the chain is well-defined even for an
-/// empty read-set and equals the fill-time chain wherever the entry lands.
-std::uint64_t hash_ranges_in(const AddressSpace& mem, const std::vector<MemChunk>& ranges,
-                             std::uint64_t shift) {
-  std::uint64_t h = kMemHashSeed;
-  for (const MemChunk& r : ranges) {
-    h = mix64(h, r.addr);
-    h = mem.hash_range(r.addr + shift, r.size, h);
-  }
-  return h;
-}
-
 /// Reconstructs the pre-launch bytes of `ranges` from post-launch memory
 /// plus the per-chunk undo logs: start from the post bytes, then overlay
 /// undo entries in reverse canonical chunk order so the earliest-recorded
@@ -198,21 +184,6 @@ std::vector<std::uint8_t> pre_image_of(const AddressSpace& mem,
   return bytes;
 }
 
-/// Fill-time twin of hash_ranges_in, over the reconstructed pre-image
-/// buffer. Byte-for-byte the same chain: per range, fold the address, then
-/// hash the range's bytes as one contiguous call.
-std::uint64_t hash_ranges_buf(const std::vector<MemChunk>& ranges,
-                              const std::vector<std::uint8_t>& bytes) {
-  std::uint64_t h = kMemHashSeed;
-  std::uint64_t off = 0;
-  for (const MemChunk& r : ranges) {
-    h = mix64(h, r.addr);
-    h = mem_hash_bytes(bytes.data() + off, r.size, h);
-    off += r.size;
-  }
-  return h;
-}
-
 bool profiles_equal(const DynamicProfile& a, const DynamicProfile& b) {
   return a.block_visits == b.block_visits && a.instr_counts == b.instr_counts &&
          a.global_load_bytes == b.global_load_bytes &&
@@ -232,6 +203,10 @@ bool stats_equal(const KernelExecStats& a, const KernelExecStats& b) {
          a.cache.misses == b.cache.misses;
 }
 
+bool all_zero(const std::uint8_t* p, std::size_t n) {
+  return p[0] == 0 && std::memcmp(p, p + 1, n - 1) == 0;
+}
+
 bool env_flag(const char* name, bool fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
@@ -242,16 +217,52 @@ bool env_flag(const char* name, bool fallback) {
 
 // --- cache structure ---------------------------------------------------------
 
+struct LaunchCache::Block {
+  std::vector<std::uint8_t> bytes;  // kBlockBytes, fewer only at an entry's end
+};
+
 struct LaunchCache::Entry {
   std::uint64_t base_key = 0;
   std::uint64_t pointer_mask = 0;     // of the kernel, as proved at fill time
   KernelArgs args;                    // fill-time arguments: the ranges' frame
   std::vector<MemChunk> read_ranges;  // sorted, coalesced
-  std::uint64_t input_hash = 0;       // pre-launch content of read_ranges
+  /// Pre-launch content of read_ranges, concatenated and cut into
+  /// kBlockBytes blocks; a null block holds only zeros.
+  std::vector<BlockRef> pre_image;
   KernelExecStats stats;
   DynamicProfile profile;
   MemDelta writes;  // post-launch content of the write-set
   std::uint64_t footprint = 0;
+
+  /// True when `mem` holds the pre-image at every read range + `shift`
+  /// (all in bounds): a byte compare per block piece, and for a null block
+  /// a zero check that skips the caller's unmarked pages.
+  bool matches(const AddressSpace& mem, std::uint64_t shift) const {
+    std::uint64_t off = 0;  // offset into the concatenated pre-image
+    for (const MemChunk& r : read_ranges) {
+      for (std::uint64_t done = 0; done < r.size;) {
+        const Block* block = pre_image[off / kBlockBytes].get();
+        const std::uint64_t in = off % kBlockBytes;
+        const std::uint64_t n = std::min(r.size - done, kBlockBytes - in);
+        const std::uint64_t addr = r.addr + shift + done;
+        if (block == nullptr ? !mem.is_zero(addr, n)
+                             : !mem.equals(addr, block->bytes.data() + in, n)) {
+          return false;
+        }
+        done += n;
+        off += n;
+      }
+    }
+    return true;
+  }
+
+  /// Write-set and nonzero pre-image bytes plus a fixed cost per range.
+  /// Shared blocks are charged to every entry holding them, so the charge
+  /// depends on the entry alone.
+  void set_footprint() {
+    footprint = writes.total_bytes() + 64 * (read_ranges.size() + writes.ranges.size());
+    for (const BlockRef& b : pre_image) footprint += b ? b->bytes.size() : 0;
+  }
 };
 
 struct LaunchCache::Shard {
@@ -261,9 +272,34 @@ struct LaunchCache::Shard {
   std::unordered_map<std::uint64_t, std::vector<std::shared_ptr<const Entry>>> buckets;
 };
 
+LaunchCache::BlockRef LaunchCache::BlockStore::intern(const std::uint8_t* p, std::size_t n) {
+  if (all_zero(p, n)) return nullptr;
+  const std::uint64_t hash = mem_hash_bytes(p, n, kMemHashSeed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto [it, end] = index_.equal_range(hash);
+  while (it != end) {
+    if (BlockRef b = it->second.lock()) {
+      if (b->bytes.size() == n && std::memcmp(b->bytes.data(), p, n) == 0) return b;
+      ++it;
+    } else {
+      it = index_.erase(it);
+    }
+  }
+  auto block = std::make_shared<Block>();
+  block->bytes.assign(p, p + n);
+  index_.emplace(hash, block);
+  // Slots of blocks that died with their entries are dropped in bulk once
+  // the index has doubled since the last sweep: amortized O(1) per intern.
+  if (index_.size() >= 2 * std::max<std::size_t>(swept_size_, 1024)) {
+    std::erase_if(index_, [](const auto& slot) { return slot.second.expired(); });
+    swept_size_ = index_.size();
+  }
+  return block;
+}
+
 namespace {
 constexpr std::uint64_t kDefaultMaxEntries = 1024;
-constexpr std::uint64_t kDefaultMaxBytes = 512ull << 20;  // resident write-set bytes
+constexpr std::uint64_t kDefaultMaxBytes = 512ull << 20;  // resident footprint bytes
 }  // namespace
 
 LaunchCache::LaunchCache()
@@ -339,9 +375,10 @@ LaunchEvaluation LaunchCache::evaluate(const GpuArch& arch, const KernelIR& kern
   const std::size_t shard_idx = (base_key >> 58) % kNumShards;
   Shard& shard = shards_[shard_idx];
 
-  // Snapshot the bucket under the shard lock, validate outside it: read-set
-  // hashing over caller memory can be expensive, and entries are immutable
-  // shared_ptrs so a concurrent eviction cannot free them mid-validate.
+  // Snapshot the bucket under the shard lock, validate outside it: comparing
+  // read sets with caller memory can be expensive, and entries (and the
+  // blocks they hold) are immutable shared_ptrs, so a concurrent eviction
+  // cannot free them mid-validate.
   std::vector<std::shared_ptr<const Entry>> candidates;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -353,8 +390,7 @@ LaunchEvaluation LaunchCache::evaluate(const GpuArch& arch, const KernelIR& kern
     const std::optional<std::uint64_t> shift =
         relocation(mask, e->args, args, arch.l2.line_bytes);
     if (!shift || !all_in_bounds(memory, e->read_ranges, *shift) ||
-        !all_in_bounds(memory, e->writes.ranges, *shift) ||
-        hash_ranges_in(memory, e->read_ranges, *shift) != e->input_hash) {
+        !all_in_bounds(memory, e->writes.ranges, *shift) || !e->matches(memory, *shift)) {
       continue;
     }
 
@@ -389,13 +425,15 @@ LaunchEvaluation LaunchCache::execute_and_fill(const GpuArch& arch, const Kernel
   entry->pointer_mask = pointer_mask;
   entry->args = args;
   entry->read_ranges = merge_ranges(capture, &ChunkCapture::reads);
-  entry->input_hash =
-      hash_ranges_buf(entry->read_ranges, pre_image_of(memory, entry->read_ranges, capture));
+  const std::vector<std::uint8_t> image = pre_image_of(memory, entry->read_ranges, capture);
+  for (std::uint64_t off = 0; off < image.size(); off += kBlockBytes) {
+    const std::uint64_t n = std::min<std::uint64_t>(kBlockBytes, image.size() - off);
+    entry->pre_image.push_back(blocks_.intern(image.data() + off, n));
+  }
   entry->stats = out.stats;
   entry->profile = out.profile;
   entry->writes = extract_delta(memory, merge_ranges(capture, &ChunkCapture::writes));
-  entry->footprint = entry->writes.total_bytes() +
-                     64 * (entry->read_ranges.size() + entry->writes.ranges.size());
+  entry->set_footprint();
   insert(base_key, std::move(entry));
   return out;
 }
@@ -411,8 +449,10 @@ void LaunchCache::insert(std::uint64_t base_key, std::shared_ptr<const Entry> en
     std::lock_guard<std::mutex> lock(shard.mutex);
     std::vector<std::shared_ptr<const Entry>>& bucket = shard.buckets[base_key];
     for (const std::shared_ptr<const Entry>& e : bucket) {
-      if (e->input_hash == entry->input_hash && e->args == entry->args &&
-          e->read_ranges == entry->read_ranges) {
+      // Interned blocks are canonical, so equal pre-images hold equal
+      // block pointers.
+      if (e->args == entry->args && e->read_ranges == entry->read_ranges &&
+          e->pre_image == entry->pre_image) {
         return;  // a concurrent miss on the same launch already filled it
       }
     }
@@ -545,6 +585,17 @@ void LaunchCache::export_state(snapshot::Writer& w) const {
   // Holding fifo_mutex_ pins every resident entry: insert/evict also take
   // it first, so the raw FifoRef pointers stay valid for the whole walk.
   std::lock_guard<std::mutex> lock(fifo_mutex_);
+  // Each distinct nonzero block once, in first-use order; an entry refers
+  // to its blocks by table position + 1, and to an all-zero block by 0.
+  std::unordered_map<const Block*, std::uint64_t> ids;
+  std::vector<const Block*> table;
+  for (std::size_t i = fifo_head_; i < fifo_.size(); ++i) {
+    for (const BlockRef& b : fifo_[i].entry->pre_image) {
+      if (b && ids.emplace(b.get(), table.size() + 1).second) table.push_back(b.get());
+    }
+  }
+  w.u64(table.size());
+  for (const Block* b : table) w.byte_vec(b->bytes);
   w.u64(resident_entries_);
   for (std::size_t i = fifo_head_; i < fifo_.size(); ++i) {
     const Entry& e = *fifo_[i].entry;
@@ -552,16 +603,29 @@ void LaunchCache::export_state(snapshot::Writer& w) const {
     w.u64(e.pointer_mask);
     w.u64_vec(e.args.values);
     save_chunks(w, e.read_ranges);
-    w.u64(e.input_hash);
+    w.u64(e.pre_image.size());
+    for (const BlockRef& b : e.pre_image) w.u64(b ? ids.at(b.get()) : 0);
     save_stats(w, e.stats);
     save_profile(w, e.profile);
     save_chunks(w, e.writes.ranges);
     w.byte_vec(e.writes.bytes);
-    w.u64(e.footprint);
   }
 }
 
 void LaunchCache::import_state(snapshot::Reader& r) {
+  auto total_size = [](const std::vector<MemChunk>& ranges) {
+    std::uint64_t total = 0;
+    for (const MemChunk& c : ranges) total += c.size;
+    return total;
+  };
+  std::vector<BlockRef> table = {nullptr};  // id 0: the all-zero block
+  for (std::uint64_t i = r.u64(); i > 0; --i) {
+    const std::vector<std::uint8_t> bytes = r.byte_vec();
+    if (bytes.empty() || bytes.size() > kBlockBytes) {
+      throw snapshot::SnapshotError("launch cache: pre-image block of bad size");
+    }
+    table.push_back(blocks_.intern(bytes.data(), bytes.size()));
+  }
   const std::uint64_t n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
     auto entry = std::make_shared<Entry>();
@@ -569,20 +633,27 @@ void LaunchCache::import_state(snapshot::Reader& r) {
     entry->pointer_mask = r.u64();
     entry->args.values = r.u64_vec();
     entry->read_ranges = load_chunks(r);
-    entry->input_hash = r.u64();
+    const std::uint64_t read_bytes = total_size(entry->read_ranges);
+    const std::uint64_t blocks = r.u64();
+    if (blocks != (read_bytes + kBlockBytes - 1) / kBlockBytes) {
+      throw snapshot::SnapshotError("launch cache entry: pre-image does not cover the read set");
+    }
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      const std::uint64_t id = r.u64();
+      const std::uint64_t size = std::min(kBlockBytes, read_bytes - b * kBlockBytes);
+      if (id >= table.size() || (table[id] && table[id]->bytes.size() != size)) {
+        throw snapshot::SnapshotError("launch cache entry: bad pre-image block reference");
+      }
+      entry->pre_image.push_back(table[id]);
+    }
     load_stats(r, entry->stats);
     load_profile(r, entry->profile);
     entry->writes.ranges = load_chunks(r);
     entry->writes.bytes = r.byte_vec();
-    if (entry->writes.total_bytes() !=
-        [&] {
-          std::uint64_t total = 0;
-          for (const MemChunk& c : entry->writes.ranges) total += c.size;
-          return total;
-        }()) {
+    if (entry->writes.total_bytes() != total_size(entry->writes.ranges)) {
       throw snapshot::SnapshotError("launch cache entry: write-set ranges/bytes out of sync");
     }
-    entry->footprint = r.u64();
+    entry->set_footprint();
     const std::uint64_t key = entry->base_key;
     insert(key, std::move(entry));  // re-takes fifo order, dedups duplicates
   }

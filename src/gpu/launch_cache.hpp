@@ -29,7 +29,7 @@ struct LaunchCacheStats {
   std::uint64_t bytes_replayed = 0;  // write-set bytes applied on hits
   std::uint64_t evictions = 0;
   std::uint64_t entries = 0;  // current resident entries
-  std::uint64_t bytes = 0;    // current resident write-set bytes
+  std::uint64_t bytes = 0;    // current resident footprint (see LaunchCache)
 
   LaunchCacheStats operator-(const LaunchCacheStats& base) const {
     LaunchCacheStats d;
@@ -58,18 +58,26 @@ struct LaunchCacheStats {
 ///   base key  = mix(arch fingerprint, kernel structural fingerprint
 ///               via interp_detail::kernel_fingerprint, launch dims,
 ///               bits of every argument that is not a pointer)
-///   input hash = chained hash of the *pre-launch* bytes of every memory
-///               range the launch read (reconstructed on the fill path from
-///               an undo log, since reads interleave with writes)
+///   pre-image = the exact *pre-launch* bytes of every memory range the
+///               launch read (reconstructed on the fill path from an undo
+///               log, since reads interleave with writes), concatenated and
+///               cut into kBlockBytes blocks
 /// The pointer parameters come from prove_translation_invariant (proved
 /// once per kernel fingerprint; a refused kernel has none, so all its
 /// arguments are keyed). An entry keeps its fill-time arguments. A
 /// candidate matches when every scalar is equal and every pointer moved by
-/// one common shift δ, a multiple of the L2 line; the lookup then hashes
-/// the caller's bytes at each read range + δ and only hits when the chain
-/// matches — so launches with equal keys but different input bytes are
-/// distinct entries in one bucket. A hit replays the write-set at + δ:
-/// identical VPs whose buffers sit at different addresses share entries.
+/// one common shift δ, a multiple of the L2 line; the lookup then compares
+/// the caller's bytes at each read range + δ with the pre-image and only
+/// hits when every byte is equal — so launches with equal keys but different
+/// input bytes are distinct entries in one bucket, and no chosen input can
+/// alias another. A hit replays the write-set at + δ: identical VPs whose
+/// buffers sit at different addresses share entries.
+///
+/// Pre-image blocks live in a per-cache content-addressed store. An
+/// all-zero block is not stored (a null reference, validated against the
+/// caller's page flags where it can be); any other block is interned, so
+/// entries that read the same bytes share one copy. The store's index holds
+/// weak references: a block dies with the last entry using it.
 ///
 /// Determinism contract: a hit is byte-identical in memory and bit-identical
 /// in stats/profile to recomputation for any interpreter worker count,
@@ -87,9 +95,16 @@ struct LaunchCacheStats {
 ///
 /// Capacity is bounded; eviction is strict global insertion order (FIFO by
 /// fill sequence, never clock- or recency-based), so the resident set after
-/// any fixed launch sequence is reproducible run-to-run.
+/// any fixed launch sequence is reproducible run-to-run. Each entry is
+/// charged its write-set bytes plus its nonzero pre-image bytes (counted
+/// per entry, not after sharing), so eviction stays a pure function of the
+/// launch stream.
 class LaunchCache {
  public:
+  /// Pre-images are cut into blocks of this many bytes; an entry's last
+  /// block may be shorter.
+  static constexpr std::uint64_t kBlockBytes = 4096;
+
   enum class Bypass {
     kNone,
     kFault,    // active fault plan on the device
@@ -132,10 +147,11 @@ class LaunchCache {
   /// Monotonic counters + current residency, coherent snapshot.
   LaunchCacheStats stats() const;
 
-  /// Serializes every resident entry — fill-time arguments and pointer
-  /// mask included — in global FIFO (fill) order, the order eviction
-  /// replays, so an import rebuilds a byte-identical resident set including
-  /// its future eviction sequence and relocation frames.
+  /// Serializes every resident entry — fill-time arguments, pointer mask
+  /// and pre-image included — in global FIFO (fill) order, the order
+  /// eviction replays, so an import rebuilds a byte-identical resident set
+  /// including its future eviction sequence and relocation frames. Each
+  /// distinct nonzero pre-image block is written once.
   void export_state(snapshot::Writer& w) const;
 
   /// Re-inserts entries previously written by export_state, preserving
@@ -146,6 +162,25 @@ class LaunchCache {
  private:
   struct Entry;
   struct Shard;
+  struct Block;
+  using BlockRef = std::shared_ptr<const Block>;
+
+  /// Content-addressed store of nonzero pre-image blocks. A block's hash
+  /// only indexes it: intern shares a block after comparing its bytes. The
+  /// index holds weak references, so equal bytes intern to one canonical
+  /// block for as long as some entry holds it. intern takes only the
+  /// store's own mutex and is never called under fifo_mutex_ or a shard
+  /// mutex.
+  class BlockStore {
+   public:
+    /// The canonical block holding the n bytes at p; null when all are zero.
+    BlockRef intern(const std::uint8_t* p, std::size_t n);
+
+   private:
+    std::mutex mutex_;
+    std::unordered_multimap<std::uint64_t, std::weak_ptr<const Block>> index_;
+    std::size_t swept_size_ = 0;  // index size after the last sweep of dead slots
+  };
 
   LaunchCache();  // out-of-line: Shard/Entry are incomplete here
   LaunchCache(const LaunchCache&) = delete;
@@ -162,6 +197,7 @@ class LaunchCache {
 
   static constexpr std::size_t kNumShards = 16;
 
+  BlockStore blocks_;
   std::vector<Shard> shards_;
 
   /// Global FIFO of live entries in fill order, plus residency totals — one

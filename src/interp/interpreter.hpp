@@ -141,7 +141,7 @@ class Interpreter {
   /// The reference executor: decodes `ir` afresh and runs every block
   /// serially in row-major order on the plain decoded block loop, without
   /// hooks. Same results and errors as `run`; the SIGVP_TIER_VERIFY oracle,
-  /// the differential tests and bench/tier_throughput compare against it.
+  /// the differential tests and bench/interp_throughput compare against it.
   static DynamicProfile run_reference(const KernelIR& ir, const LaunchDims& dims,
                                       const KernelArgs& args, AddressSpace& global,
                                       std::uint64_t max_instrs_per_thread =

@@ -567,10 +567,12 @@ void check_tier_divergence(const KernelIR& ir, const DynamicProfile& ref,
   if (got.sfu_instrs != ref.sfu_instrs) fail("sfu_instrs mismatch");
   if (got.sqrt_instrs != ref.sqrt_instrs) fail("sqrt_instrs mismatch");
   if (got_mem.size() != ref_mem.size()) fail("address-space size mismatch");
-  // Compare 1 MiB windows, skipping every window whose pages are unmarked
-  // (all zeros) in both spaces: the check costs O(touched pages).
+  // Compare the bytes of 1 MiB windows, skipping every window whose pages
+  // are unmarked (all zeros) in both spaces: the check costs O(touched
+  // pages).
   constexpr std::uint64_t kWindow = 1u << 20;
   constexpr std::uint64_t kPagesPerWindow = kWindow / AddressSpace::kPageBytes;
+  std::vector<std::uint8_t> window;
   for (std::uint64_t off = 0; off < got_mem.size(); off += kWindow) {
     const std::uint64_t len = std::min<std::uint64_t>(kWindow, got_mem.size() - off);
     const std::uint64_t first = off / AddressSpace::kPageBytes;
@@ -580,8 +582,9 @@ void check_tier_divergence(const KernelIR& ir, const DynamicProfile& ref,
       touched = got_mem.page_marked(p) || ref_mem.page_marked(p);
     }
     if (!touched) continue;
-    if (got_mem.hash_range(off, len, kMemHashSeed) !=
-        ref_mem.hash_range(off, len, kMemHashSeed)) {
+    window.resize(len);
+    ref_mem.copy_out(window.data(), off, len);
+    if (!got_mem.equals(off, window.data(), len)) {
       fail("memory mismatch in window [" + std::to_string(off) + ", " +
            std::to_string(off + len) + ")");
     }

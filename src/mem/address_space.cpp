@@ -125,11 +125,18 @@ void AddressSpace::fill(std::uint64_t dst, std::uint8_t value, std::size_t n) {
   mark_range(dst, n);
 }
 
-std::uint64_t AddressSpace::hash_range(std::uint64_t addr, std::uint64_t size,
-                                       std::uint64_t seed) const {
-  if (size == 0) return seed;
-  check_range(addr, size);
-  return mem_hash_bytes(base_ + addr, size, seed);
+bool AddressSpace::is_zero(std::uint64_t addr, std::uint64_t n) const {
+  if (n == 0) return true;
+  check_range(addr, n);
+  const std::uint64_t end = addr + n;
+  const std::uint64_t last = (end - 1) / kPageBytes;
+  for (std::uint64_t p = addr / kPageBytes; p <= last; ++p) {
+    if (!page_marked(p)) continue;
+    const std::uint64_t lo = std::max(p * kPageBytes, addr);
+    const std::uint64_t hi = std::min((p + 1) * kPageBytes, end);
+    if (!all_zero(base_ + lo, hi - lo)) return false;
+  }
+  return true;
 }
 
 std::uint64_t AddressSpace::content_digest(std::uint64_t seed) const {

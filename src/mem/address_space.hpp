@@ -76,10 +76,16 @@ class AddressSpace {
     return addr + n <= size_ && addr + n >= addr;
   }
 
-  /// Folds the bytes of [addr, addr+size) into `seed` (word-at-a-time
-  /// mixing, see mem_hash_bytes). The launch-evaluation cache uses this to
-  /// content-address the input regions a kernel reads.
-  std::uint64_t hash_range(std::uint64_t addr, std::uint64_t size, std::uint64_t seed) const;
+  /// True when [addr, addr+n) holds exactly the n bytes at `bytes`.
+  bool equals(std::uint64_t addr, const void* bytes, std::size_t n) const {
+    if (n == 0) return true;
+    check_range(addr, n);
+    return std::memcmp(base_ + addr, bytes, n) == 0;
+  }
+
+  /// True when [addr, addr+n) holds only zeros. Pages that are not marked
+  /// hold only zeros and are not read, so an untouched range costs O(pages).
+  bool is_zero(std::uint64_t addr, std::uint64_t n) const;
 
   /// Page-sparse digest of the whole space: folds (page index,
   /// mem_hash_bytes(page)) into `seed` for every marked page whose bytes are
@@ -130,7 +136,7 @@ struct MemChunk {
   bool operator==(const MemChunk&) const = default;
 };
 
-/// Seed for mem_hash_bytes / AddressSpace::hash_range chains.
+/// Seed for mem_hash_bytes chains.
 inline constexpr std::uint64_t kMemHashSeed = 0x9E3779B97F4A7C15ull;
 
 /// Folds `size` bytes at `data` into `seed`: 8 bytes per step with

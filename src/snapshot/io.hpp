@@ -31,7 +31,10 @@ inline constexpr char kSnapshotMagic[8] = {'S', 'V', 'P', 'S', 'N', 'A', 'P', '1
 /// Version 5: launch-cache entries carry their fill-time arguments and
 /// pointer-parameter mask (relocatable keys), so version-4 cache payloads,
 /// keyed on raw pointer bits, are rejected instead of misparsed.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+/// Version 6: launch-cache entries carry their exact pre-image (a table of
+/// distinct nonzero blocks, then per entry one block reference per block)
+/// instead of a 64-bit input hash, so version-5 cache payloads are rejected.
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 /// Writes `payload` wrapped in the container, via write-temp + fsync +
 /// atomic rename — a crash at any instant leaves either the previous file

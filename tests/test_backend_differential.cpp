@@ -45,7 +45,7 @@ ScenarioResult run_functional(const workloads::Workload& w, Backend backend,
   std::vector<AppInstance> apps;
   const workloads::AppTraits t = single_launch(w);
   for (std::size_t i = 0; i < kNumVps; ++i) {
-    apps.push_back(AppInstance{&w, w.test_n, t});
+    apps.push_back(AppInstance{.workload = &w, .n = w.test_n, .traits = t});
   }
   return run_scenario(cfg, apps);
 }
@@ -95,7 +95,7 @@ TEST(BackendDifferential, OutputsOnlyCollectedWhenRequested) {
   cfg.backend = Backend::kSigmaVp;
   cfg.mode = ExecMode::kFunctional;  // functional but without functional_io
   const ScenarioResult r =
-      run_scenario(cfg, {AppInstance{&w, w.test_n, single_launch(w)}});
+      run_scenario(cfg, {AppInstance{.workload = &w, .n = w.test_n, .traits = single_launch(w)}});
   EXPECT_TRUE(r.app_outputs.empty());
 }
 

@@ -29,7 +29,7 @@ TEST(EndToEnd, FunctionalScenarioRunsRealKernelsOnEveryBackend) {
     ScenarioConfig cfg;
     cfg.backend = backend;
     cfg.mode = ExecMode::kFunctional;
-    AppInstance app{&w, 2048, traits};
+    AppInstance app{.workload = &w, .n = 2048, .traits = traits};
     const ScenarioResult r = run_scenario(cfg, {app});
     EXPECT_GT(r.makespan_us, 0.0) << backend_name(backend);
     times[backend] = r.makespan_us;
@@ -52,7 +52,7 @@ TEST(EndToEnd, AsyncCascadeMatchesSyncResultsFunctionally) {
     cfg.mode = ExecMode::kFunctional;
     cfg.dispatch.interleave = true;
     cfg.async_launches = async;
-    AppInstance app{&w, 1024, traits};
+    AppInstance app{.workload = &w, .n = 1024, .traits = traits};
     return run_scenario(cfg, {app});
   };
   const ScenarioResult sync_r = run(false);
@@ -111,7 +111,8 @@ TEST(EndToEnd, CoalescedFleetProducesPerVpCorrectResultsThroughIpc) {
   // VPs by several ms; a generous window lets the first round re-align.
   cfg.dispatch.coalesce_window_us = 20000.0;
   std::vector<AppInstance> apps;
-  for (int i = 0; i < 4; ++i) apps.push_back(AppInstance{&w, 777, traits});
+  const AppInstance app{.workload = &w, .n = 777, .traits = traits};
+  for (int i = 0; i < 4; ++i) apps.push_back(app);
   const ScenarioResult r = run_scenario(cfg, apps);
   EXPECT_EQ(r.app_done_us.size(), 4u);
   EXPECT_GT(r.coalesced_groups, 0u);

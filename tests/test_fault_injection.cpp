@@ -55,7 +55,7 @@ ScenarioConfig sigma_config(bool optimized, std::size_t vps) {
 std::vector<AppInstance> chatty_apps(const workloads::Workload& w, std::size_t vps) {
   std::vector<AppInstance> apps;
   for (std::size_t i = 0; i < vps; ++i) {
-    apps.push_back(AppInstance{&w, w.test_n, chatty(w)});
+    apps.push_back(AppInstance{.workload = &w, .n = w.test_n, .traits = chatty(w)});
   }
   return apps;
 }
@@ -149,7 +149,8 @@ ScenarioResult run_functional(const workloads::Workload& w, Backend backend,
   t.iter_h2d_bytes = 0;
   t.iter_d2h_bytes = 0;
   std::vector<AppInstance> apps;
-  for (std::size_t i = 0; i < 2; ++i) apps.push_back(AppInstance{&w, w.test_n, t});
+  const AppInstance app{.workload = &w, .n = w.test_n, .traits = t};
+  for (std::size_t i = 0; i < 2; ++i) apps.push_back(app);
   return run_scenario(cfg, apps);
 }
 

@@ -124,7 +124,7 @@ TEST(ShardedFleet, DomainsMatchIndependentSliceRuns) {
 
   std::vector<AppInstance> apps;
   for (int i = 0; i < 6; ++i) {
-    apps.push_back(AppInstance{&w, w.test_n, quick});
+    apps.push_back(AppInstance{.workload = &w, .n = w.test_n, .traits = quick});
     apps.back().jitter = static_cast<std::uint64_t>(i + 1);
   }
 
@@ -157,7 +157,8 @@ TEST(ShardedFleet, FabricAccountingAndFleetDone) {
   workloads::AppTraits quick = w.traits;
   quick.iterations = 2;
   std::vector<AppInstance> apps;
-  for (int i = 0; i < 8; ++i) apps.push_back(AppInstance{&w, w.test_n, quick});
+  const AppInstance app{.workload = &w, .n = w.test_n, .traits = quick};
+  for (int i = 0; i < 8; ++i) apps.push_back(app);
 
   ScenarioConfig cfg = fleet_config(4);
   cfg.fleet.edge_latency_us = 40.0;
@@ -187,7 +188,8 @@ TEST(ShardedFleet, TreeTopologyDelaysFleetDone) {
   workloads::AppTraits quick = w.traits;
   quick.iterations = 1;
   std::vector<AppInstance> apps;
-  for (int i = 0; i < 6; ++i) apps.push_back(AppInstance{&w, w.test_n, quick});
+  const AppInstance app{.workload = &w, .n = w.test_n, .traits = quick};
+  for (int i = 0; i < 6; ++i) apps.push_back(app);
 
   ScenarioConfig flat = fleet_config(3);
   flat.fleet.edge_latency_us = 30.0;
@@ -232,7 +234,7 @@ std::vector<run::SweepJob> make_fleet_jobs() {
   fleet4.config.dispatch.interleave = true;
   fleet4.config.async_launches = true;
   for (int i = 0; i < 8; ++i) {
-    fleet4.apps.push_back(AppInstance{&va, va.test_n, quick_va});
+    fleet4.apps.push_back(AppInstance{.workload = &va, .n = va.test_n, .traits = quick_va});
     fleet4.apps.back().jitter = static_cast<std::uint64_t>(i);
   }
   jobs.push_back(fleet4);
@@ -335,7 +337,8 @@ TEST(ShardedFleet, CapturesReplayAndDetectTampering) {
   workloads::AppTraits quick = w.traits;
   quick.iterations = 2;
   std::vector<AppInstance> apps;
-  for (int i = 0; i < 6; ++i) apps.push_back(AppInstance{&w, w.test_n, quick});
+  const AppInstance app{.workload = &w, .n = w.test_n, .traits = quick};
+  for (int i = 0; i < 6; ++i) apps.push_back(app);
 
   const ScenarioConfig cfg = fleet_config(3);
   CaptureOptions cap;
@@ -378,7 +381,8 @@ TEST(FleetExecutor, SingleDomainPublishesEachCaptureMidRun) {
   workloads::AppTraits traits = w.traits;
   traits.iterations = 8;
   std::vector<AppInstance> apps;
-  for (int i = 0; i < 2; ++i) apps.push_back(AppInstance{&w, w.test_n, traits});
+  const AppInstance app{.workload = &w, .n = w.test_n, .traits = traits};
+  for (int i = 0; i < 2; ++i) apps.push_back(app);
   ScenarioConfig cfg = fleet_config(1);
   cfg.mode = ExecMode::kFunctional;
 
@@ -415,7 +419,8 @@ TEST(FleetExecutor, ThrowingCaptureHookPropagatesAtOneAndThreeDomains) {
   workloads::AppTraits quick = w.traits;
   quick.iterations = 2;
   std::vector<AppInstance> apps;
-  for (int i = 0; i < 6; ++i) apps.push_back(AppInstance{&w, w.test_n, quick});
+  const AppInstance app{.workload = &w, .n = w.test_n, .traits = quick};
+  for (int i = 0; i < 6; ++i) apps.push_back(app);
 
   for (const std::uint32_t domains : {1u, 3u}) {
     CaptureOptions cap;
@@ -468,7 +473,8 @@ TEST(ShardedFleet, MetricsCarryFleetGaugesWhenCollecting) {
   workloads::AppTraits quick = w.traits;
   quick.iterations = 2;
   std::vector<AppInstance> apps;
-  for (int i = 0; i < 6; ++i) apps.push_back(AppInstance{&w, w.test_n, quick});
+  const AppInstance app{.workload = &w, .n = w.test_n, .traits = quick};
+  for (int i = 0; i < 6; ++i) apps.push_back(app);
 
   const ScenarioResult r = run_scenario(fleet_config(3), apps);
   trace::set_metrics_forced(false);

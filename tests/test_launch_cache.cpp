@@ -1,6 +1,8 @@
 // Tests of the content-addressed launch cache (DESIGN.md §11): hit/replay
 // correctness against recomputation at every interpreter worker count,
-// key-collision safety on input bytes, deterministic insertion-order
+// key-collision safety on input bytes, exact pre-image validation (a
+// chosen input that collides a 64-bit hash chain, flipped read-set bytes,
+// export/import of pre-images), deterministic insertion-order
 // eviction, fault-plan / atomics bypass, verify mode, relocated hits at a
 // common line-multiple pointer shift, the capture fast path, out-of-bounds
 // errors, and the scenario + sweep integration (cached fleets byte-identical
@@ -9,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -26,6 +29,7 @@
 #include "mem/allocator.hpp"
 #include "run/sweep.hpp"
 #include "sim/event_queue.hpp"
+#include "snapshot/serial.hpp"
 #include "util/rng.hpp"
 #include "workloads/suite.hpp"
 
@@ -45,9 +49,11 @@ struct LaunchFixture {
   std::vector<std::uint64_t> addrs;
   std::vector<workloads::BufferSpec> bufs;
 
-  explicit LaunchFixture(const std::vector<workloads::Workload>& suite, const char* app) {
+  /// `n_` = 0 uses the workload's test size.
+  LaunchFixture(const std::vector<workloads::Workload>& suite, const char* app,
+                std::uint64_t n_ = 0) {
     w = &workloads::find(suite, app);
-    n = w->test_n;
+    n = n_ != 0 ? n_ : w->test_n;
     bufs = w->buffers(n);
     FreeListAllocator alloc(4096, kMemBytes - 4096);
     for (const auto& b : bufs) addrs.push_back(*alloc.allocate(b.bytes));
@@ -202,6 +208,242 @@ TEST_F(LaunchCacheTest, SameKeyDifferentInputBytesIsAMissAndBothEntriesCoexist) 
   EXPECT_EQ(cache().stats().hits, s0.hits + 2);
   EXPECT_EQ(all_bytes(h1), all_bytes(m1));
   EXPECT_EQ(all_bytes(h2), all_bytes(m2));
+}
+
+// --- exact pre-image validation -------------------------------------------------
+
+/// The merged read set of one launch on a copy of `mem`, as the fill path
+/// captures it.
+std::vector<MemChunk> read_set(const GpuArch& arch, const LaunchFixture& fx, AddressSpace mem) {
+  std::vector<ChunkCapture> capture;
+  evaluate_functional(arch, fx.w->kernel, fx.dims, fx.args, mem, &capture);
+  IntervalSet merged;
+  for (const ChunkCapture& c : capture) {
+    for (const auto& [start, end] : c.reads.raw()) merged.add(start, end - start, nullptr);
+  }
+  return merged.ranges();
+}
+
+std::vector<std::uint8_t> bytes_at(const AddressSpace& mem, std::uint64_t addr, std::uint64_t n) {
+  std::vector<std::uint8_t> out(n);
+  mem.copy_out(out.data(), addr, n);
+  return out;
+}
+
+/// Evaluates `mem` through the cache and requires a miss whose memory,
+/// stats and profile equal evaluate_functional on a copy of the same input.
+void expect_miss_equal_to_recomputation(LaunchCache& cache, const GpuArch& arch,
+                                        const LaunchFixture& fx, AddressSpace& mem) {
+  AddressSpace ref_mem = mem;
+  const LaunchCacheStats before = cache.stats();
+  const LaunchEvaluation got = cache.evaluate(arch, fx.w->kernel, fx.dims, fx.args, mem);
+  EXPECT_EQ(cache.stats().misses, before.misses + 1);
+  EXPECT_EQ(cache.stats().hits, before.hits);
+  const LaunchEvaluation ref = evaluate_functional(arch, fx.w->kernel, fx.dims, fx.args, ref_mem);
+  EXPECT_TRUE(all_bytes(mem) == all_bytes(ref_mem));
+  expect_profiles_bit_identical(got.profile, ref.profile);
+  expect_stats_bit_identical(got.stats, ref.stats);
+}
+
+/// One step of the chain mem_hash_bytes folds each 8-byte word into.
+std::uint64_t chain_step(std::uint64_t h, std::uint64_t w) {
+  return std::rotl(h ^ (w * 0xFF51AFD7ED558CCDull), 29) * 0xC4CEB9FE1A85EC53ull;
+}
+
+/// The inverse of an odd number mod 2^64 by Newton's iteration: x = a is
+/// right in the low 3 bits, and each step doubles the right low bits.
+std::uint64_t inverse_odd(std::uint64_t a) {
+  std::uint64_t x = a;
+  for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+  return x;
+}
+
+TEST_F(LaunchCacheTest, ChosenInputThatCollidesTheOldInputHashIsAMiss) {
+  // A 64-bit hash chain over the read set used to decide hits: per range,
+  // h = step(seed, range address), then h = step(h, word) for each 8-byte
+  // word, with step(h, w) = rotl(h ^ w·C1, 29)·C2 invertible in w. Changing
+  // word 0 of the first read range and solving word 1 so the state after
+  // it is unchanged gives a different input with the same chain, which was
+  // replayed as a hit of the original launch's outputs.
+  const auto suite = workloads::make_suite();
+  const GpuArch arch = make_quadro4000();
+  const LaunchFixture fx(suite, "vectorAdd");
+  AddressSpace original = fx.make_memory(1);
+  const MemChunk first = read_set(arch, fx, original).front();
+  ASSERT_GE(first.size, 16u);
+
+  const std::uint64_t h0 = chain_step(kMemHashSeed, first.addr);
+  const std::uint64_t w0 = original.read<std::uint64_t>(first.addr);
+  const std::uint64_t w1 = original.read<std::uint64_t>(first.addr + 8);
+  const std::uint64_t target = chain_step(chain_step(h0, w0), w1);
+  const std::uint64_t forged_w0 = w0 + 1;
+  const std::uint64_t h1 = chain_step(h0, forged_w0);
+  const std::uint64_t forged_w1 =
+      (std::rotr(target * inverse_odd(0xC4CEB9FE1A85EC53ull), 29) ^ h1) *
+      inverse_odd(0xFF51AFD7ED558CCDull);
+  ASSERT_EQ(chain_step(h1, forged_w1), target);
+
+  AddressSpace forged = fx.make_memory(1);
+  forged.write<std::uint64_t>(first.addr, forged_w0);
+  forged.write<std::uint64_t>(first.addr + 8, forged_w1);
+  // The two read sets differ in bytes but not in that chain.
+  const std::vector<std::uint8_t> a = bytes_at(original, first.addr, first.size);
+  const std::vector<std::uint8_t> b = bytes_at(forged, first.addr, first.size);
+  ASSERT_NE(a, b);
+  ASSERT_EQ(mem_hash_bytes(a.data(), a.size(), h0), mem_hash_bytes(b.data(), b.size(), h0));
+
+  cache().evaluate(arch, fx.w->kernel, fx.dims, fx.args, original);
+  expect_miss_equal_to_recomputation(cache(), arch, fx, forged);
+}
+
+TEST_F(LaunchCacheTest, AnyFlippedReadByteMissesAndTheUnchangedInputStillHits) {
+  // Seeded differential over vectorAdd at a size whose read set spans
+  // several 64 KiB pages and ends in a partial pre-image block. Input A
+  // holds data; input B is either all zero on pages nothing ever marked
+  // (null blocks, validated by page flags) or holds data too. One flipped
+  // byte anywhere in the read set, at the fill-time placement or at a
+  // relocated VP + δ, must miss and equal recomputation; the unchanged
+  // input must hit, also after zeros are written over B's unmarked pages.
+  const auto suite = workloads::make_suite();
+  const GpuArch arch = make_quadro4000();
+  const LaunchFixture base(suite, "vectorAdd", 40000);
+  constexpr std::int64_t kDelta = 1 << 20;
+  const LaunchFixture relocated = moved(base, kDelta);
+  Rng rng(26);
+  std::uint32_t flips = 0;
+  for (const bool b_written : {false, true}) {
+    SCOPED_TRACE(b_written ? "B written" : "B zero");
+    cache().clear();
+    const auto make = [&](const LaunchFixture& f) {
+      AddressSpace mem(kMemBytes, "m");
+      for (std::size_t i = 0; i < (b_written ? 2u : 1u); ++i) {
+        for (std::uint64_t off = 0; off + 4 <= f.bufs[i].bytes; off += 4) {
+          mem.write<float>(f.addrs[i] + off, 0.5f + static_cast<float>((off + 40 * i) % 97));
+        }
+      }
+      return mem;
+    };
+    AddressSpace fill = make(base);
+    const std::vector<MemChunk> ranges = read_set(arch, base, fill);
+    std::uint64_t total = 0;
+    for (const MemChunk& r : ranges) total += r.size;
+    ASSERT_NE(total % LaunchCache::kBlockBytes, 0u) << "the last block must be partial";
+    expect_miss_equal_to_recomputation(cache(), arch, base, fill);
+
+    // Read-set offsets to flip: each range's first and last byte, the
+    // partial last block, B's middle (an unmarked page when B is zero), and
+    // seeded random ones.
+    std::vector<std::uint64_t> addrs;
+    for (const MemChunk& r : ranges) {
+      addrs.push_back(r.addr);
+      addrs.push_back(r.end() - 1);
+    }
+    addrs.push_back(ranges.back().end() - (total % LaunchCache::kBlockBytes) / 2);
+    addrs.push_back(base.addrs[1] + base.bufs[1].bytes / 2);
+    if (!b_written) {
+      ASSERT_FALSE(make(base).page_marked(addrs.back() / AddressSpace::kPageBytes));
+    }
+    for (int i = 0; i < 8; ++i) {
+      std::uint64_t off = rng.next_below(total);
+      for (const MemChunk& r : ranges) {
+        if (off < r.size) {
+          addrs.push_back(r.addr + off);
+          break;
+        }
+        off -= r.size;
+      }
+    }
+
+    for (const LaunchFixture* f : {&base, &relocated}) {
+      const std::uint64_t shift = f->addrs[0] - base.addrs[0];
+      SCOPED_TRACE("shift=" + std::to_string(shift));
+      for (const std::uint64_t addr : addrs) {
+        SCOPED_TRACE("flipped byte at " + std::to_string(addr + shift));
+        AddressSpace mem = make(*f);
+        // A distinct xor per flip, so no flipped input equals an earlier one.
+        const auto mask = static_cast<std::uint8_t>(1 + flips++ % 255);
+        mem.write<std::uint8_t>(addr + shift, mem.read<std::uint8_t>(addr + shift) ^ mask);
+        expect_miss_equal_to_recomputation(cache(), arch, *f, mem);
+      }
+      AddressSpace same = make(*f);
+      if (!b_written) {
+        for (std::uint64_t off = 0; off < f->bufs[1].bytes; off += 4096) {
+          same.write<std::uint32_t>(f->addrs[1] + off, 0);
+        }
+      }
+      const LaunchCacheStats before = cache().stats();
+      cache().evaluate(arch, f->w->kernel, f->dims, f->args, same);
+      EXPECT_EQ(cache().stats().hits, before.hits + 1);
+      EXPECT_EQ(cache().stats().misses, before.misses);
+      EXPECT_EQ(bytes_at(same, f->addrs[2], f->bufs[2].bytes),
+                bytes_at(fill, base.addrs[2], base.bufs[2].bytes));
+    }
+  }
+}
+
+TEST_F(LaunchCacheTest, ExportImportCarriesPreImagesThatStillDecideHits) {
+  // Eight entries whose inputs differ in one byte each, plus one all-zero
+  // input. The export writes each distinct pre-image block once; a fresh
+  // cache importing it holds the same entries (re-export is byte-identical),
+  // hits each of their launches — also relocated — and misses a changed one.
+  const auto suite = workloads::make_suite();
+  const GpuArch arch = make_quadro4000();
+  const LaunchFixture fx(suite, "vectorAdd", 40000);
+  std::vector<AddressSpace> inputs;
+  for (int k = 0; k < 8; ++k) {
+    inputs.push_back(fx.make_memory(3));
+    inputs.back().write<std::uint8_t>(fx.addrs[0] + 977 * k, 0xEE);
+  }
+  inputs.emplace_back(kMemBytes, "zeros");
+  std::vector<std::vector<std::uint8_t>> outputs;
+  for (const AddressSpace& in : inputs) {
+    AddressSpace mem = in;
+    cache().evaluate(arch, fx.w->kernel, fx.dims, fx.args, mem);
+    outputs.push_back(all_bytes(mem));
+  }
+  ASSERT_EQ(cache().stats().entries, inputs.size());
+
+  snapshot::Writer w1;
+  cache().export_state(w1);
+  const std::vector<std::uint8_t> blob = w1.buffer();
+  // Write sets are stored per entry; pre-image blocks once. A dense copy
+  // per entry would add one pre-image per entry instead of about one.
+  const std::uint64_t pre_image_bytes = 2 * fx.bufs[0].bytes;
+  const std::uint64_t write_bytes = fx.bufs[2].bytes;
+  EXPECT_LT(blob.size(), inputs.size() * write_bytes + 2 * pre_image_bytes);
+
+  const std::unique_ptr<LaunchCache> imported = LaunchCache::create_shard();
+  snapshot::Reader r(blob);
+  imported->import_state(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(imported->stats().entries, cache().stats().entries);
+  EXPECT_EQ(imported->stats().bytes, cache().stats().bytes);
+  snapshot::Writer w2;
+  imported->export_state(w2);
+  EXPECT_EQ(w2.buffer(), blob);
+
+  const LaunchFixture far = moved(fx, 3 << 20);
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    SCOPED_TRACE("input " + std::to_string(k));
+    AddressSpace mem = inputs[k];
+    const LaunchCacheStats before = imported->stats();
+    imported->evaluate(arch, fx.w->kernel, fx.dims, fx.args, mem);
+    EXPECT_EQ(imported->stats().hits, before.hits + 1);
+    EXPECT_TRUE(all_bytes(mem) == outputs[k]);
+
+    // The same input at buffers 3 MiB higher hits the same entry.
+    AddressSpace high(kMemBytes, "high");
+    for (std::size_t i = 0; i < 2; ++i) {
+      const std::vector<std::uint8_t> in = bytes_at(inputs[k], fx.addrs[i], fx.bufs[i].bytes);
+      high.copy_in(far.addrs[i], in.data(), in.size());
+    }
+    imported->evaluate(arch, far.w->kernel, far.dims, far.args, high);
+    EXPECT_EQ(imported->stats().hits, before.hits + 2);
+    EXPECT_EQ(bytes_at(high, far.addrs[2], write_bytes), bytes_at(mem, fx.addrs[2], write_bytes));
+  }
+  AddressSpace changed = inputs[0];
+  changed.write<std::uint8_t>(fx.addrs[1] + 5, 0x11);
+  expect_miss_equal_to_recomputation(*imported, arch, fx, changed);
 }
 
 TEST_F(LaunchCacheTest, EvictionIsDeterministicInsertionOrder) {
@@ -934,7 +1176,8 @@ run::SweepJob fleet_job(const workloads::Workload& w, std::size_t vps) {
   job.config.mode = ExecMode::kFunctional;
   job.config.functional_io = true;
   const workloads::AppTraits t = fleet_traits(w);
-  for (std::size_t i = 0; i < vps; ++i) job.apps.push_back(AppInstance{&w, w.test_n, t});
+  const AppInstance app{.workload = &w, .n = w.test_n, .traits = t};
+  for (std::size_t i = 0; i < vps; ++i) job.apps.push_back(app);
   return job;
 }
 

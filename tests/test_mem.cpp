@@ -58,8 +58,9 @@ TEST(AddressSpace, OverlappingCopyWithinIsSafe) {
 
 constexpr std::uint64_t kPage = AddressSpace::kPageBytes;
 
-// Every byte, every page flag and a spread of hash_range values of `mem`
-// against the dense model; a page that is not marked must hold only zeros.
+// Every byte, every page flag and a spread of equals/is_zero answers of
+// `mem` against the dense model; a page that is not marked must hold only
+// zeros.
 void expect_matches_model(const AddressSpace& mem, const std::vector<std::uint8_t>& model,
                           std::mt19937_64& rng) {
   ASSERT_EQ(mem.size(), model.size());
@@ -71,12 +72,17 @@ void expect_matches_model(const AddressSpace& mem, const std::vector<std::uint8_
     const std::uint64_t end = std::min((p + 1) * kPage, mem.size());
     for (std::uint64_t a = p * kPage; a < end; ++a) ASSERT_EQ(model[a], 0) << "page " << p;
   }
-  EXPECT_EQ(mem.hash_range(0, mem.size(), kMemHashSeed),
-            mem_hash_bytes(model.data(), model.size(), kMemHashSeed));
+  EXPECT_TRUE(mem.equals(0, model.data(), model.size()));
   for (int i = 0; i < 8; ++i) {
     const std::uint64_t addr = rng() % model.size();
     const std::uint64_t len = 1 + rng() % (model.size() - addr);
-    EXPECT_EQ(mem.hash_range(addr, len, 7), mem_hash_bytes(model.data() + addr, len, 7));
+    EXPECT_TRUE(mem.equals(addr, model.data() + addr, len));
+    std::vector<std::uint8_t> other(model.begin() + addr, model.begin() + addr + len);
+    other[rng() % len] ^= 0x5A;
+    EXPECT_FALSE(mem.equals(addr, other.data(), len));
+    const bool zero = std::all_of(model.begin() + addr, model.begin() + addr + len,
+                                  [](std::uint8_t v) { return v == 0; });
+    EXPECT_EQ(mem.is_zero(addr, len), zero);
   }
   // The digest depends on the bytes only: a space written densely from the
   // model (every page marked) digests the same.
@@ -206,8 +212,9 @@ TEST(LazyAddressSpace, ZeroingClearsOnlyMarkedPagesAndUnmarksCoveredOnes) {
   mem.fill(24 * kPage, 0xCD, 4 * kPage);
   mem.copy_within(24 * kPage, 2 * kPage, 4 * kPage);
   for (std::uint64_t p = 24; p < 28; ++p) EXPECT_FALSE(mem.page_marked(p)) << p;
-  EXPECT_EQ(mem.hash_range(24 * kPage, 4 * kPage, 1),
-            AddressSpace(4 * kPage, "zeros").hash_range(0, 4 * kPage, 1));
+  std::vector<std::uint8_t> copied(4 * kPage, 0xFF);
+  mem.copy_out(copied.data(), 24 * kPage, copied.size());
+  EXPECT_TRUE(copied == std::vector<std::uint8_t>(4 * kPage, 0));
 
   // Equal bytes, equal digest, whatever the write history: only
   // [20.25, 20.5) pages of 0xAB are left, and page 0 is marked but zero.
@@ -216,6 +223,33 @@ TEST(LazyAddressSpace, ZeroingClearsOnlyMarkedPagesAndUnmarksCoveredOnes) {
   EXPECT_EQ(mem.content_digest(9), fresh.content_digest(9));
   fresh.write<std::uint8_t>(0, 1);
   EXPECT_NE(mem.content_digest(9), fresh.content_digest(9));
+}
+
+TEST(LazyAddressSpace, EqualsAndIsZeroAreExactOnMarkedAndUnmarkedPages) {
+  AddressSpace mem(8 * kPage, "m");
+  EXPECT_TRUE(mem.is_zero(0, mem.size()));
+  EXPECT_TRUE(mem.is_zero(5, 0));
+  // A page written with zeros is marked but still all zero.
+  mem.write<std::uint64_t>(2 * kPage + 8, 0);
+  ASSERT_TRUE(mem.page_marked(2));
+  EXPECT_TRUE(mem.is_zero(0, mem.size()));
+  // One nonzero byte straddling pages 4 and 5.
+  mem.write<std::uint16_t>(5 * kPage - 1, 0x0100);
+  EXPECT_TRUE(mem.is_zero(0, 5 * kPage - 1));
+  EXPECT_TRUE(mem.is_zero(5 * kPage + 1, 3 * kPage - 1));
+  EXPECT_TRUE(mem.is_zero(5 * kPage - 1, 1));
+  EXPECT_FALSE(mem.is_zero(5 * kPage, 1));
+  EXPECT_FALSE(mem.is_zero(kPage, 7 * kPage));
+
+  std::vector<std::uint8_t> want(3 * kPage, 0);
+  want[kPage] = 1;
+  EXPECT_TRUE(mem.equals(4 * kPage, want.data(), want.size()));
+  want[kPage] = 0;
+  EXPECT_FALSE(mem.equals(4 * kPage, want.data(), want.size()));
+  EXPECT_TRUE(mem.equals(0, nullptr, 0));
+
+  EXPECT_THROW(mem.is_zero(mem.size() - 1, 2), ContractError);
+  EXPECT_THROW(mem.equals(mem.size(), want.data(), 1), ContractError);
 }
 
 TEST(LazyAddressSpace, ConcurrentTypedWritesFromParallelFor) {

@@ -157,7 +157,7 @@ std::vector<AppInstance> skewed_apps(int heavy_iters = 10, int light_iters = 2) 
   for (int i = 0; i < 16; ++i) {
     workloads::AppTraits t = w.traits;
     t.iterations = (i % 4 == 0) ? heavy_iters : light_iters;
-    apps.push_back(AppInstance{&w, w.test_n, t});
+    apps.push_back(AppInstance{.workload = &w, .n = w.test_n, .traits = t});
     apps.back().jitter = static_cast<std::uint64_t>(i);
   }
   return apps;
@@ -266,7 +266,7 @@ TEST(MultiGpu, IdleVpsMigrateOffBackloggedDevicesDeterministically) {
   for (int i = 0; i < 8; ++i) {
     workloads::AppTraits t = w.traits;
     t.iterations = (i == 0 || i == 4) ? 16 : 2;
-    apps.push_back(AppInstance{&w, w.test_n, t});
+    apps.push_back(AppInstance{.workload = &w, .n = w.test_n, .traits = t});
   }
 
   ScenarioConfig cfg = mg_config(4);

@@ -33,7 +33,7 @@ AppTraits table1_traits(std::uint64_t m, std::uint32_t iterations) {
 TEST(Scenario, Table1OrderingHolds) {
   const Workload w = workloads::make_matrix_mul();
   const std::uint64_t m = 320;
-  AppInstance app{&w, m, table1_traits(m, 10)};
+  AppInstance app{.workload = &w, .n = m, .traits = table1_traits(m, 10)};
 
   const SimTime native = run_scenario(base_config(Backend::kNativeGpu), {app}).makespan_us;
   const SimTime sigma = run_scenario(base_config(Backend::kSigmaVp), {app}).makespan_us;
@@ -62,7 +62,8 @@ TEST(Scenario, InterleavingOverlapsCopiesWithKernels) {
   const std::uint64_t m = 320;
   const auto apps = [&] {
     std::vector<AppInstance> v;
-    for (int i = 0; i < 2; ++i) v.push_back(AppInstance{&w, m, table1_traits(m, 8)});
+    const AppInstance app{.workload = &w, .n = m, .traits = table1_traits(m, 8)};
+    for (int i = 0; i < 2; ++i) v.push_back(app);
     return v;
   }();
 
@@ -154,9 +155,9 @@ TEST(Scenario, BackendNamesDistinct) {
 TEST(Scenario, MixedWorkloadFleet) {
   const auto suite = workloads::make_suite();
   std::vector<AppInstance> apps;
-  apps.push_back({&workloads::find(suite, "vectorAdd"), 1u << 16, std::nullopt});
-  apps.push_back({&workloads::find(suite, "BlackScholes"), 1u << 16, std::nullopt});
-  apps.push_back({&workloads::find(suite, "mergeSort"), 1u << 14, std::nullopt});
+  apps.push_back({.workload = &workloads::find(suite, "vectorAdd"), .n = 1u << 16});
+  apps.push_back({.workload = &workloads::find(suite, "BlackScholes"), .n = 1u << 16});
+  apps.push_back({.workload = &workloads::find(suite, "mergeSort"), .n = 1u << 14});
   ScenarioConfig cfg = base_config(Backend::kSigmaVp);
   cfg.dispatch.interleave = true;
   cfg.dispatch.coalesce = true;

@@ -362,8 +362,8 @@ TEST(SnapshotState, ZeroTrafficRestoreKeepsNoLatencyBlockSchema) {
   job.config.mode = ExecMode::kAnalytic;
   workloads::AppTraits t = workloads::find(suite, "vectorAdd").traits;
   t.iterations = 2;
-  job.apps.push_back(AppInstance{&workloads::find(suite, "vectorAdd"),
-                                 workloads::find(suite, "vectorAdd").test_n, t});
+  job.apps.push_back(AppInstance{.workload = &workloads::find(suite, "vectorAdd"),
+                                 .n = workloads::find(suite, "vectorAdd").test_n, .traits = t});
   const ScenarioResult original = run_scenario(job.config, job.apps);
   ASSERT_EQ(original.latency.count, 0u);
 
@@ -479,7 +479,8 @@ TEST(SnapshotCache, ExportImportRestoresResidentEntriesByteExact) {
   job.config.backend = Backend::kSigmaVp;
   job.config.mode = ExecMode::kFunctional;
   job.config.functional_io = true;
-  for (std::size_t i = 0; i < 4; ++i) job.apps.push_back(AppInstance{&w, w.test_n, t});
+  const AppInstance app{.workload = &w, .n = w.test_n, .traits = t};
+  for (std::size_t i = 0; i < 4; ++i) job.apps.push_back(app);
 
   LaunchCache& cache = LaunchCache::instance();
   cache.clear();
@@ -674,10 +675,11 @@ TEST(SnapshotSweep, KillResumeWithRelocatedCacheEntriesIsBitIdenticalAtAnyWorker
   cache.clear();
 }
 
-TEST(SnapshotSweep, VersionFourCheckpointIsRejected) {
-  // Version-4 launch-cache payloads key entries on raw pointer bits and
-  // carry no fill-time arguments; a resume must refuse them, not misparse.
-  const TempDir tmp("v4");
+/// Publishes checkpoints of a small functional sweep, rewrites each file's
+/// version field to `version`, and requires every load to refuse it by
+/// version and the resumed sweep to start over with the golden result.
+void expect_checkpoints_of_version_rejected(std::uint8_t version) {
+  const TempDir tmp("v" + std::to_string(version));
   const auto suite = workloads::make_suite();
   const std::vector<run::SweepJob> jobs = {
       functional_fleet_job(workloads::find(suite, "vectorAdd"), 2, "a")};
@@ -687,20 +689,20 @@ TEST(SnapshotSweep, VersionFourCheckpointIsRejected) {
   snap.every_us = 300.0;
   run::SweepRunner(1).run(jobs, snap, nullptr);
 
+  const std::string expected = "unsupported version " + std::to_string(version);
   std::size_t patched = 0;
   for (const auto& e : fs::directory_iterator(tmp.path)) {
     std::fstream f(e.path(), std::ios::in | std::ios::out | std::ios::binary);
     f.seekp(sizeof(snapshot::kSnapshotMagic));
-    const char v4[4] = {4, 0, 0, 0};  // u32 version, little-endian
-    f.write(v4, sizeof(v4));
+    const char old[4] = {static_cast<char>(version), 0, 0, 0};  // u32, little-endian
+    f.write(old, sizeof(old));
     ++patched;
     try {
       f.close();
       snapshot::load_snapshot_file(e.path().string());
-      ADD_FAILURE() << "version-4 file accepted: " << e.path();
+      ADD_FAILURE() << "version-" << int{version} << " file accepted: " << e.path();
     } catch (const snapshot::SnapshotError& err) {
-      EXPECT_NE(std::string(err.what()).find("unsupported version 4"), std::string::npos)
-          << err.what();
+      EXPECT_NE(std::string(err.what()).find(expected), std::string::npos) << err.what();
     }
   }
   ASSERT_GT(patched, 0u);
@@ -711,6 +713,19 @@ TEST(SnapshotSweep, VersionFourCheckpointIsRejected) {
   EXPECT_EQ(info.jobs_resumed, 0u);
   EXPECT_EQ(info.rejected.size(), patched);
   EXPECT_EQ(sweep_bytes(fresh), golden);
+}
+
+TEST(SnapshotSweep, VersionFourCheckpointIsRejected) {
+  // Version-4 launch-cache payloads key entries on raw pointer bits and
+  // carry no fill-time arguments; a resume must refuse them, not misparse.
+  expect_checkpoints_of_version_rejected(4);
+}
+
+TEST(SnapshotSweep, VersionFiveCheckpointIsRejected) {
+  // Version-5 launch-cache entries carry a 64-bit input hash instead of
+  // their pre-image, which exact validation needs; a resume must refuse
+  // them, not misparse.
+  expect_checkpoints_of_version_rejected(5);
 }
 
 TEST(SnapshotSweep, CheckpointForADifferentSweepIsRejected) {

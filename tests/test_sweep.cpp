@@ -132,7 +132,8 @@ std::vector<run::SweepJob> make_mixed_jobs(const std::vector<workloads::Workload
     job.name = name;
     job.group = w.app;
     job.config.mode = ExecMode::kAnalytic;
-    for (std::size_t i = 0; i < vps; ++i) job.apps.push_back(AppInstance{&w, w.test_n, t});
+    const AppInstance app{.workload = &w, .n = w.test_n, .traits = t};
+    for (std::size_t i = 0; i < vps; ++i) job.apps.push_back(app);
     return job;
   };
 

@@ -55,8 +55,15 @@ struct EngineSandbox {
   }
 };
 
+/// Every byte of `mem`.
+std::vector<std::uint8_t> all_bytes(const AddressSpace& mem) {
+  std::vector<std::uint8_t> out(mem.size());
+  mem.copy_out(out.data(), 0, out.size());
+  return out;
+}
+
 struct RunResult {
-  std::uint64_t memory_hash = 0;
+  std::vector<std::uint8_t> memory;
   DynamicProfile profile;
   std::string error;  // kernel-facing part of a ContractError; empty = ran clean
 };
@@ -71,7 +78,7 @@ std::string kernel_message(const std::string& what) {
 
 /// Fresh memory sized to the workload's buffers, deterministic inputs, one
 /// launch at `w.test_n` — on the engine at `workers`, or on the reference
-/// when `workers` is 0. Returns the memory hash, the profile and the error.
+/// when `workers` is 0. Returns the memory bytes, the profile and the error.
 RunResult run_workload(const Workload& w, std::size_t workers,
                        std::uint64_t budget = Interpreter::kDefaultMaxInstrsPerThread) {
   const auto bufs = w.buffers(w.test_n);
@@ -107,7 +114,7 @@ RunResult run_workload(const Workload& w, std::size_t workers,
   } catch (const ContractError& e) {
     out.error = kernel_message(e.what());
   }
-  out.memory_hash = mem.hash_range(0, mem.size(), kMemHashSeed);
+  out.memory = all_bytes(mem);
   return out;
 }
 
@@ -143,7 +150,7 @@ TEST_P(Tier2DifferentialTest, MemoryAndProfileByteExactVsTier1AtEveryWorkerCount
     const RunResult got = run_workload(w, workers);
     const std::string label = w.app + " engine @ workers=" + std::to_string(workers);
     EXPECT_TRUE(got.error.empty()) << label << ": " << got.error;
-    EXPECT_EQ(got.memory_hash, ref.memory_hash) << label << ": memory image diverged";
+    EXPECT_TRUE(got.memory == ref.memory) << label << ": memory image diverged";
     expect_profiles_identical(ref.profile, got.profile, label);
   }
 }
@@ -182,7 +189,7 @@ TEST(Tier2Differential, BudgetExhaustionThrowsAtTheSamePointWithTheSameSideEffec
         const RunResult got = run_workload(w, workers, budget);
         EXPECT_EQ(got.error, ref.error) << label;
         if (ref.error.empty() || workers == 1) {
-          EXPECT_EQ(got.memory_hash, ref.memory_hash) << label << ": memory image diverged";
+          EXPECT_TRUE(got.memory == ref.memory) << label << ": memory image diverged";
         }
         if (ref.error.empty()) expect_profiles_identical(ref.profile, got.profile, label);
       }
@@ -281,9 +288,7 @@ TEST(Tier2Differential, IntegerOverflowWrapsIdenticallyInEveryEngineSite) {
     options.workers = workers;
     const DynamicProfile profile = Interpreter().run(ir, dims, {}, mem, options);
     expect_profiles_identical(ref_profile, profile, "workers=" + std::to_string(workers));
-    EXPECT_EQ(mem.hash_range(0, mem.size(), kMemHashSeed),
-              ref_mem.hash_range(0, ref_mem.size(), kMemHashSeed))
-        << "workers=" << workers;
+    EXPECT_TRUE(all_bytes(mem) == all_bytes(ref_mem)) << "workers=" << workers;
   }
   // The four fused pairs above (address arithmetic may fuse more).
   EXPECT_GE((Tier2Engine::instance().stats() - before).fused_superinsts, 4u);
@@ -358,9 +363,7 @@ TEST(Tier2Differential, IntegerDivisionOverflowIsDefinedIdenticallyInBothEngines
     options.workers = workers;
     const DynamicProfile profile = Interpreter().run(ir, dims, {}, mem, options);
     expect_profiles_identical(ref_profile, profile, "workers=" + std::to_string(workers));
-    EXPECT_EQ(mem.hash_range(0, mem.size(), kMemHashSeed),
-              ref_mem.hash_range(0, ref_mem.size(), kMemHashSeed))
-        << "workers=" << workers;
+    EXPECT_TRUE(all_bytes(mem) == all_bytes(ref_mem)) << "workers=" << workers;
   }
 
   for (std::uint64_t g = 0; g < threads; ++g) {
@@ -393,9 +396,7 @@ AddressSpace expect_engine_matches_reference(const KernelIR& ir, const LaunchDim
     const DynamicProfile profile = Interpreter().run(ir, dims, args, mem, options);
     const std::string label = ir.name + " workers=" + std::to_string(workers);
     expect_profiles_identical(ref_profile, profile, label);
-    EXPECT_EQ(mem.hash_range(0, mem.size(), kMemHashSeed),
-              ref_mem.hash_range(0, ref_mem.size(), kMemHashSeed))
-        << label;
+    EXPECT_TRUE(all_bytes(mem) == all_bytes(ref_mem)) << label;
   }
   return ref_mem;
 }
@@ -720,7 +721,7 @@ TEST(Tier2Verify, OracleRunsCleanOnSuiteKernels) {
   eng.set_verify(false);
   const RunResult ref = run_workload(workloads::find(suite(), "matrixMul"), 0);
   EXPECT_TRUE(verified.error.empty()) << verified.error;
-  EXPECT_EQ(verified.memory_hash, ref.memory_hash);
+  EXPECT_TRUE(verified.memory == ref.memory);
   expect_profiles_identical(ref.profile, verified.profile, "verify smoke");
 }
 
@@ -738,6 +739,20 @@ TEST(Tier2Verify, DivergenceCheckerAcceptsIdenticalAndRejectsPerturbed) {
 
   b.write<std::uint8_t>(12345, 0xAB);  // one flipped byte in the memory image
   EXPECT_THROW(check_tier_divergence(w.kernel, r.profile, r.profile, a, b), ContractError);
+
+  // Bytes decide, not write history: a page written with zeros on one side
+  // only is no divergence. A flipped byte names its 1 MiB window.
+  AddressSpace c(3 << 20, "c"), d(3 << 20, "d");
+  d.write<std::uint32_t>(5 << 18, 0);
+  EXPECT_NO_THROW(check_tier_divergence(w.kernel, r.profile, r.profile, c, d));
+  d.write<std::uint8_t>((3 << 19) + 7, 1);
+  try {
+    check_tier_divergence(w.kernel, r.profile, r.profile, c, d);
+    ADD_FAILURE() << "flipped byte not detected";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("window [1048576, 2097152)"), std::string::npos)
+        << e.what();
+  }
 }
 
 // --- engine state across resume-from-checkpoint -------------------------------

@@ -325,7 +325,8 @@ std::vector<run::SweepJob> fleet_jobs(std::size_t vps) {
     job.name = std::string("va/") + variant;
     job.group = "vectorAdd";
     job.config.mode = ExecMode::kAnalytic;
-    for (std::size_t i = 0; i < vps; ++i) job.apps.push_back(AppInstance{&va, va.test_n, quick_va});
+    const AppInstance app{.workload = &va, .n = va.test_n, .traits = quick_va};
+    for (std::size_t i = 0; i < vps; ++i) job.apps.push_back(app);
     if (std::string(variant) == "opt") {
       job.config.dispatch.interleave = true;
       job.config.dispatch.coalesce = true;
@@ -337,7 +338,8 @@ std::vector<run::SweepJob> fleet_jobs(std::size_t vps) {
   job.name = "bs/plain";
   job.group = "BlackScholes";
   job.config.mode = ExecMode::kAnalytic;
-  for (std::size_t i = 0; i < vps; ++i) job.apps.push_back(AppInstance{&bs, bs.test_n, quick_bs});
+  const AppInstance app{.workload = &bs, .n = bs.test_n, .traits = quick_bs};
+  for (std::size_t i = 0; i < vps; ++i) job.apps.push_back(app);
   jobs.push_back(job);
   return jobs;
 }
