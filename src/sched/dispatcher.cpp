@@ -24,6 +24,12 @@ Dispatcher::Dispatcher(EventQueue& queue, GpuDevice& device, DispatchConfig conf
 Dispatcher::Dispatcher(EventQueue& queue, std::vector<GpuDevice*> devices,
                        DispatchConfig config, PlacementConfig placement)
     : events_(queue), config_(config), placement_(placement) {
+  // Both sizes feed resident_bytes() and so fleet.resident_bytes, which the
+  // perfbench golden digests pin (values for 64-bit libstdc++). A member
+  // that grows either struct changes every sharded_traffic digest; a new
+  // small scalar goes in padding, as open_windows_ does.
+  static_assert(sizeof(Dispatcher) == 568);
+  static_assert(sizeof(DeviceLane) == 40);
   SIGVP_REQUIRE(!devices.empty(), "dispatcher needs at least one device");
   lanes_.reserve(devices.size());
   for (std::size_t i = 0; i < devices.size(); ++i) {
@@ -60,6 +66,7 @@ void Dispatcher::submit(Job job) {
   if (trace_ != nullptr) {
     if (job.id != 0) trace_->flow_step(trace::RunTrace::kTidDispatcher, events_.now(), job.id);
   }
+  open_windows_ += window_open(job);
   queue_.push_back(std::move(job));
   if (trace_ != nullptr) {
     trace_->queue_depth->record(static_cast<double>(queue_.size()));
@@ -71,15 +78,11 @@ void Dispatcher::submit(Job job) {
 
 // --- placement -------------------------------------------------------------------
 
-SimTime Dispatcher::lane_backlog(std::size_t d) const {
+SimTime Dispatcher::lane_backlog(std::size_t d, std::uint64_t queued) const {
   const SimTime now = events_.now();
   const DeviceLane& lane = lanes_[d];
   SimTime backlog = std::max(0.0, lane.service->free_at() - now) +
                     std::max(0.0, lane.device->compute_engine_free_at() - now);
-  std::uint64_t queued = 0;
-  for (const Job& j : queue_) {
-    if (vp_device_[j.vp_id] == d) ++queued;
-  }
   return backlog + static_cast<SimTime>(queued) * config_.dispatch_overhead_us;
 }
 
@@ -92,17 +95,21 @@ void Dispatcher::maybe_migrate(std::uint32_t vp) {
   // group membership — so no stream chaining or sequence state spans the
   // device switch.
   if (vp_inflight_[vp] != 0 || vp_group_inflight_[vp] != 0) return;
+  // One queue pass both rules out a queued job of this VP and counts every
+  // lane's queued jobs for the backlog scores.
+  std::vector<std::uint64_t> queued(lanes_.size(), 0);
   for (const Job& j : queue_) {
     if (j.vp_id == vp) return;
+    ++queued[vp_device_[j.vp_id]];
   }
   const std::uint32_t cur = vp_device_[vp];
   const SimTime cost = migration_cost_us(placement_, vp_h2d_bytes_[vp]);
-  const SimTime stay_score = lane_backlog(cur);
+  const SimTime stay_score = lane_backlog(cur, queued[cur]);
   std::size_t best = cur;
   SimTime best_score = stay_score;
   for (std::size_t d = 0; d < lanes_.size(); ++d) {
     if (d == cur) continue;
-    const SimTime score = lane_backlog(d) + cost;
+    const SimTime score = lane_backlog(d, queued[d]) + cost;
     if (score < best_score) {
       best = d;
       best_score = score;
@@ -139,7 +146,7 @@ bool Dispatcher::is_ready(const Job& job) const {
 }
 
 bool Dispatcher::coalescable(const Job& job) const {
-  if (job.kind != JobKind::kKernel || !job.launch.coalesce.eligible) return false;
+  if (!window_eligible(job)) return false;
   // Quarantine policy: a VP with too many recovery incidents loses Kernel
   // Coalescing eligibility — a flaky VP must not drag healthy peers into
   // its retries.
@@ -161,41 +168,52 @@ bool Dispatcher::can_join_group(const Job& job) const {
          lane_of(job).device->stream_idle_at(vp_streams_[job.vp_id]) <= events_.now();
 }
 
-std::uint32_t Dispatcher::ready_peers(const Job& job) const {
-  std::uint32_t peers = 0;
-  for (const Job& other : queue_) {
-    if (&other == &job) continue;
-    // Coalesced groups launch once, on one device: peers must share a lane.
-    if (vp_device_[other.vp_id] != vp_device_[job.vp_id]) continue;
-    if (coalescable(other) && other.launch.coalesce.key == job.launch.coalesce.key &&
-        can_join_group(other)) {
-      ++peers;
+std::uint32_t Dispatcher::ready_peers(const Job& job, PeerTally& peers) const {
+  if (!peers.built) {
+    peers.built = true;
+    for (const Job& other : queue_) {
+      if (!coalescable(other) || !can_join_group(other)) continue;
+      // Coalesced groups launch once, on one device: peers must share a lane.
+      const std::uint32_t lane = vp_device_[other.vp_id];
+      if (PeerTally::Entry* e = peers.find(lane, other.launch.coalesce.key)) {
+        ++e->count;
+      } else {
+        peers.entries.push_back({lane, &other.launch.coalesce.key, 1});
+      }
     }
   }
-  return peers;
+  const PeerTally::Entry* e = peers.find(vp_device_[job.vp_id], job.launch.coalesce.key);
+  if (e == nullptr) return 0;
+  // The tally counts `job` itself when it could join a group too.
+  return e->count - (can_join_group(job) ? 1 : 0);
 }
 
-bool Dispatcher::held_for_coalescing(const Job& job) const {
+bool Dispatcher::held_for_coalescing(const Job& job, PeerTally& peers) const {
   if (!config_.coalesce || !coalescable(job)) {
     return false;
   }
   if (events_.now() - job.enqueue_time >= config_.coalesce_window_us) return false;
-  return ready_peers(job) < config_.coalesce_eager_peers;
+  return ready_peers(job, peers) < config_.coalesce_eager_peers;
 }
 
 void Dispatcher::arm_window_timer() {
-  if (!config_.coalesce) return;
+  // Two cases where a scan could only come back empty or confirm the armed
+  // timer (proofs in DESIGN.md, "The pump"): no queued job's window may
+  // still be open, or a strictly-future timer is armed, which fires no later
+  // than every open window's expiry. Consumed timers reset the marker before
+  // pumping.
+  if (!config_.coalesce || open_windows_ == 0) return;
+  const SimTime now = events_.now();
+  if (window_timer_at_ > now) return;
   SimTime earliest = -1.0;
+  open_windows_ = 0;
   for (const Job& job : queue_) {
+    open_windows_ += window_open(job);
     if (!coalescable(job)) continue;
     const SimTime expiry = job.enqueue_time + config_.coalesce_window_us;
-    if (expiry > events_.now() && (earliest < 0.0 || expiry < earliest)) earliest = expiry;
+    if (expiry > now && (earliest < 0.0 || expiry < earliest)) earliest = expiry;
   }
   if (earliest < 0.0) return;
-  // A strictly-future armed timer that fires no later than `earliest` will
-  // re-pump in time; otherwise arm a fresh one (consumed timers reset the
-  // marker before pumping).
-  if (window_timer_at_ > events_.now() && window_timer_at_ <= earliest) return;
   window_timer_at_ = earliest;
   events_.schedule_at(earliest, [this] {
     window_timer_at_ = -1.0;
@@ -203,50 +221,72 @@ void Dispatcher::arm_window_timer() {
   });
 }
 
-std::size_t Dispatcher::pick_next() const {
-  if (!config_.interleave) {
-    // Serial baseline: strictly one job at a time, arrival order.
-    if (in_flight_ > 0) return kNone;
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      if (vp_ready_at_[queue_[i].vp_id] > events_.now()) continue;
-      if (is_ready(queue_[i]) && !held_for_coalescing(queue_[i])) return i;
-    }
-    return kNone;
+SimTime Dispatcher::engine_free_at(const DeviceLane& lane, JobKind kind) {
+  switch (kind) {
+    case JobKind::kKernel: return lane.device->compute_engine_free_at();
+    case JobKind::kMemcpyH2D: return lane.device->h2d_engine_free_at();
+    case JobKind::kMemcpyD2H: break;
   }
+  return lane.device->d2h_engine_free_at();
+}
 
-  // Kernel Interleaving: dispatch the earliest ready job that could START
-  // right now — its engine must be idle AND its stream dependency (the
-  // previous op of the same VP) must have completed. The second condition is
-  // the "augmented for job dependencies" part of the paper's Re-scheduler:
+Dispatcher::Hold Dispatcher::hold_of(const Job& job, PeerTally& peers) const {
+  // Kernel Interleaving: a job may dispatch when it could START right now —
+  // its engine must be idle AND its stream dependency (the previous op of
+  // the same VP) must have completed. The second condition is the
+  // "augmented for job dependencies" part of the paper's Re-scheduler:
   // without it, a dependency-stalled job would head-of-line-block its engine
   // while another VP's runnable job waits behind it (Fig. 3(a)). All engine
   // and service checks are against the job's own lane, so lanes of a
   // multi-device host pump independently.
   const SimTime now = events_.now();
+  if (!is_ready(job)) return Hold::kSequence;
+  // A migrated VP is restaging its working set onto the target device.
+  if (vp_ready_at_[job.vp_id] > now) return Hold::kRestaging;
+  if (held_for_coalescing(job, peers)) return Hold::kCoalescing;
+  // A coalesced group member of this VP may still be running on the
+  // coalescer's service stream; the VP stream would not chain behind it,
+  // so the VP's next op must wait for the group's completion.
+  if (vp_group_inflight_[job.vp_id] > 0) return Hold::kGroup;
+  // Fault mode only: hold the VP's next job until the in-flight one has
+  // actually completed, so a transient abort or reset kill can re-queue
+  // it (rolling next_seq_ back) without a later job of the same VP having
+  // slipped past it. Without a fault plan this gate does not exist.
+  if (fault_active() && vp_inflight_[job.vp_id] > 0) return Hold::kFaultOrder;
+  const DeviceLane& lane = lane_of(job);
+  if (engine_free_at(lane, job.kind) > now) return Hold::kEngine;
+  if (lane.service->free_at() > now) return Hold::kService;  // one job in service per lane
+  if (lane.device->stream_idle_at(vp_streams_[job.vp_id]) > now) return Hold::kStream;
+  return Hold::kNone;
+}
+
+bool Dispatcher::dispatch_slot_free() const {
+  const SimTime now = events_.now();
+  for (const DeviceLane& lane : lanes_) {
+    if (lane.service->free_at() > now) continue;
+    for (const JobKind kind : {JobKind::kKernel, JobKind::kMemcpyH2D, JobKind::kMemcpyD2H}) {
+      if (engine_free_at(lane, kind) <= now) return true;
+    }
+  }
+  return false;
+}
+
+std::size_t Dispatcher::pick_next() const {
+  PeerTally peers;
+  if (!config_.interleave) {
+    // Serial baseline: strictly one job at a time, arrival order.
+    if (in_flight_ > 0) return kNone;
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+      if (vp_ready_at_[queue_[i].vp_id] > events_.now()) continue;
+      if (is_ready(queue_[i]) && !held_for_coalescing(queue_[i], peers)) return i;
+    }
+    return kNone;
+  }
+  // Every candidate needs its lane's service slot and its engine free, so
+  // when no lane has both the scan could only come back empty.
+  if (!dispatch_slot_free()) return kNone;
   for (std::size_t i = 0; i < queue_.size(); ++i) {
-    const Job& job = queue_[i];
-    if (!is_ready(job) || held_for_coalescing(job)) continue;
-    // A migrated VP is restaging its working set onto the target device.
-    if (vp_ready_at_[job.vp_id] > now) continue;
-    // A coalesced group member of this VP may still be running on the
-    // coalescer's service stream; the VP stream would not chain behind it,
-    // so the VP's next op must wait for the group's completion.
-    if (vp_group_inflight_[job.vp_id] > 0) continue;
-    // Fault mode only: hold the VP's next job until the in-flight one has
-    // actually completed, so a transient abort or reset kill can re-queue
-    // it (rolling next_seq_ back) without a later job of the same VP having
-    // slipped past it. Without a fault plan this gate does not exist.
-    if (fault_active() && vp_inflight_[job.vp_id] > 0) continue;
-    const DeviceLane& lane = lane_of(job);
-    const SimTime engine_free = job.kind == JobKind::kKernel
-                                    ? lane.device->compute_engine_free_at()
-                                    : (job.kind == JobKind::kMemcpyH2D
-                                           ? lane.device->h2d_engine_free_at()
-                                           : lane.device->d2h_engine_free_at());
-    if (engine_free > now) continue;
-    if (lane.service->free_at() > now) continue;  // one job in service per lane
-    if (lane.device->stream_idle_at(vp_streams_[job.vp_id]) > now) continue;
-    return i;
+    if (hold_of(queue_[i], peers) == Hold::kNone) return i;
   }
   return kNone;
 }
@@ -263,22 +303,19 @@ void Dispatcher::pump() {
 
 const char* Dispatcher::head_hold_reason() const {
   if (queue_.empty()) return "empty";
-  const Job& head = queue_.front();
-  if (!is_ready(head)) return "head waits on VP sequence order";
-  if (vp_ready_at_[head.vp_id] > events_.now()) return "head restaging after migration";
-  if (held_for_coalescing(head)) return "head held for coalescing peers";
-  if (vp_group_inflight_[head.vp_id] > 0) return "head waits on a merged group";
-  if (fault_active() && vp_inflight_[head.vp_id] > 0) return "head gated by fault-mode order";
-  const DeviceLane& lane = lane_of(head);
-  const SimTime engine_free = head.kind == JobKind::kKernel
-                                  ? lane.device->compute_engine_free_at()
-                                  : (head.kind == JobKind::kMemcpyH2D
-                                         ? lane.device->h2d_engine_free_at()
-                                         : lane.device->d2h_engine_free_at());
-  if (engine_free > events_.now()) return "head engine busy";
-  if (lane.device->stream_idle_at(vp_streams_[head.vp_id]) > events_.now())
-    return "head stream busy";
-  return "head ready (tie)";
+  PeerTally peers;
+  switch (hold_of(queue_.front(), peers)) {
+    case Hold::kNone: return "head ready (tie)";
+    case Hold::kSequence: return "head waits on VP sequence order";
+    case Hold::kRestaging: return "head restaging after migration";
+    case Hold::kCoalescing: return "head held for coalescing peers";
+    case Hold::kGroup: return "head waits on a merged group";
+    case Hold::kFaultOrder: return "head gated by fault-mode order";
+    case Hold::kEngine: return "head engine busy";
+    case Hold::kService: return "head service slot busy";
+    case Hold::kStream: return "head stream busy";
+  }
+  return "?";
 }
 
 void Dispatcher::dispatch_at(std::size_t index) {
@@ -301,6 +338,7 @@ void Dispatcher::dispatch_at(std::size_t index) {
 
   Job job = std::move(queue_[index]);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(index));
+  open_windows_ -= window_open(job);
 
   if (config_.coalesce && coalescable(job)) {
     // Kernel Match: sweep the queue for ready identical requests on the
@@ -313,6 +351,7 @@ void Dispatcher::dispatch_at(std::size_t index) {
                          it->launch.coalesce.key == group.front().launch.coalesce.key &&
                          can_join_group(*it);
       if (match) {
+        open_windows_ -= window_open(*it);
         group.push_back(std::move(*it));
         it = queue_.erase(it);
       } else {
@@ -339,6 +378,7 @@ void Dispatcher::dispatch_at(std::size_t index) {
     // Any extra matches that could not merge are re-queued at the front in
     // their original relative order.
     for (std::size_t i = group.size(); i-- > 1;) {
+      open_windows_ += window_open(group[i]);
       queue_.push_front(std::move(group[i]));
     }
     return;
@@ -577,6 +617,7 @@ void Dispatcher::rollback_dispatch(const Job& job) {
 
 void Dispatcher::requeue(Job job) {
   job.enqueue_time = events_.now();
+  open_windows_ += window_open(job);
   queue_.push_back(std::move(job));
 }
 
@@ -596,6 +637,7 @@ void Dispatcher::purge_vp(std::uint32_t vp_id) {
   std::vector<Job> purged;
   for (auto it = queue_.begin(); it != queue_.end();) {
     if (it->vp_id == vp_id) {
+      open_windows_ -= window_open(*it);
       purged.push_back(std::move(*it));
       it = queue_.erase(it);
     } else {

@@ -196,6 +196,40 @@ class Dispatcher {
 
   DeviceLane& lane_of(const Job& job) { return lanes_[vp_device_[job.vp_id]]; }
   const DeviceLane& lane_of(const Job& job) const { return lanes_[vp_device_[job.vp_id]]; }
+  /// When the engine a job of `kind` runs on is next free on `lane`'s device.
+  static SimTime engine_free_at(const DeviceLane& lane, JobKind kind);
+
+  /// What keeps a queued job from starting right now under Kernel
+  /// Interleaving, in the order the pick tests it; kNone when it can start.
+  enum class Hold : std::uint8_t {
+    kNone,
+    kSequence,    // an earlier job of its VP is still queued
+    kRestaging,   // its VP is migrating to another lane
+    kCoalescing,  // waiting in its window for coalescing peers
+    kGroup,       // a merged group of its VP is still running
+    kFaultOrder,  // fault mode: its VP's previous job has not completed
+    kEngine,      // the engine of its kind on its lane is busy
+    kService,     // its lane's service slot is busy
+    kStream,      // its VP stream has not drained
+  };
+  /// Coalescing peer counts for one pick: how many queued jobs could join a
+  /// group right now, per (lane, key). Built by one queue pass on first use.
+  struct PeerTally {
+    struct Entry {
+      std::uint32_t lane;
+      const std::string* key;
+      std::uint32_t count;
+    };
+    std::vector<Entry> entries;
+    bool built = false;
+
+    Entry* find(std::uint32_t lane, const std::string& key) {
+      for (Entry& e : entries) {
+        if (e.lane == lane && *e.key == key) return &e;
+      }
+      return nullptr;
+    }
+  };
 
   void pump();
   bool is_ready(const Job& job) const;
@@ -206,8 +240,14 @@ class Dispatcher {
   /// still in flight would complete out of its VP's sequence order.
   bool can_join_group(const Job& job) const;
   /// True when a coalescable job should keep waiting for peers.
-  bool held_for_coalescing(const Job& job) const;
-  std::uint32_t ready_peers(const Job& job) const;
+  bool held_for_coalescing(const Job& job, PeerTally& peers) const;
+  /// Ready peers of coalescable `job`: other queued jobs that could join its
+  /// group right now.
+  std::uint32_t ready_peers(const Job& job, PeerTally& peers) const;
+  Hold hold_of(const Job& job, PeerTally& peers) const;
+  /// True when some lane has its service slot and at least one engine free:
+  /// without that no interleave candidate can start.
+  bool dispatch_slot_free() const;
   /// Schedules a wake-up pump at the earliest coalescing-window expiry.
   void arm_window_timer();
   /// Index into queue_ of the earliest ready job the policy may dispatch
@@ -220,6 +260,15 @@ class Dispatcher {
   void dispatch_group(std::vector<Job> group);
   void submit_to_device(Job job);
   void on_job_finished(std::uint32_t vp_id);
+  /// Kernel jobs with a coalescing descriptor: the jobs a window timer can
+  /// wait for (quarantine aside, which only ever turns eligibility off).
+  static bool window_eligible(const Job& job) {
+    return job.kind == JobKind::kKernel && job.launch.coalesce.eligible;
+  }
+  /// A window_eligible job whose coalescing window has not yet expired.
+  bool window_open(const Job& job) const {
+    return window_eligible(job) && job.enqueue_time + config_.coalesce_window_us > events_.now();
+  }
 
   // --- placement (inert with a single lane) ------------------------------------
   /// Affinity-policy migration check, run when `vp` submits a job while
@@ -229,8 +278,8 @@ class Dispatcher {
   /// completes. Deterministic: scores are pure functions of simulated state.
   void maybe_migrate(std::uint32_t vp);
   /// Estimated wait a newly placed job would see on lane `d`: host service
-  /// backlog, compute-engine backlog, plus queued-not-yet-serviced jobs.
-  SimTime lane_backlog(std::size_t d) const;
+  /// backlog, compute-engine backlog, plus its `queued` not-yet-serviced jobs.
+  SimTime lane_backlog(std::size_t d, std::uint64_t queued) const;
 
   // --- fault tolerance (inert without an active plan) --------------------------
   bool fault_active() const { return fault_plan_ != nullptr && fault_plan_->enabled(); }
@@ -289,6 +338,11 @@ class Dispatcher {
   std::uint64_t migrations_ = 0;
   std::uint64_t migrated_bytes_ = 0;
   bool pumping_ = false;
+  /// Upper bound on the queued jobs whose window is open: each is counted
+  /// while window_open on entering the queue and uncounted if still open on
+  /// leaving it, and every timer scan recounts exactly. Zero means a scan
+  /// finds nothing. Sits in the padding after pumping_ (see the constructor).
+  std::uint32_t open_windows_ = 0;
   SimTime window_timer_at_ = -1.0;
 };
 

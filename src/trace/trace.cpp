@@ -43,7 +43,13 @@ void write_at_exit() {
 }  // namespace
 
 Arg arg(std::string key, const std::string& value) {
-  return {std::move(key), "\"" + util::json_escape(value) + "\""};
+  const std::string escaped = util::json_escape(value);
+  std::string quoted;
+  quoted.reserve(escaped.size() + 2);
+  quoted += '"';
+  quoted += escaped;
+  quoted += '"';
+  return {std::move(key), std::move(quoted)};
 }
 Arg arg(std::string key, const char* value) { return arg(std::move(key), std::string(value)); }
 Arg arg(std::string key, double value) { return {std::move(key), util::json_number(value)}; }
