@@ -5,9 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include "gpu/cache.hpp"
 #include "gpu/offline.hpp"
 #include "interp/interpreter.hpp"
+#include "mem/cache.hpp"
 #include "sim/event_queue.hpp"
 #include "util/rng.hpp"
 #include "workloads/suite.hpp"

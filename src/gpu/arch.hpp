@@ -4,18 +4,9 @@
 #include <string>
 
 #include "ir/instr_class.hpp"
+#include "mem/cache.hpp"
 
 namespace sigvp {
-
-/// Cache geometry (the simulated L2 of a GPU).
-struct CacheConfig {
-  std::uint64_t size_bytes = 512 * 1024;
-  std::uint32_t line_bytes = 128;
-  std::uint32_t associativity = 8;
-
-  std::uint64_t num_lines() const { return size_bytes / line_bytes; }
-  std::uint64_t num_sets() const { return num_lines() / associativity; }
-};
 
 /// Architecture descriptor of a (simulated) GPU.
 ///

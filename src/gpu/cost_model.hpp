@@ -3,8 +3,8 @@
 #include <cstdint>
 
 #include "gpu/arch.hpp"
-#include "gpu/cache.hpp"
 #include "interp/launch.hpp"
+#include "mem/cache.hpp"
 #include "sim/time.hpp"
 
 namespace sigvp {

@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "gpu/cache.hpp"
 #include "interp/decoded.hpp"
 #include "interp/interpreter.hpp"
 #include "ir/translation.hpp"

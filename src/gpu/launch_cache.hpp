@@ -50,9 +50,9 @@ struct LaunchCacheStats {
 /// VPs run *identical* kernels) means an N-VP scenario interprets the same
 /// (kernel, dims, args, input bytes) N times. This cache executes it once,
 /// records the complete outcome — KernelExecStats, DynamicProfile, and the
-/// write-set (address ranges + bytes) captured by evaluate_functional's
-/// per-chunk access observer — and replays the memory effects into the caller's
-/// AddressSpace on every subsequent identical launch.
+/// write-set (address ranges + bytes) that each chunk's ChunkObserver
+/// captures during evaluate_functional — and replays the memory effects into
+/// the caller's AddressSpace on every subsequent identical launch.
 ///
 /// Key derivation (see DESIGN.md §11):
 ///   base key  = mix(arch fingerprint, kernel structural fingerprint

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <vector>
 
-#include "gpu/cache.hpp"
 #include "util/check.hpp"
 
 namespace sigvp {
@@ -17,35 +16,22 @@ LaunchEvaluation evaluate_functional(const GpuArch& arch, const KernelIR& kernel
 LaunchEvaluation evaluate_functional(const GpuArch& arch, const KernelIR& kernel,
                                      const LaunchDims& dims, const KernelArgs& args,
                                      AddressSpace& memory, std::vector<ChunkCapture>* capture) {
-  // One cold L2 shard per canonical interpreter chunk. The shard layout
-  // depends only on the launch geometry, so the merged stats are identical
-  // for any worker count; on a GPU the chunks would run on different SMs
-  // against cold cache state anyway, so per-shard cold misses model the
-  // hardware at least as faithfully as one globally warm cache did.
+  // One ChunkObserver per canonical interpreter chunk: a cold L2 shard, plus
+  // the chunk's capture when one is asked for. The shard layout depends
+  // only on the launch geometry, so the merged stats are identical for any
+  // worker count; on a GPU the chunks would run on different SMs against
+  // cold cache state anyway, so per-shard cold misses model the hardware at
+  // least as faithfully as one globally warm cache did.
   const std::size_t chunks = Interpreter::canonical_chunks(dims);
-  std::vector<CacheModel> shards;
-  shards.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) shards.emplace_back(arch.l2);
   if (capture != nullptr) *capture = std::vector<ChunkCapture>(chunks);
+  std::vector<ChunkObserver> observers;
+  observers.reserve(chunks);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    observers.push_back({CacheModel(arch.l2), capture != nullptr ? &(*capture)[c] : nullptr});
+  }
 
-  // One observer per chunk, updating the chunk's shard (and capture, which
-  // must see each store before it lands) directly.
   Interpreter::Options options;
-  options.observer = [&shards, capture, &memory](std::size_t chunk) -> MemAccessHook {
-    CacheModel* shard = &shards[chunk];
-    if (capture == nullptr) {
-      return [shard](std::uint64_t addr, std::uint32_t bytes, bool /*is_store*/) {
-        shard->access(addr, bytes);
-      };
-    }
-    ChunkCapture* cap = &(*capture)[chunk];
-    const AddressSpace* mem = &memory;
-    return [shard, cap, mem](std::uint64_t addr, std::uint32_t bytes, bool is_store) {
-      cap->record(addr, bytes, is_store, *mem);
-      shard->access(addr, bytes);
-    };
-  };
-
+  options.observers = observers;
   Interpreter interp;
   LaunchEvaluation out;
   out.profile = interp.run(kernel, dims, args, memory, options);
@@ -53,7 +39,7 @@ LaunchEvaluation evaluate_functional(const GpuArch& arch, const KernelIR& kernel
   // Merge in canonical chunk order (additive counters, but keep the order
   // canonical on principle: determinism bugs hide in "it's commutative").
   CacheStats l2_stats;
-  for (const CacheModel& shard : shards) l2_stats += shard.stats();
+  for (const ChunkObserver& o : observers) l2_stats += o.l2.stats();
 
   KernelCostModel model(arch);
   out.stats = model.evaluate(dims, out.profile.instr_counts, l2_stats);

@@ -3,11 +3,11 @@
 #include <vector>
 
 #include "gpu/arch.hpp"
-#include "gpu/capture.hpp"
 #include "gpu/cost_model.hpp"
 #include "gpu/prob_cache.hpp"
 #include "interp/interpreter.hpp"
 #include "interp/profile.hpp"
+#include "mem/capture.hpp"
 
 namespace sigvp {
 
@@ -43,8 +43,8 @@ LaunchEvaluation evaluate_functional(const GpuArch& arch, const KernelIR& kernel
 
 /// As above, and records the launch's read-set/write-set into `capture`
 /// (resized to one ChunkCapture per canonical interpreter chunk). Each
-/// chunk's single access observer updates that chunk's L2 shard and its
-/// capture directly; stats and profile are the same as without capture.
+/// chunk's ChunkObserver updates that chunk's L2 shard and its capture;
+/// stats and profile are the same as without capture.
 /// The launch cache's fill path uses this.
 LaunchEvaluation evaluate_functional(const GpuArch& arch, const KernelIR& kernel,
                                      const LaunchDims& dims, const KernelArgs& args,

@@ -128,7 +128,7 @@ struct ExecArena {
 /// Executes one thread block `(ctaid_x, ctaid_y)` of `prog` and accumulates
 /// λ/barrier counts into `profile` (which must have `block_visits` sized to
 /// the kernel's block count). The reference block loop behind
-/// Interpreter::run_reference: serial, hook-free, one indirect call per
+/// Interpreter::run_reference: serial, observer-free, one indirect call per
 /// instruction.
 void run_decoded_block(const DecodedProgram& prog, const KernelIR& ir, const LaunchDims& dims,
                        const KernelArgs& args, AddressSpace& global,

@@ -67,14 +67,14 @@ ChunkRange chunk_range(std::uint64_t num_blocks, std::size_t chunks, std::size_t
 void run_chunk(const Tier2Program& prog, const KernelIR& ir, const LaunchDims& dims,
                const KernelArgs& args, AddressSpace& global, const Interpreter::Options& options,
                std::size_t c, Tier2Arena& arena, DynamicProfile& chunk_profile) {
-  const MemAccessHook hook = options.observer ? options.observer(c) : MemAccessHook{};
+  ChunkObserver* const observer = options.observers.empty() ? nullptr : &options.observers[c];
   trace::Tracer* tracer = trace::Tracer::active();
   const double host_t0 = tracer != nullptr ? tracer->host_now_us() : 0.0;
   const ChunkRange range = chunk_range(dims.num_blocks(), Interpreter::canonical_chunks(dims), c);
   for (std::uint64_t lin = range.first; lin < range.last; ++lin) {
     const auto bx = static_cast<std::uint32_t>(lin % dims.grid_x);
     const auto by = static_cast<std::uint32_t>(lin / dims.grid_x);
-    interp_detail::run_tier2_block(prog, ir, dims, args, global, hook ? &hook : nullptr,
+    interp_detail::run_tier2_block(prog, ir, dims, args, global, observer,
                                    options.max_instrs_per_thread, arena, chunk_profile, bx, by);
   }
   if (tracer != nullptr) {
@@ -131,8 +131,8 @@ DynamicProfile execute_launch(const KernelIR& ir, const Tier2Program& prog,
   }
 
   // Parallel path: `workers` runner tasks pull chunk indices from a shared
-  // counter. Each chunk accumulates into a private profile (and optional
-  // private observer); merges happen below in canonical chunk order.
+  // counter. Each chunk accumulates into a private profile (and updates its
+  // own observer); merges happen below in canonical chunk order.
   std::vector<DynamicProfile> chunk_profiles(chunks);
   for (DynamicProfile& p : chunk_profiles) p.block_visits.assign(ir.blocks.size(), 0);
   std::vector<std::exception_ptr> chunk_errors(chunks);
@@ -201,6 +201,8 @@ DynamicProfile Interpreter::run(const KernelIR& ir, const LaunchDims& dims,
                                 const KernelArgs& args, AddressSpace& global,
                                 const Options& options) {
   require_valid_launch(ir, dims, args);
+  SIGVP_REQUIRE(options.observers.empty() || options.observers.size() == canonical_chunks(dims),
+                ir.name + ": observers must be empty or one per canonical chunk");
   Tier2Engine& engine = Tier2Engine::instance();
   const std::shared_ptr<const Tier2Program> prog = engine.program(ir, dims.threads_per_block());
 

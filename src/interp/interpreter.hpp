@@ -3,13 +3,14 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
+#include <span>
 
 #include "interp/launch.hpp"
 #include "interp/profile.hpp"
 #include "ir/program.hpp"
 #include "mem/address_space.hpp"
+#include "mem/capture.hpp"
 
 namespace sigvp {
 
@@ -70,12 +71,6 @@ inline std::int64_t cvt_f64_to_i(double x) {
 }
 inline std::int64_t cvt_f32_to_i(float x) { return cvt_f64_to_i(static_cast<double>(x)); }
 
-/// Observer of global-memory accesses, called before each access is
-/// applied; the GPU device model plugs its L2 simulator (and, on a launch
-/// cache fill, its read/write capture) in here.
-using MemAccessHook =
-    std::function<void(std::uint64_t addr, std::uint32_t bytes, bool is_store)>;
-
 /// Functional executor for KernelIR programs. Every launch runs the lowered
 /// threaded code of the execution engine (interp/tier2.hpp, DESIGN.md §15);
 /// `run_reference` keeps the plain decoded block loop as a serial oracle.
@@ -109,15 +104,13 @@ class Interpreter {
     /// Abort threshold against runaway kernels (per-thread dynamic instrs).
     std::uint64_t max_instrs_per_thread = kDefaultMaxInstrsPerThread;
 
-    /// Per-chunk access observer: called once per canonical chunk
-    /// (`observer(chunk)`), and the returned hook sees that chunk's global
-    /// accesses in deterministic intra-chunk order, before each access is
-    /// applied (so a store recorder can still read the pre-store bytes).
-    /// Chunks run concurrently, so the factory and the hooks it returns
-    /// must be safe to invoke from different threads for *different*
-    /// chunks. evaluate_functional uses it for per-chunk cold L2 shards
-    /// merged in chunk order, plus the launch cache's read/write capture.
-    std::function<MemAccessHook(std::size_t chunk)> observer;
+    /// Per-chunk access observers: empty, or exactly one per canonical
+    /// chunk. `observers[c]` sees chunk c's global accesses in deterministic
+    /// intra-chunk order, each before it is applied (so a store recorder can
+    /// still read the pre-store bytes). Chunks run concurrently, each on its
+    /// own observer. evaluate_functional uses them for per-chunk cold L2
+    /// shards merged in chunk order, plus the launch cache's capture.
+    std::span<ChunkObserver> observers;
 
     /// Worker threads for grid-level parallelism. 0 = automatic: the host
     /// default, collapsed to 1 inside an outer ThreadPool worker (nested
@@ -127,10 +120,10 @@ class Interpreter {
   };
 
   /// Executes `ir` over `global` memory and returns the dynamic profile.
-  /// Throws ContractError on invalid launches, out-of-bounds accesses,
-  /// integer division by zero, or budget exhaustion; with several failing
-  /// chunks the error of the lowest-numbered chunk wins, so error reporting
-  /// is deterministic too.
+  /// Throws ContractError on invalid launches (`observers` of the wrong
+  /// size included), out-of-bounds accesses, integer division by zero, or
+  /// budget exhaustion; with several failing chunks the error of the
+  /// lowest-numbered chunk wins, so error reporting is deterministic too.
   DynamicProfile run(const KernelIR& ir, const LaunchDims& dims, const KernelArgs& args,
                      AddressSpace& global, const Options& options);
   DynamicProfile run(const KernelIR& ir, const LaunchDims& dims, const KernelArgs& args,
@@ -140,7 +133,7 @@ class Interpreter {
 
   /// The reference executor: decodes `ir` afresh and runs every block
   /// serially in row-major order on the plain decoded block loop, without
-  /// hooks. Same results and errors as `run`; the SIGVP_TIER_VERIFY oracle,
+  /// observers. Same results and errors as `run`; the SIGVP_TIER_VERIFY oracle,
   /// the differential tests and bench/interp_throughput compare against it.
   static DynamicProfile run_reference(const KernelIR& ir, const LaunchDims& dims,
                                       const KernelArgs& args, AddressSpace& global,

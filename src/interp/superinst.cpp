@@ -76,7 +76,7 @@ bool is_pure_op(Opcode op) {
 }
 
 /// Ops eligible for the lane-lockstep vector prologue: no memory traffic,
-/// no hooks, no λ, no control flow. That is every pure op but the SFU ones,
+/// no observer, no λ, no control flow. That is every pure op but the SFU ones,
 /// plus the broadcasts of immediates, special registers and parameters
 /// (ld_param's bounds check is uniform across lanes). DivI/RemI are not
 /// pure: their zero-divisor trap would need per-lane unwind ordering.

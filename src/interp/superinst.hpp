@@ -176,7 +176,7 @@ struct VecOp {
 /// The prologue is the maximal prefix of the entry block consisting of pure
 /// register ops (no memory, no control flow, no div/rem traps): every thread
 /// executes exactly these instructions first, they touch only lane-private
-/// registers, fire no hooks and bump no λ, so running them lane-lockstep is
+/// registers, call no observer and bump no λ, so running them lane-lockstep is
 /// provably byte-exact and the inner loops vectorize over the contiguous SoA
 /// lanes. The scalar code still contains the prologue instructions (lowered
 /// 1:1, never fused), so execution can start from flat pc 0 whenever the

@@ -26,7 +26,7 @@ struct T2Ctx {
   const std::uint64_t* argv = nullptr;
   std::size_t argc = 0;
   AddressSpace* global = nullptr;
-  const MemAccessHook* hook = nullptr;
+  ChunkObserver* observer = nullptr;
   std::uint64_t* block_visits = nullptr;
   std::uint8_t* shared = nullptr;
   std::size_t shared_size = 0;
@@ -40,6 +40,35 @@ struct T2Ctx {
   sigvp::detail::raise_contract_error("invariant", "prologue op is vectorizable", __FILE__,
                                       __LINE__,
                                       m.ir->name + ": non-vector op reached the prologue");
+}
+
+// The engine's one global load and one global store: the chunk's observer
+// sees the access, then it is applied.
+template <class T>
+[[gnu::always_inline]] inline T gload(const T2Ctx& m, std::uint64_t addr) {
+  if (m.observer) m.observer->access(addr, sizeof(T), false, *m.global);
+  return m.global->read<T>(addr);
+}
+template <class T>
+[[gnu::always_inline]] inline void gstore(const T2Ctx& m, std::uint64_t addr, T v) {
+  if (m.observer) m.observer->access(addr, sizeof(T), true, *m.global);
+  m.global->write<T>(addr, v);
+}
+
+// The value of special register `sr` for thread `t` of the current block.
+[[gnu::always_inline]] inline std::uint64_t special_value(SpecialReg sr, const T2Thread& t,
+                                                         const T2Ctx& m) {
+  switch (sr) {
+    case SpecialReg::kTidX: return t.tid_x;
+    case SpecialReg::kTidY: return t.tid_y;
+    case SpecialReg::kCtaidX: return m.ctaid_x;
+    case SpecialReg::kCtaidY: return m.ctaid_y;
+    case SpecialReg::kNtidX: return m.dims.block_x;
+    case SpecialReg::kNtidY: return m.dims.block_y;
+    case SpecialReg::kNctaidX: return m.dims.grid_x;
+    case SpecialReg::kNctaidY: return m.dims.grid_y;
+  }
+  return 0;
 }
 
 // One always-inlined function per SIGVP_PURE_OPS row, `pure_<name>(D, A, B,
@@ -61,7 +90,7 @@ SIGVP_PURE_OPS(SIGVP_PURE_FN)
 // contiguous loads/stores (register r's lanes live at slab[r * lane_stride..]),
 // which the compiler auto-vectorizes. Semantically this is exactly "every
 // thread runs the prefix before anything else" — legal because the prefix
-// touches no memory, fires no hooks, bumps no λ, and cannot branch, so no
+// touches no memory, calls no observer, bumps no λ, and cannot branch, so no
 // thread can observe another thread's progress through it.
 // ---------------------------------------------------------------------------
 
@@ -86,32 +115,8 @@ void run_vec_prologue(T2Ctx& m, const std::vector<VecOp>& ops, std::uint32_t lan
         break;
       }
       case Opcode::kReadSpecial: {
-        switch (static_cast<SpecialReg>(v.imm)) {
-          case SpecialReg::kTidX:
-            for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = threads[l].tid_x;
-            break;
-          case SpecialReg::kTidY:
-            for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = threads[l].tid_y;
-            break;
-          case SpecialReg::kCtaidX:
-            for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = m.ctaid_x;
-            break;
-          case SpecialReg::kCtaidY:
-            for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = m.ctaid_y;
-            break;
-          case SpecialReg::kNtidX:
-            for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = m.dims.block_x;
-            break;
-          case SpecialReg::kNtidY:
-            for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = m.dims.block_y;
-            break;
-          case SpecialReg::kNctaidX:
-            for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = m.dims.grid_x;
-            break;
-          case SpecialReg::kNctaidY:
-            for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = m.dims.grid_y;
-            break;
-        }
+        const auto sr = static_cast<SpecialReg>(v.imm);
+        for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = special_value(sr, threads[l], m);
         break;
       }
       case Opcode::kLdParam: {
@@ -200,18 +205,7 @@ t2_dispatch:
 
   T2_CASE(read_special) {
     T2_TICK();
-    std::uint64_t v = 0;
-    switch (static_cast<SpecialReg>(d->imm)) {
-      case SpecialReg::kTidX: v = t.tid_x; break;
-      case SpecialReg::kTidY: v = t.tid_y; break;
-      case SpecialReg::kCtaidX: v = m.ctaid_x; break;
-      case SpecialReg::kCtaidY: v = m.ctaid_y; break;
-      case SpecialReg::kNtidX: v = m.dims.block_x; break;
-      case SpecialReg::kNtidY: v = m.dims.block_y; break;
-      case SpecialReg::kNctaidX: v = m.dims.grid_x; break;
-      case SpecialReg::kNctaidY: v = m.dims.grid_y; break;
-    }
-    r[d->d].bits = v;
+    r[d->d].bits = special_value(static_cast<SpecialReg>(d->imm), t, m);
     T2_NEXT();
   }
 
@@ -278,22 +272,18 @@ t2_dispatch:
     return;
   }
 
-  // --- global memory (the hook fires before the access) ---------------------
+  // --- global memory (the observer sees each access before it lands) --------
 #define T2_LD_GLOBAL(name, type, assign)                        \
   T2_CASE(name) {                                               \
     T2_TICK();                                                  \
-    const std::uint64_t addr = T2_GADDR(d->a, d->imm);          \
-    if (m.hook) (*m.hook)(addr, sizeof(type), false);           \
-    const type v = m.global->read<type>(addr);                  \
+    const type v = gload<type>(m, T2_GADDR(d->a, d->imm));      \
     assign;                                                     \
     T2_NEXT();                                                  \
   }
 #define T2_ST_GLOBAL(name, type, value)                         \
   T2_CASE(name) {                                               \
     T2_TICK();                                                  \
-    const std::uint64_t addr = T2_GADDR(d->a, d->imm);          \
-    if (m.hook) (*m.hook)(addr, sizeof(type), true);            \
-    m.global->write<type>(addr, (value));                       \
+    gstore<type>(m, T2_GADDR(d->a, d->imm), (value));           \
     T2_NEXT();                                                  \
   }
 
@@ -314,7 +304,7 @@ t2_dispatch:
   T2_CASE(atom_add_global_i64) {
     T2_TICK();
     const std::uint64_t addr = T2_GADDR(d->a, d->imm);
-    if (m.hook) (*m.hook)(addr, 8, true);
+    if (m.observer) m.observer->access(addr, 8, true, *m.global);
     const std::int64_t old = m.global->read<std::int64_t>(addr);
     m.global->write<std::int64_t>(addr, wrap_add_i(old, r[d->b].i()));
     r[d->d].set_i(old);
@@ -323,7 +313,7 @@ t2_dispatch:
   T2_CASE(atom_add_global_f32) {
     T2_TICK();
     const std::uint64_t addr = T2_GADDR(d->a, d->imm);
-    if (m.hook) (*m.hook)(addr, 4, true);
+    if (m.observer) m.observer->access(addr, 4, true, *m.global);
     const float old = m.global->read<float>(addr);
     m.global->write<float>(addr, old + r[d->b].f32());
     r[d->d].set_f32(old);
@@ -409,25 +399,15 @@ t2_dispatch:
 #undef T2_SET_BRA
   T2_CASE(ld_ld_f32) {
     T2_TICK();
-    {
-      const std::uint64_t addr = T2_GADDR(d->a, d->imm);
-      if (m.hook) (*m.hook)(addr, 4, false);
-      r[d->d].set_f32(m.global->read<float>(addr));
-    }
+    r[d->d].set_f32(gload<float>(m, T2_GADDR(d->a, d->imm)));
     T2_TICK();
-    {
-      const std::uint64_t addr = T2_GADDR(d->a2, d->imm2);
-      if (m.hook) (*m.hook)(addr, 4, false);
-      r[d->d2].set_f32(m.global->read<float>(addr));
-    }
+    r[d->d2].set_f32(gload<float>(m, T2_GADDR(d->a2, d->imm2)));
     T2_NEXT();
   }
-#define T2_LD_ARITH(name, arith)                                 \
+#define T2_LD_ARITH(name, arith)                                \
   T2_CASE(name) {                                               \
     T2_TICK();                                                  \
-    const std::uint64_t addr = T2_GADDR(d->a, d->imm);          \
-    if (m.hook) (*m.hook)(addr, 4, false);                      \
-    r[d->d].set_f32(m.global->read<float>(addr));               \
+    r[d->d].set_f32(gload<float>(m, T2_GADDR(d->a, d->imm)));   \
     T2_TICK();                                                  \
     T2_OP2(arith);                                              \
     T2_NEXT();                                                  \
@@ -441,9 +421,7 @@ t2_dispatch:
     T2_TICK();                                                  \
     T2_OP1(arith);                                              \
     T2_TICK();                                                  \
-    const std::uint64_t addr = T2_GADDR(d->a2, d->imm2);        \
-    if (m.hook) (*m.hook)(addr, 4, true);                       \
-    m.global->write<float>(addr, r[d->b2].f32());               \
+    gstore<float>(m, T2_GADDR(d->a2, d->imm2), r[d->b2].f32()); \
     T2_NEXT();                                                  \
   }
   T2_ARITH_ST(add_st_f32, add_f32)
@@ -480,7 +458,7 @@ t2_dispatch:
 }  // namespace
 
 void run_tier2_block(const Tier2Program& prog2, const KernelIR& ir, const LaunchDims& dims,
-                     const KernelArgs& args, AddressSpace& global, const MemAccessHook* hook,
+                     const KernelArgs& args, AddressSpace& global, ChunkObserver* observer,
                      std::uint64_t max_instrs_per_thread, Tier2Arena& arena,
                      DynamicProfile& profile, std::uint32_t ctaid_x, std::uint32_t ctaid_y) {
   const auto nthreads = static_cast<std::uint32_t>(dims.threads_per_block());
@@ -495,7 +473,7 @@ void run_tier2_block(const Tier2Program& prog2, const KernelIR& ir, const Launch
   m.argv = args.values.data();
   m.argc = args.values.size();
   m.global = &global;
-  m.hook = hook;
+  m.observer = observer;
   m.block_visits = profile.block_visits.data();
   m.shared = arena.shared.data();
   m.shared_size = arena.shared.size();

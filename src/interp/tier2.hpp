@@ -125,10 +125,10 @@ struct Tier2Arena {
 /// Executes one thread block of the lowered program, byte-exact vs the
 /// reference run_decoded_block: same thread-serial barrier-phase scheduling,
 /// same λ bumps, same budget semantics (one tick per micro-op, checked
-/// before the op body), same error behavior. `hook` (may be null) sees each
-/// global access before it is applied.
+/// before the op body), same error behavior. `observer` (may be null) sees
+/// each global access before it is applied.
 void run_tier2_block(const Tier2Program& prog2, const KernelIR& ir, const LaunchDims& dims,
-                     const KernelArgs& args, AddressSpace& global, const MemAccessHook* hook,
+                     const KernelArgs& args, AddressSpace& global, ChunkObserver* observer,
                      std::uint64_t max_instrs_per_thread, Tier2Arena& arena,
                      DynamicProfile& profile, std::uint32_t ctaid_x, std::uint32_t ctaid_y);
 

@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "gpu/cache.hpp"
 #include "gpu/prob_cache.hpp"
+#include "mem/cache.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 

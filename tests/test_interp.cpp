@@ -4,6 +4,7 @@
 #include <functional>
 #include <limits>
 #include <ostream>
+#include <string>
 #include <utility>
 
 #include "interp/interpreter.hpp"
@@ -474,32 +475,42 @@ TEST(Interp, SharedOutOfBoundsThrows) {
 }
 
 TEST(Interp, SpecialRegistersReportGeometry) {
-  AddressSpace mem(kMem, "m");
-  // Each block stores the geometry to its own 32-byte slot, so blocks run on
-  // different host threads never write the same word.
+  constexpr SpecialReg kRegs[] = {
+      SpecialReg::kTidX,  SpecialReg::kTidY,  SpecialReg::kCtaidX,  SpecialReg::kCtaidY,
+      SpecialReg::kNtidX, SpecialReg::kNtidY, SpecialReg::kNctaidX, SpecialReg::kNctaidY};
+  // Every thread stores all eight registers twice to its own 128-byte slot:
+  // first as read in the entry block's pure prefix (the engine's vector
+  // prologue), then as read again in scalar code after a global store.
   KernelBuilder b("specials", 1);
-  const auto out = b.reg(), v = b.reg(), addr = b.reg(), slot = b.reg(), tmp = b.reg();
+  const auto out = b.reg(), lin = b.reg(), tmp = b.reg(), addr = b.reg(), eight = b.reg();
+  KernelBuilder::Reg sr[8];
+  for (auto& r : sr) r = b.reg();
   b.block("entry");
   b.ld_param(out, 0);
-  b.special(slot, SpecialReg::kCtaidY);
-  b.special(tmp, SpecialReg::kNctaidX);
-  b.mul_i(slot, slot, tmp);
-  b.special(tmp, SpecialReg::kCtaidX);
-  b.add_i(slot, slot, tmp);
-  b.mov_imm_i(tmp, 32);
-  b.mul_i(slot, slot, tmp);
-  b.add_i(addr, out, slot);
-  for (SpecialReg sr : {SpecialReg::kNtidX, SpecialReg::kNtidY, SpecialReg::kNctaidX,
-                        SpecialReg::kNctaidY}) {
-    b.special(v, sr);
-    b.st_global_i64(v, addr);
-    const auto eight = b.reg();
-    b.mov_imm_i(eight, 8);
+  for (int i = 0; i < 8; ++i) b.special(sr[i], kRegs[i]);
+  // lin = ((ctaid.y * nctaid.x + ctaid.x) * ntid.x * ntid.y + tid.y * ntid.x + tid.x) * 128
+  b.mul_i(lin, sr[3], sr[6]);
+  b.add_i(lin, lin, sr[2]);
+  b.mul_i(lin, lin, sr[4]);
+  b.mul_i(lin, lin, sr[5]);
+  b.mul_i(tmp, sr[1], sr[4]);
+  b.add_i(lin, lin, tmp);
+  b.add_i(lin, lin, sr[0]);
+  b.mov_imm_i(tmp, 128);
+  b.mul_i(lin, lin, tmp);
+  b.add_i(addr, out, lin);
+  b.mov_imm_i(eight, 8);
+  for (int i = 0; i < 8; ++i) {
+    b.st_global_i64(sr[i], addr);
+    b.add_i(addr, addr, eight);
+  }
+  for (int i = 0; i < 8; ++i) {
+    b.special(tmp, kRegs[i]);
+    b.st_global_i64(tmp, addr);
     b.add_i(addr, addr, eight);
   }
   b.ret();
   const KernelIR ir = b.build();
-  Interpreter interp;
   KernelArgs args;
   args.push_ptr(0);
   LaunchDims dims;
@@ -507,14 +518,34 @@ TEST(Interp, SpecialRegistersReportGeometry) {
   dims.block_y = 2;
   dims.grid_x = 5;
   dims.grid_y = 4;
-  interp.run(ir, dims, args, mem);
-  for (std::uint64_t block = 0; block < 5 * 4; ++block) {
-    const std::uint64_t base = block * 32;
-    EXPECT_EQ(mem.read<std::int64_t>(base), 3) << "block " << block;
-    EXPECT_EQ(mem.read<std::int64_t>(base + 8), 2) << "block " << block;
-    EXPECT_EQ(mem.read<std::int64_t>(base + 16), 5) << "block " << block;
-    EXPECT_EQ(mem.read<std::int64_t>(base + 24), 4) << "block " << block;
+
+  const auto check = [&](const AddressSpace& mem, const std::string& engine) {
+    for (std::uint32_t by = 0; by < 4; ++by) {
+      for (std::uint32_t bx = 0; bx < 5; ++bx) {
+        for (std::uint32_t ty = 0; ty < 2; ++ty) {
+          for (std::uint32_t tx = 0; tx < 3; ++tx) {
+            const std::uint64_t base = ((by * 5 + bx) * 6 + ty * 3 + tx) * 128;
+            const std::int64_t want[8] = {tx, ty, bx, by, 3, 2, 5, 4};
+            for (int i = 0; i < 16; ++i) {
+              EXPECT_EQ(mem.read<std::int64_t>(base + 8 * i), want[i % 8])
+                  << engine << " block (" << bx << "," << by << ") thread (" << tx << "," << ty
+                  << ") " << (i < 8 ? "prologue" : "scalar") << " register " << i % 8;
+            }
+          }
+        }
+      }
+    }
+  };
+  for (const std::size_t workers : {1u, 8u}) {
+    AddressSpace mem(kMem, "m");
+    Interpreter::Options opts;
+    opts.workers = workers;
+    Interpreter().run(ir, dims, args, mem, opts);
+    check(mem, "run workers=" + std::to_string(workers));
   }
+  AddressSpace mem(kMem, "m");
+  Interpreter::run_reference(ir, dims, args, mem);
+  check(mem, "run_reference");
 }
 
 }  // namespace

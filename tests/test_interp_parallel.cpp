@@ -6,10 +6,8 @@
 // budgeting, and program-cache invalidation.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
-#include <mutex>
-#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -250,23 +248,35 @@ TEST(InterpParallel, ObserverCoversEveryChunkAndAllTraffic) {
   const std::size_t chunks = Interpreter::canonical_chunks(dims);
 
   AddressSpace mem(1 << 16, "m");
-  std::mutex mu;
-  std::set<std::size_t> seen_chunks;
-  std::atomic<std::uint64_t> bytes{0};
+  std::vector<ChunkCapture> captures(chunks);
+  std::vector<ChunkObserver> observers;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    observers.push_back({CacheModel(CacheConfig{4096, 64, 4}), &captures[c]});
+  }
   Interpreter::Options opts;
   opts.workers = 8;
-  opts.observer = [&](std::size_t chunk) -> MemAccessHook {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      seen_chunks.insert(chunk);
-    }
-    return [&bytes](std::uint64_t, std::uint32_t n, bool) {
-      bytes.fetch_add(n, std::memory_order_relaxed);
-    };
-  };
+  opts.observers = observers;
   const DynamicProfile p = Interpreter().run(ir, dims, args, mem, opts);
-  EXPECT_EQ(seen_chunks.size(), chunks);
-  EXPECT_EQ(bytes.load(), p.global_load_bytes + p.global_store_bytes);
+
+  // Chunk c runs blocks 2c and 2c + 1, i.e. gids [16c, 16c + 16); only the
+  // last chunk lies wholly past n = 1000 and stores nothing.
+  std::uint64_t accesses = 0, written = 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::uint64_t seen = observers[c].l2.stats().accesses;
+    EXPECT_EQ(seen > 0, 16 * c < 1000) << "chunk " << c;
+    accesses += seen;
+    for (const MemChunk& w : captures[c].writes.ranges()) written += w.size;
+    EXPECT_TRUE(captures[c].reads.ranges().empty());
+  }
+  // Every thread stores to its own 8-byte cell, one L2 line each, so the
+  // captured write bytes add up to all the store traffic.
+  EXPECT_EQ(accesses, 1000u);
+  EXPECT_EQ(written, p.global_store_bytes);
+  EXPECT_EQ(p.global_store_bytes, 8000u);
+
+  // An observer span that is neither empty nor one per chunk is refused.
+  opts.observers = std::span<ChunkObserver>(observers).first(chunks - 1);
+  EXPECT_THROW(Interpreter().run(ir, dims, args, mem, opts), ContractError);
 }
 
 // --- divergent-exit barriers --------------------------------------------------

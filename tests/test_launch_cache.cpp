@@ -5,21 +5,26 @@
 // export/import of pre-images), deterministic insertion-order
 // eviction, fault-plan / atomics bypass, verify mode, relocated hits at a
 // common line-multiple pointer shift, the capture fast path, out-of-bounds
-// errors, and the scenario + sweep integration (cached fleets byte-identical
-// to uncached).
+// errors, the scenario + sweep integration (cached fleets byte-identical
+// to uncached), and a pinned digest of what evaluate_functional's per-chunk
+// observers record for every kernel bench/interp_throughput runs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <functional>
+#include <iostream>
+#include <map>
+#include <memory>
 #include <utility>
 #include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
-#include "gpu/capture.hpp"
 #include "gpu/device.hpp"
 #include "gpu/launch_cache.hpp"
 #include "gpu/offline.hpp"
@@ -27,7 +32,9 @@
 #include "ir/builder.hpp"
 #include "ir/translation.hpp"
 #include "mem/allocator.hpp"
+#include "mem/capture.hpp"
 #include "run/sweep.hpp"
+#include "run/thread_pool.hpp"
 #include "sim/event_queue.hpp"
 #include "snapshot/serial.hpp"
 #include "util/rng.hpp"
@@ -1203,6 +1210,174 @@ TEST_F(LaunchCacheTest, CachedFleetScenarioIsByteIdenticalToUncachedAcrossSweepW
       EXPECT_EQ(cached.jobs[j].result.app_outputs, uncached.jobs[j].result.app_outputs);
     }
   }
+}
+
+// --- pinned observer digest ---------------------------------------------------
+
+/// FNV-1a over 64-bit words.
+struct Fold {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  void add(std::uint64_t v) { h = (h ^ v) * 0x100000001B3ull; }
+  void add(const std::vector<MemChunk>& ranges) {
+    add(ranges.size());
+    for (const MemChunk& r : ranges) {
+      add(r.addr);
+      add(r.size);
+    }
+  }
+};
+
+/// One kernel launch as bench/interp_throughput runs it: a suite workload,
+/// or one stage of an app pipeline on its owner's buffers, at the bench's
+/// default size and memory layout.
+struct BenchLaunch {
+  std::string name;  // "app/kernel"
+  const KernelIR* kernel = nullptr;
+  LaunchDims dims;
+  KernelArgs args;
+  std::shared_ptr<const AddressSpace> input;
+};
+
+std::vector<BenchLaunch> bench_launches(const std::vector<workloads::Workload>& suite,
+                                        const std::vector<workloads::Workload>& apps) {
+  const auto make_input = [](const workloads::Workload& w, std::uint64_t n,
+                             std::vector<std::uint64_t>& addrs) {
+    auto mem = std::make_shared<AddressSpace>(256ull << 20, "bench");
+    FreeListAllocator alloc(4096, mem->size() - 4096);
+    const auto specs = w.buffers(n);
+    std::vector<std::vector<std::uint8_t>> host(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      addrs.push_back(*alloc.allocate(specs[i].bytes));
+      host[i].assign(specs[i].bytes, 0);
+      if (w.fill_inputs || !specs[i].is_input) continue;
+      for (std::uint64_t off = 0; off + 4 <= specs[i].bytes; off += 4) {
+        const float v = 0.5f;
+        std::memcpy(host[i].data() + off, &v, 4);
+      }
+    }
+    if (w.fill_inputs) w.fill_inputs(n, host);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (specs[i].is_input) mem->copy_in(addrs[i], host[i].data(), host[i].size());
+    }
+    return mem;
+  };
+  const auto size_of = [](const workloads::Workload& w) {
+    return w.estimate_n != 0 ? w.estimate_n : w.test_n;
+  };
+  std::vector<BenchLaunch> out;
+  for (const auto& w : suite) {
+    const std::uint64_t n = size_of(w);
+    std::vector<std::uint64_t> addrs;
+    auto input = make_input(w, n, addrs);
+    out.push_back({w.app + "/" + w.kernel.name, &w.kernel, w.dims(n), w.args(addrs, n), input});
+  }
+  for (const auto& w : apps) {
+    const std::uint64_t n = size_of(w);
+    std::vector<std::uint64_t> addrs;
+    auto input = make_input(w, n, addrs);
+    for (const auto& stage : w.stages) {
+      out.push_back({w.app + "/" + stage.kernel.name, &stage.kernel, stage.dims(n),
+                     stage.args(addrs, n, /*jitter=*/0), input});
+    }
+  }
+  return out;
+}
+
+/// Everything the per-chunk observers decide in one evaluate_functional
+/// call, folded: the L2 stats, the profile, the final memory and, with
+/// capture, each chunk's read and write ranges and its undo log.
+std::uint64_t observer_digest(const BenchLaunch& l, bool with_capture) {
+  AddressSpace mem = *l.input;
+  std::vector<ChunkCapture> capture;
+  const LaunchEvaluation e = evaluate_functional(make_tegrak1(), *l.kernel, l.dims, l.args, mem,
+                                                 with_capture ? &capture : nullptr);
+  Fold f;
+  f.add(e.stats.cache.accesses);
+  f.add(e.stats.cache.hits);
+  f.add(e.stats.cache.misses);
+  const DynamicProfile& p = e.profile;
+  for (const std::uint64_t v : p.block_visits) f.add(v);
+  for (const std::uint64_t v : p.instr_counts.counts) f.add(v);
+  f.add(p.global_load_bytes);
+  f.add(p.global_store_bytes);
+  f.add(p.barriers_waited);
+  f.add(p.sfu_instrs);
+  f.add(p.sqrt_instrs);
+  f.add(mem.content_digest(kMemHashSeed));
+  f.add(capture.size());
+  for (const ChunkCapture& c : capture) {
+    f.add(c.reads.ranges());
+    f.add(c.writes.ranges());
+    f.add(c.undo_ranges);
+    for (const std::uint8_t b : c.undo_bytes) f.add(b);
+  }
+  return f.h;
+}
+
+/// Pinned digests: a change to the engine's access path, the L2 model or
+/// the capture that moves any simulated byte, count or range fails here.
+const std::map<std::string, std::uint64_t>& pinned_observer_digests() {
+  static const std::map<std::string, std::uint64_t> pinned = {
+      {"simpleGL/simpleGL", 0x42655e47f9d0d2feull},
+      {"Mandelbrot/Mandelbrot", 0xc7ffd776b5fcd2d4ull},
+      {"bicubicTexture/bicubicTexture", 0x9124f85483d494d2ull},
+      {"recursiveGaussian/recursiveGaussian", 0x0f40d46196f1bd4bull},
+      {"MonteCarlo/MonteCarlo", 0xc3b59e6ffb775db0ull},
+      {"segmentationTreeThrust/segScanStep", 0x5ef6838d4cbbbac2ull},
+      {"marchingCubes/marchingCubes", 0x57ba5ad296bb6589ull},
+      {"VolumeFiltering/VolumeFiltering", 0x86a70f09721751d8ull},
+      {"SobelFilter/SobelFilter", 0xa1052ca0c7f34ceaull},
+      {"nbody/nbody", 0x9ae141b1ebe2c93full},
+      {"smokeParticles/smokeParticles", 0x87829e7f8981eb84ull},
+      {"mergeSort/mergeSortStep", 0x6db7f47e409e5c44ull},
+      {"stereoDisparity/stereoDisparity", 0xd88d65397f74c5c5ull},
+      {"convolutionSeparable/convolutionSeparable", 0x01e6c714593e640full},
+      {"dct8x8/dct8x8", 0x3e81267f5e039189ull},
+      {"BlackScholes/BlackScholes", 0x1c7fbdddc16aa17aull},
+      {"matrixMul/matrixMul", 0x1136a965abc78475ull},
+      {"vectorAdd/vectorAdd", 0x1e7d84406506a350ull},
+      {"reduction/reduction", 0x6102d6d594bf5c9aull},
+      {"histogram/histogram", 0x1e1886320c7f2786ull},
+      {"graphAnalytics/bfsStep", 0xc0f7ba5cc9986165ull},
+      {"graphAnalytics/prContrib", 0x9199a13520d8ba1cull},
+      {"graphAnalytics/prGather", 0xe064acdcf1f0e63full},
+      {"mlInference/mlpMatmul", 0xa7fdcfd5f0500c96ull},
+      {"mlInference/mlpBias", 0xc2683d2ec18b9556ull},
+      {"mlInference/softmax32", 0x15b5ee66f4fb2de4ull},
+      {"camPipeline/camGain", 0x1a2ff25590466d80ull},
+      {"camPipeline/camBlur3", 0x7b4be0663aa385d0ull},
+      {"camPipeline/camQuant", 0x6767ccbeeb770d34ull},
+  };
+  return pinned;
+}
+
+TEST(ObserverDigest, EveryBenchKernelMatchesItsPinnedDigestAtAnyWorkerCount) {
+  const auto suite = workloads::make_suite();
+  const auto apps = workloads::make_app_suite();
+  const auto launches = bench_launches(suite, apps);
+  ASSERT_EQ(launches.size(), pinned_observer_digests().size());
+  std::string table;
+  for (const BenchLaunch& l : launches) {
+    SCOPED_TRACE(l.name);
+    std::uint64_t digest = 0;
+    for (const bool with_capture : {false, true}) {
+      // Inside a pool worker the engine runs serially (workers 1); on the
+      // test thread it uses the host's workers.
+      std::uint64_t serial = 0;
+      run::ThreadPool pool(1);
+      pool.submit([&] { serial = observer_digest(l, with_capture); });
+      pool.wait_idle();
+      EXPECT_EQ(observer_digest(l, with_capture), serial) << "capture " << with_capture;
+      digest = digest * 0x100000001B3ull ^ serial;
+    }
+    char line[128];
+    std::snprintf(line, sizeof line, "      {\"%s\", 0x%016llxull},\n", l.name.c_str(),
+                  static_cast<unsigned long long>(digest));
+    table += line;
+    const auto it = pinned_observer_digests().find(l.name);
+    EXPECT_TRUE(it != pinned_observer_digests().end() && it->second == digest);
+  }
+  if (::testing::Test::HasFailure()) std::cout << "computed digests:\n" << table;
 }
 
 }  // namespace

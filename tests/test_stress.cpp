@@ -6,8 +6,8 @@
 #include <map>
 #include <vector>
 
-#include "gpu/cache.hpp"
 #include "mem/allocator.hpp"
+#include "mem/cache.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "util/rng.hpp"
