@@ -33,36 +33,6 @@ AppRun::AppRun(EventQueue& queue, cuda::DeviceDriver& driver, Processor& cpu,
 
 AppRun::~AppRun() = default;
 
-cuda::LaunchSpec AppRun::make_spec(std::uint32_t launch_index) const {
-  cuda::LaunchSpec spec;
-  if (!workload_.stages.empty()) {
-    const workloads::PipelineStage& st =
-        workload_.stages[launch_index % workload_.stages.size()];
-    spec.request.kernel = &st.kernel;
-    spec.request.dims = st.dims(n_);
-    spec.request.args = st.args(buffer_addrs_, n_, jitter_);
-    spec.request.mode = mode_;
-    if (mode_ == ExecMode::kAnalytic) {
-      spec.request.analytic_profile = st.profile(n_);
-      spec.request.mem_behavior = st.behavior(n_);
-    }
-    if (traits_.coalescable && st.coalesce) spec.coalesce = st.coalesce(n_);
-    return spec;
-  }
-  spec.request.kernel = &workload_.kernel;
-  spec.request.dims = workload_.dims(n_);
-  spec.request.args = workload_.args(buffer_addrs_, n_);
-  spec.request.mode = mode_;
-  if (mode_ == ExecMode::kAnalytic) {
-    spec.request.analytic_profile = workload_.profile(n_);
-    spec.request.mem_behavior = workload_.behavior(n_);
-  }
-  if (traits_.coalescable && workload_.coalesce) {
-    spec.coalesce = workload_.coalesce(n_);
-  }
-  return spec;
-}
-
 void AppRun::start(std::function<void(SimTime)> on_done) {
   SIGVP_REQUIRE(!self_, "AppRun already started");
   on_done_ = std::move(on_done);
@@ -149,7 +119,9 @@ void AppRun::do_launch() {
     launch_in_iter_ = traits_.launches_per_iter;
     kernels_launched_ += count;
     for (std::uint32_t i = 0; i < count; ++i) {
-      driver_.launch(make_spec(start + i), {});
+      driver_.launch(workloads::make_launch_spec(workload_, start + i, n_, buffer_addrs_, jitter_,
+                                                 mode_, traits_.coalescable),
+                     {});
     }
     driver_.synchronize([self](SimTime) { self->do_iter_download(); });
     return;
@@ -157,7 +129,8 @@ void AppRun::do_launch() {
   const std::uint32_t launch_index = launch_in_iter_;
   ++launch_in_iter_;
   ++kernels_launched_;
-  driver_.launch(make_spec(launch_index),
+  driver_.launch(workloads::make_launch_spec(workload_, launch_index, n_, buffer_addrs_, jitter_,
+                                             mode_, traits_.coalescable),
                  [self](SimTime, const KernelExecStats&) { self->do_launch(); });
 }
 

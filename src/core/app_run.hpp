@@ -78,10 +78,6 @@ class AppRun : public std::enable_shared_from_this<AppRun> {
   void finish_iteration();
   void teardown();
   void complete(SimTime end);
-  /// Launch spec for launch number `launch_index` of an iteration: stage
-  /// `launch_index % stages.size()` for pipeline apps (kernel chaining), the
-  /// workload's single kernel otherwise.
-  cuda::LaunchSpec make_spec(std::uint32_t launch_index) const;
 
   EventQueue& queue_;
   cuda::DeviceDriver& driver_;

@@ -50,34 +50,6 @@ workloads::Request RequestStream::resolve(std::size_t index) const {
   return workloads::Request{&workload_, n_, jitter_};
 }
 
-cuda::LaunchSpec RequestStream::make_spec(const Active& active, std::size_t stage) const {
-  const workloads::Workload& w = *active.req.workload;
-  cuda::LaunchSpec spec;
-  if (w.stages.empty()) {
-    spec.request.kernel = &w.kernel;
-    spec.request.dims = w.dims(active.req.n);
-    spec.request.args = w.args(active.addrs, active.req.n);
-    spec.request.mode = mode_;
-    if (mode_ == ExecMode::kAnalytic) {
-      spec.request.analytic_profile = w.profile(active.req.n);
-      spec.request.mem_behavior = w.behavior(active.req.n);
-    }
-    if (w.traits.coalescable && w.coalesce) spec.coalesce = w.coalesce(active.req.n);
-    return spec;
-  }
-  const workloads::PipelineStage& st = w.stages[stage];
-  spec.request.kernel = &st.kernel;
-  spec.request.dims = st.dims(active.req.n);
-  spec.request.args = st.args(active.addrs, active.req.n, active.req.jitter);
-  spec.request.mode = mode_;
-  if (mode_ == ExecMode::kAnalytic) {
-    spec.request.analytic_profile = st.profile(active.req.n);
-    spec.request.mem_behavior = st.behavior(active.req.n);
-  }
-  if (w.traits.coalescable && st.coalesce) spec.coalesce = st.coalesce(active.req.n);
-  return spec;
-}
-
 void RequestStream::start(std::function<void(SimTime)> on_done) {
   SIGVP_REQUIRE(!self_, "RequestStream already started");
   on_done_ = std::move(on_done);
@@ -145,7 +117,9 @@ void RequestStream::serve(std::size_t index) {
       const std::size_t stage = a.cursor++;
       ++rs->kernels_launched_;
       auto chain = *this;
-      rs->driver_.launch(rs->make_spec(a, stage),
+      const workloads::Workload& w = *a.req.workload;
+      rs->driver_.launch(workloads::make_launch_spec(w, stage, a.req.n, a.addrs, a.req.jitter,
+                                                     rs->mode_, w.traits.coalescable),
                          [chain](SimTime, const KernelExecStats&) mutable { chain.launch(); });
     }
 

@@ -70,7 +70,6 @@ class RequestStream : public std::enable_shared_from_this<RequestStream> {
   void serve(std::size_t index);
   void finish_request(std::shared_ptr<Active> active, SimTime end);
   workloads::Request resolve(std::size_t index) const;
-  cuda::LaunchSpec make_spec(const Active& active, std::size_t stage) const;
 
   EventQueue& queue_;
   cuda::DeviceDriver& driver_;

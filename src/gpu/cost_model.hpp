@@ -29,6 +29,8 @@ struct KernelExecStats {
   double stall_fraction() const {
     return total_cycles > 0.0 ? (stall_cycles_data + stall_cycles_other) / total_cycles : 0.0;
   }
+
+  bool operator==(const KernelExecStats&) const = default;
 };
 
 /// Analytic warp-level timing model of a GPU architecture.

@@ -113,27 +113,6 @@ SimTime GpuDevice::memcpy_d2h(StreamId stream, void* dst, std::uint64_t src, std
   return end;
 }
 
-SimTime GpuDevice::memcpy_d2d(StreamId stream, std::uint64_t dst, std::uint64_t src,
-                              std::uint64_t bytes, CopyCallback cb) {
-  SIGVP_REQUIRE(stream < streams_.size(), "unknown stream");
-  memory_.copy_within(dst, src, bytes);
-  // On-device copies move at memory bandwidth, not host-link bandwidth,
-  // with a sub-µs DMA setup cost.
-  const double transfer_us = static_cast<double>(bytes) / (arch_.mem_bandwidth_gbps * 1e3);
-  const SimTime duration = 0.8 + transfer_us;
-  const SimTime end = schedule_on(copy_out_engine_, streams_[stream], duration);
-  copy_busy_ += duration;
-  ++copies_submitted_;
-  if (trace_ != nullptr) {
-    trace_->span(tid_copy_out_, "gpu", "d2d", end - duration, end,
-                 {trace::arg("bytes", bytes), trace::arg("stream", static_cast<int>(stream))});
-  }
-  std::function<void()> fire;
-  if (cb) fire = [end, cb = std::move(cb)] { cb(end); };
-  complete_tracked(end, std::move(fire));
-  return end;
-}
-
 SimTime GpuDevice::memcpy_d2d_batch(StreamId stream, const std::vector<CopyDesc>& descs,
                                     CopyCallback cb) {
   SIGVP_REQUIRE(stream < streams_.size(), "unknown stream");
@@ -142,6 +121,8 @@ SimTime GpuDevice::memcpy_d2d_batch(StreamId stream, const std::vector<CopyDesc>
     memory_.copy_within(d.dst, d.src, d.bytes);
     total_bytes += d.bytes;
   }
+  // On-device copies move at memory bandwidth, not host-link bandwidth,
+  // with a sub-µs DMA setup cost.
   const double transfer_us = static_cast<double>(total_bytes) / (arch_.mem_bandwidth_gbps * 1e3);
   const SimTime duration = 0.8 + transfer_us;
   const SimTime end = schedule_on(copy_out_engine_, streams_[stream], duration);

@@ -117,10 +117,6 @@ class GpuDevice {
   /// Device-to-host copy; `dst` may be nullptr for timing-only transfers.
   SimTime memcpy_d2h(StreamId stream, void* dst, std::uint64_t src, std::uint64_t bytes,
                      CopyCallback cb = {});
-  /// Device-to-device copy (used by the kernel coalescer's gather/scatter).
-  SimTime memcpy_d2d(StreamId stream, std::uint64_t dst, std::uint64_t src, std::uint64_t bytes,
-                     CopyCallback cb = {});
-
   /// Batched device-to-device copy: one DMA descriptor list moving every
   /// (dst, src, bytes) triple, priced as a single transfer of the summed
   /// bytes. The kernel coalescer gathers/scatters arena slices with this.

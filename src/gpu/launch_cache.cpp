@@ -183,25 +183,6 @@ std::vector<std::uint8_t> pre_image_of(const AddressSpace& mem,
   return bytes;
 }
 
-bool profiles_equal(const DynamicProfile& a, const DynamicProfile& b) {
-  return a.block_visits == b.block_visits && a.instr_counts == b.instr_counts &&
-         a.global_load_bytes == b.global_load_bytes &&
-         a.global_store_bytes == b.global_store_bytes &&
-         a.barriers_waited == b.barriers_waited && a.sfu_instrs == b.sfu_instrs &&
-         a.sqrt_instrs == b.sqrt_instrs;
-}
-
-bool stats_equal(const KernelExecStats& a, const KernelExecStats& b) {
-  return a.sigma == b.sigma && a.num_blocks == b.num_blocks &&
-         a.serial_blocks == b.serial_blocks && a.issue_cycles == b.issue_cycles &&
-         a.block_overhead_cycles == b.block_overhead_cycles &&
-         a.stall_cycles_data == b.stall_cycles_data &&
-         a.stall_cycles_other == b.stall_cycles_other && a.total_cycles == b.total_cycles &&
-         a.duration_us == b.duration_us && a.dynamic_energy_j == b.dynamic_energy_j &&
-         a.cache.accesses == b.cache.accesses && a.cache.hits == b.cache.hits &&
-         a.cache.misses == b.cache.misses;
-}
-
 bool all_zero(const std::uint8_t* p, std::size_t n) {
   return p[0] == 0 && std::memcmp(p, p + 1, n - 1) == 0;
 }
@@ -253,6 +234,16 @@ struct LaunchCache::Entry {
       }
     }
     return true;
+  }
+
+  /// The persisted field list (export_state, import_state). `block_ids`
+  /// stands in for pre_image: a block's position in the export's block
+  /// table + 1, or 0 for an all-zero block.
+  template <typename IO>
+  static void fields(IO& io, snapshot::Rec<IO, Entry>& e,
+                     snapshot::Rec<IO, std::vector<std::uint64_t>>& block_ids) {
+    io(e.base_key, e.pointer_mask, e.args.values, e.read_ranges, block_ids, e.stats, e.profile,
+       e.writes.ranges, e.writes.bytes);
   }
 
   /// Write-set and nonzero pre-image bytes plus a fixed cost per range.
@@ -490,95 +481,37 @@ void LaunchCache::insert(std::uint64_t base_key, std::shared_ptr<const Entry> en
 
 // --- checkpoint export/import ------------------------------------------------
 
-namespace {
+namespace snapshot {
 
-void save_chunks(snapshot::Writer& w, const std::vector<MemChunk>& ranges) {
-  w.u64(ranges.size());
-  for (const MemChunk& r : ranges) {
-    w.u64(r.addr);
-    w.u64(r.size);
-  }
+template <typename IO>
+void fields(IO& io, Rec<IO, MemChunk>& c) {
+  io(c.addr, c.size);
 }
 
-std::vector<MemChunk> load_chunks(snapshot::Reader& r) {
-  const std::uint64_t n = r.u64();
-  std::vector<MemChunk> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    MemChunk c;
-    c.addr = r.u64();
-    c.size = r.u64();
-    out.push_back(c);
-  }
-  return out;
+template <typename IO>
+void fields(IO& io, Rec<IO, ClassCounts>& c) {
+  io(c.counts);
 }
 
-void save_class_counts(snapshot::Writer& w, const ClassCounts& c) {
-  w.u64(c.counts.size());
-  for (std::uint64_t v : c.counts) w.u64(v);
+template <typename IO>
+void fields(IO& io, Rec<IO, CacheStats>& c) {
+  io(c.accesses, c.hits, c.misses);
 }
 
-void load_class_counts(snapshot::Reader& r, ClassCounts& c) {
-  const std::uint64_t n = r.u64();
-  if (n != c.counts.size()) {
-    throw snapshot::SnapshotError("launch cache entry: instruction class count mismatch");
-  }
-  for (auto& v : c.counts) v = r.u64();
+template <typename IO>
+void fields(IO& io, Rec<IO, KernelExecStats>& s) {
+  io(s.sigma, s.num_blocks, s.serial_blocks, s.issue_cycles, s.block_overhead_cycles,
+     s.stall_cycles_data, s.stall_cycles_other, s.total_cycles, s.duration_us,
+     s.dynamic_energy_j, s.cache);
 }
 
-void save_stats(snapshot::Writer& w, const KernelExecStats& s) {
-  save_class_counts(w, s.sigma);
-  w.u64(s.num_blocks);
-  w.u64(s.serial_blocks);
-  w.f64(s.issue_cycles);
-  w.f64(s.block_overhead_cycles);
-  w.f64(s.stall_cycles_data);
-  w.f64(s.stall_cycles_other);
-  w.f64(s.total_cycles);
-  w.f64(s.duration_us);
-  w.f64(s.dynamic_energy_j);
-  w.u64(s.cache.accesses);
-  w.u64(s.cache.hits);
-  w.u64(s.cache.misses);
+template <typename IO>
+void fields(IO& io, Rec<IO, DynamicProfile>& p) {
+  io(p.block_visits, p.instr_counts, p.global_load_bytes, p.global_store_bytes,
+     p.barriers_waited, p.sfu_instrs, p.sqrt_instrs);
 }
 
-void load_stats(snapshot::Reader& r, KernelExecStats& s) {
-  load_class_counts(r, s.sigma);
-  s.num_blocks = r.u64();
-  s.serial_blocks = r.u64();
-  s.issue_cycles = r.f64();
-  s.block_overhead_cycles = r.f64();
-  s.stall_cycles_data = r.f64();
-  s.stall_cycles_other = r.f64();
-  s.total_cycles = r.f64();
-  s.duration_us = r.f64();
-  s.dynamic_energy_j = r.f64();
-  s.cache.accesses = r.u64();
-  s.cache.hits = r.u64();
-  s.cache.misses = r.u64();
-}
-
-void save_profile(snapshot::Writer& w, const DynamicProfile& p) {
-  w.u64_vec(p.block_visits);
-  save_class_counts(w, p.instr_counts);
-  w.u64(p.global_load_bytes);
-  w.u64(p.global_store_bytes);
-  w.u64(p.barriers_waited);
-  w.u64(p.sfu_instrs);
-  w.u64(p.sqrt_instrs);
-}
-
-void load_profile(snapshot::Reader& r, DynamicProfile& p) {
-  p.block_visits = r.u64_vec();
-  load_class_counts(r, p.instr_counts);
-  p.global_load_bytes = r.u64();
-  p.global_store_bytes = r.u64();
-  p.barriers_waited = r.u64();
-  p.sfu_instrs = r.u64();
-  p.sqrt_instrs = r.u64();
-}
-
-}  // namespace
+}  // namespace snapshot
 
 void LaunchCache::export_state(snapshot::Writer& w) const {
   // Holding fifo_mutex_ pins every resident entry: insert/evict also take
@@ -595,19 +528,13 @@ void LaunchCache::export_state(snapshot::Writer& w) const {
   }
   w.u64(table.size());
   for (const Block* b : table) w.byte_vec(b->bytes);
-  w.u64(resident_entries_);
+  w(resident_entries_);
+  std::vector<std::uint64_t> block_ids;
   for (std::size_t i = fifo_head_; i < fifo_.size(); ++i) {
     const Entry& e = *fifo_[i].entry;
-    w.u64(e.base_key);
-    w.u64(e.pointer_mask);
-    w.u64_vec(e.args.values);
-    save_chunks(w, e.read_ranges);
-    w.u64(e.pre_image.size());
-    for (const BlockRef& b : e.pre_image) w.u64(b ? ids.at(b.get()) : 0);
-    save_stats(w, e.stats);
-    save_profile(w, e.profile);
-    save_chunks(w, e.writes.ranges);
-    w.byte_vec(e.writes.bytes);
+    block_ids.clear();
+    for (const BlockRef& b : e.pre_image) block_ids.push_back(b ? ids.at(b.get()) : 0);
+    Entry::fields(w, e, block_ids);
   }
 }
 
@@ -626,29 +553,22 @@ void LaunchCache::import_state(snapshot::Reader& r) {
     table.push_back(blocks_.intern(bytes.data(), bytes.size()));
   }
   const std::uint64_t n = r.u64();
+  std::vector<std::uint64_t> block_ids;
   for (std::uint64_t i = 0; i < n; ++i) {
     auto entry = std::make_shared<Entry>();
-    entry->base_key = r.u64();
-    entry->pointer_mask = r.u64();
-    entry->args.values = r.u64_vec();
-    entry->read_ranges = load_chunks(r);
+    Entry::fields(r, *entry, block_ids);
     const std::uint64_t read_bytes = total_size(entry->read_ranges);
-    const std::uint64_t blocks = r.u64();
-    if (blocks != (read_bytes + kBlockBytes - 1) / kBlockBytes) {
+    if (block_ids.size() != (read_bytes + kBlockBytes - 1) / kBlockBytes) {
       throw snapshot::SnapshotError("launch cache entry: pre-image does not cover the read set");
     }
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-      const std::uint64_t id = r.u64();
+    for (std::uint64_t b = 0; b < block_ids.size(); ++b) {
+      const std::uint64_t id = block_ids[b];
       const std::uint64_t size = std::min(kBlockBytes, read_bytes - b * kBlockBytes);
       if (id >= table.size() || (table[id] && table[id]->bytes.size() != size)) {
         throw snapshot::SnapshotError("launch cache entry: bad pre-image block reference");
       }
       entry->pre_image.push_back(table[id]);
     }
-    load_stats(r, entry->stats);
-    load_profile(r, entry->profile);
-    entry->writes.ranges = load_chunks(r);
-    entry->writes.bytes = r.byte_vec();
     if (entry->writes.total_bytes() != total_size(entry->writes.ranges)) {
       throw snapshot::SnapshotError("launch cache entry: write-set ranges/bytes out of sync");
     }
@@ -668,9 +588,9 @@ void LaunchCache::verify_hit(const Entry& entry, std::uint64_t shift, const GpuA
   // the caller has touched.
   AddressSpace scratch = memory;
   LaunchEvaluation fresh = evaluate_functional(arch, kernel, dims, args, scratch);
-  SIGVP_REQUIRE(stats_equal(fresh.stats, entry.stats),
+  SIGVP_REQUIRE(fresh.stats == entry.stats,
                 kernel.name + ": launch cache verify: stats diverge from recomputation");
-  SIGVP_REQUIRE(profiles_equal(fresh.profile, entry.profile),
+  SIGVP_REQUIRE(fresh.profile == entry.profile,
                 kernel.name + ": launch cache verify: profile diverges from recomputation");
   std::vector<MemChunk> ranges = entry.writes.ranges;
   for (MemChunk& r : ranges) r.addr += shift;

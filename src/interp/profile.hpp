@@ -38,6 +38,8 @@ struct DynamicProfile {
   /// equality is exercised by property tests.
   static ClassCounts counts_from_visits(const KernelIR& ir,
                                         const std::vector<std::uint64_t>& visits);
+
+  bool operator==(const DynamicProfile&) const = default;
 };
 
 }  // namespace sigvp

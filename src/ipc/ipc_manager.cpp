@@ -115,19 +115,8 @@ void IpcManager::send_job(std::uint32_t vp_id, Job job, std::uint64_t payload_by
       trace_->span(vp_id, "ipc", "response", end, end + response_cost,
                    {trace::arg("job", job_id)});
     }
-    KernelExecStats stats_copy;
-    const bool has_stats = stats != nullptr;
-    if (has_stats) stats_copy = *stats;
-    queue_.schedule_at(end + response_cost, [this, vp_id, original, has_stats, stats_copy,
-                                             job_id, submit_time] {
-      notify_vp(vp_id, [this, vp_id, original, has_stats, stats_copy, job_id, submit_time] {
-        if (trace_ != nullptr) {
-          trace_->job_latency_us->record(queue_.now() - submit_time);
-          trace_->flow_end(vp_id, queue_.now(), job_id);
-        }
-        if (original) original(queue_.now(), has_stats ? &stats_copy : nullptr);
-      });
-    });
+    queue_.schedule_at(end + response_cost,
+                       release_completion(vp_id, original, stats, job_id, submit_time));
   };
 
   queue_.schedule_after(request_cost, [this, job = std::move(job)]() mutable {
@@ -259,6 +248,24 @@ void IpcManager::start_transfer(std::uint32_t vp_id, bool response,
   attempt_transfer(xfer);
 }
 
+std::function<void()> IpcManager::release_completion(
+    std::uint32_t vp_id, std::function<void(SimTime, const KernelExecStats*)> original,
+    const KernelExecStats* stats, std::uint64_t job_id, SimTime submit_time) {
+  KernelExecStats stats_copy;
+  const bool has_stats = stats != nullptr;
+  if (has_stats) stats_copy = *stats;
+  return [this, vp_id, original = std::move(original), has_stats, stats_copy, job_id,
+          submit_time] {
+    notify_vp(vp_id, [this, vp_id, original, has_stats, stats_copy, job_id, submit_time] {
+      if (trace_ != nullptr) {
+        trace_->job_latency_us->record(queue_.now() - submit_time);
+        trace_->flow_end(vp_id, queue_.now(), job_id);
+      }
+      if (original) original(queue_.now(), has_stats ? &stats_copy : nullptr);
+    });
+  };
+}
+
 void IpcManager::send_job_faulty(std::uint32_t vp_id, Job job, std::uint64_t payload_bytes) {
   const std::uint64_t seq = job.seq_in_vp;
   vps_[vp_id].outstanding.insert(seq);
@@ -273,18 +280,7 @@ void IpcManager::send_job_faulty(std::uint32_t vp_id, Job job, std::uint64_t pay
   const SimTime submit_time = queue_.now();
   job.on_complete = [this, vp, seq, original, job_id,
                      submit_time](SimTime, const KernelExecStats* stats) {
-    KernelExecStats stats_copy;
-    const bool has_stats = stats != nullptr;
-    if (has_stats) stats_copy = *stats;
-    auto notify = [this, vp, original, has_stats, stats_copy, job_id, submit_time] {
-      notify_vp(vp, [this, vp, original, has_stats, stats_copy, job_id, submit_time] {
-        if (trace_ != nullptr) {
-          trace_->job_latency_us->record(queue_.now() - submit_time);
-          trace_->flow_end(vp, queue_.now(), job_id);
-        }
-        if (original) original(queue_.now(), has_stats ? &stats_copy : nullptr);
-      });
-    };
+    auto notify = release_completion(vp, original, stats, job_id, submit_time);
     if (health_ != nullptr && health_->failed(vp)) {
       // The VP's transport is already declared dead (fallback mode): skip
       // the transfer machinery, keep the in-order gate.

@@ -181,6 +181,13 @@ class IpcManager {
   void start_transfer(std::uint32_t vp_id, bool response, std::uint64_t payload_bytes,
                       std::function<void()> deliver, std::function<void()> give_up);
   void send_job_faulty(std::uint32_t vp_id, Job job, std::uint64_t payload_bytes);
+  /// The closure that releases a finished job to its VP: it copies `stats`
+  /// (null when the job carried none), and when run passes the completion
+  /// through notify_vp, records the job's latency and flow end, and calls
+  /// `original`.
+  std::function<void()> release_completion(
+      std::uint32_t vp_id, std::function<void(SimTime, const KernelExecStats*)> original,
+      const KernelExecStats* stats, std::uint64_t job_id, SimTime submit_time);
   /// Funnels a completion for (vp_id, seq) into the per-VP release buffer;
   /// `deliver` runs once, when every earlier outstanding seq has released.
   void complete_in_order(std::uint32_t vp_id, std::uint64_t seq,

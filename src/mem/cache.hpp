@@ -34,6 +34,8 @@ struct CacheStats {
     misses += o.misses;
     return *this;
   }
+
+  bool operator==(const CacheStats&) const = default;
 };
 
 /// Set-associative LRU cache simulator.

@@ -155,8 +155,6 @@ class Dispatcher {
   std::size_t num_lanes() const { return lanes_.size(); }
   /// Jobs dispatched through device `d`'s lane.
   std::uint64_t lane_jobs(std::size_t d) const { return lanes_.at(d).jobs_dispatched; }
-  /// Current device assignment of a registered VP.
-  std::uint32_t device_of(std::uint32_t vp_id) const { return vp_device_.at(vp_id); }
   /// Number of VPs currently assigned to device `d`.
   std::uint32_t vps_on_device(std::size_t d) const {
     std::uint32_t n = 0;

@@ -1,28 +1,90 @@
 #include "snapshot/state.hpp"
 
+#include <algorithm>
+
 namespace sigvp::snapshot {
 
-void save_histogram(Writer& w, const trace::Histogram& h) {
-  w.f64_vec(h.edges);
-  w.u64_vec(h.counts);
-  w.u64(h.count);
-  w.f64(h.sum);
-  w.f64(h.min);
-  w.f64(h.max);
-}
+// --- field lists --------------------------------------------------------------
+// One list per persisted record, in struct order; Writer and Reader both run
+// it (serial.hpp). Checks that a loaded record must pass follow its list.
 
-trace::Histogram load_histogram(Reader& r) {
-  trace::Histogram h(r.f64_vec());
-  h.counts = r.u64_vec();
+template <typename IO>
+void fields(IO& io, Rec<IO, trace::Histogram>& h) {
+  io(h.edges, h.counts, h.count, h.sum, h.min, h.max);
   if (h.counts.size() != h.edges.size() + 1) {
     throw SnapshotError("histogram bucket count does not match its edges");
   }
-  h.count = r.u64();
-  h.sum = r.f64();
-  h.min = r.f64();
-  h.max = r.f64();
-  return h;
+  if (std::adjacent_find(h.edges.begin(), h.edges.end(),
+                         [](double a, double b) { return !(a < b); }) != h.edges.end()) {
+    throw SnapshotError("histogram edges are not strictly ascending");
+  }
 }
+
+// Metrics is built through its registry API, so it keeps one writer and
+// one reader.
+void fields(Writer& w, const trace::Metrics& m) { save_metrics(w, m); }
+void fields(Reader& r, trace::Metrics& m) { m = load_metrics(r); }
+
+template <typename IO>
+void fields(IO& io, Rec<IO, FaultStats>& s) {
+  io(s.active, s.messages_dropped, s.messages_duplicated, s.latency_spikes, s.acks_dropped,
+     s.launch_failures, s.engine_hangs, s.device_resets, s.ops_killed_by_reset, s.vp_stalls,
+     s.retransmits, s.duplicates_suppressed, s.launch_retries, s.reset_requeues,
+     s.group_resplits, s.vps_quarantined, s.vp_restarts, s.fallbacks, s.fallback_jobs,
+     s.unrecovered_jobs, s.recovery_latency_total_us, s.recovery_latency_max_us,
+     s.recovery_events);
+}
+
+template <typename IO>
+void fields(IO& io, Rec<IO, FleetStats>& f) {
+  io(f.domains, f.lookahead_us, f.sync_rounds, f.fabric_messages, f.fabric_hops,
+     f.fleet_done_us, f.resident_bytes, f.cache_hits, f.cache_misses);
+}
+
+template <typename IO>
+void fields(IO& io, Rec<IO, GpuDeviceStats>& d) {
+  io(d.arch, d.vps, d.jobs, d.kernels, d.compute_busy_us, d.copy_busy_us, d.energy_j);
+}
+
+template <typename IO>
+void fields(IO& io, Rec<IO, MultiGpuStats>& g) {
+  io(g.devices, g.migrations, g.migrated_bytes, g.per_device);
+}
+
+template <typename IO>
+void fields(IO& io, Rec<IO, ScenarioResult>& r) {
+  io(r.makespan_us, r.app_done_us, r.jobs_dispatched, r.reorders, r.coalesced_groups,
+     r.coalesced_jobs, r.ipc_messages, r.gpu_dynamic_energy_j, r.gpu_compute_busy_us,
+     r.gpu_copy_busy_us, r.fault, r.fleet, r.gpus, r.app_outputs, r.latency,
+     r.requests_completed, r.metrics);
+}
+
+template <typename IO>
+void fields(IO& io, Rec<IO, FleetCapture>& c) {
+  io(c.at_us, c.events_processed, c.digest);
+}
+
+template <typename IO>
+void fields(IO& io, Rec<IO, LaunchCacheStats>& s) {
+  io(s.hits, s.misses, s.bypasses, s.bytes_replayed, s.evictions, s.entries, s.bytes);
+}
+
+template <typename IO>
+void fields(IO& io, Rec<IO, JobCheckpoint>& job) {
+  io(job.done);
+  if (job.done) {
+    io(job.result);
+  } else {
+    io(job.captures);
+  }
+}
+
+template <typename IO>
+void fields(IO& io, Rec<IO, SweepCheckpoint>& cp) {
+  io(cp.fingerprint, cp.jobs, cp.cache_blob, cp.cache_delta);
+}
+
+// --- entry points --------------------------------------------------------------
 
 void save_metrics(Writer& w, const trace::Metrics& m) {
   w.u64(m.counters().size());
@@ -39,7 +101,7 @@ void save_metrics(Writer& w, const trace::Metrics& m) {
   w.u64(m.histograms().size());
   for (const auto& [name, h] : m.histograms()) {
     w.str(name);
-    save_histogram(w, h);
+    w(h);
   }
 }
 
@@ -60,231 +122,31 @@ trace::Metrics load_metrics(Reader& r) {
   const std::uint64_t nh = r.u64();
   for (std::uint64_t i = 0; i < nh; ++i) {
     const std::string name = r.str();
-    trace::Histogram h = load_histogram(r);
-    trace::Histogram& dst = m.histogram(name, h.edges);
-    dst = std::move(h);
+    trace::Histogram h;
+    r(h);
+    m.histogram(name, h.edges) = std::move(h);
   }
   return m;
 }
 
-void save_fault_stats(Writer& w, const FaultStats& s) {
-  w.boolean(s.active);
-  w.u64(s.messages_dropped);
-  w.u64(s.messages_duplicated);
-  w.u64(s.latency_spikes);
-  w.u64(s.acks_dropped);
-  w.u64(s.launch_failures);
-  w.u64(s.engine_hangs);
-  w.u64(s.device_resets);
-  w.u64(s.ops_killed_by_reset);
-  w.u64(s.vp_stalls);
-  w.u64(s.retransmits);
-  w.u64(s.duplicates_suppressed);
-  w.u64(s.launch_retries);
-  w.u64(s.reset_requeues);
-  w.u64(s.group_resplits);
-  w.u64(s.vps_quarantined);
-  w.u64(s.vp_restarts);
-  w.u64(s.fallbacks);
-  w.u64(s.fallback_jobs);
-  w.u64(s.unrecovered_jobs);
-  w.f64(s.recovery_latency_total_us);
-  w.f64(s.recovery_latency_max_us);
-  w.u64(s.recovery_events);
-}
-
-FaultStats load_fault_stats(Reader& r) {
-  FaultStats s;
-  s.active = r.boolean();
-  s.messages_dropped = r.u64();
-  s.messages_duplicated = r.u64();
-  s.latency_spikes = r.u64();
-  s.acks_dropped = r.u64();
-  s.launch_failures = r.u64();
-  s.engine_hangs = r.u64();
-  s.device_resets = r.u64();
-  s.ops_killed_by_reset = r.u64();
-  s.vp_stalls = r.u64();
-  s.retransmits = r.u64();
-  s.duplicates_suppressed = r.u64();
-  s.launch_retries = r.u64();
-  s.reset_requeues = r.u64();
-  s.group_resplits = r.u64();
-  s.vps_quarantined = r.u64();
-  s.vp_restarts = r.u64();
-  s.fallbacks = r.u64();
-  s.fallback_jobs = r.u64();
-  s.unrecovered_jobs = r.u64();
-  s.recovery_latency_total_us = r.f64();
-  s.recovery_latency_max_us = r.f64();
-  s.recovery_events = r.u64();
-  return s;
-}
-
-void save_scenario_result(Writer& w, const ScenarioResult& result) {
-  w.f64(result.makespan_us);
-  w.f64_vec(result.app_done_us);
-  w.u64(result.jobs_dispatched);
-  w.u64(result.reorders);
-  w.u64(result.coalesced_groups);
-  w.u64(result.coalesced_jobs);
-  w.u64(result.ipc_messages);
-  w.f64(result.gpu_dynamic_energy_j);
-  w.f64(result.gpu_compute_busy_us);
-  w.f64(result.gpu_copy_busy_us);
-  save_fault_stats(w, result.fault);
-  w.u32(result.fleet.domains);
-  w.f64(result.fleet.lookahead_us);
-  w.u64(result.fleet.sync_rounds);
-  w.u64(result.fleet.fabric_messages);
-  w.u64(result.fleet.fabric_hops);
-  w.f64(result.fleet.fleet_done_us);
-  w.u64(result.fleet.resident_bytes);
-  w.u64(result.fleet.cache_hits);
-  w.u64(result.fleet.cache_misses);
-  w.u32(result.gpus.devices);
-  w.u64(result.gpus.migrations);
-  w.u64(result.gpus.migrated_bytes);
-  w.u64(result.gpus.per_device.size());
-  for (const GpuDeviceStats& d : result.gpus.per_device) {
-    w.str(d.arch);
-    w.u32(d.vps);
-    w.u64(d.jobs);
-    w.u64(d.kernels);
-    w.f64(d.compute_busy_us);
-    w.f64(d.copy_busy_us);
-    w.f64(d.energy_j);
-  }
-  w.u64(result.app_outputs.size());
-  for (const auto& bytes : result.app_outputs) w.byte_vec(bytes);
-  save_histogram(w, result.latency);
-  w.u64(result.requests_completed);
-  w.boolean(result.metrics != nullptr);
-  if (result.metrics != nullptr) save_metrics(w, *result.metrics);
-}
+void save_scenario_result(Writer& w, const ScenarioResult& result) { w(result); }
 
 ScenarioResult load_scenario_result(Reader& r) {
   ScenarioResult result;
-  result.makespan_us = r.f64();
-  result.app_done_us = r.f64_vec();
-  result.jobs_dispatched = r.u64();
-  result.reorders = r.u64();
-  result.coalesced_groups = r.u64();
-  result.coalesced_jobs = r.u64();
-  result.ipc_messages = r.u64();
-  result.gpu_dynamic_energy_j = r.f64();
-  result.gpu_compute_busy_us = r.f64();
-  result.gpu_copy_busy_us = r.f64();
-  result.fault = load_fault_stats(r);
-  result.fleet.domains = r.u32();
-  result.fleet.lookahead_us = r.f64();
-  result.fleet.sync_rounds = r.u64();
-  result.fleet.fabric_messages = r.u64();
-  result.fleet.fabric_hops = r.u64();
-  result.fleet.fleet_done_us = r.f64();
-  result.fleet.resident_bytes = r.u64();
-  result.fleet.cache_hits = r.u64();
-  result.fleet.cache_misses = r.u64();
-  result.gpus.devices = r.u32();
-  result.gpus.migrations = r.u64();
-  result.gpus.migrated_bytes = r.u64();
-  const std::uint64_t n_devices = r.u64();
-  result.gpus.per_device.reserve(n_devices);
-  for (std::uint64_t i = 0; i < n_devices; ++i) {
-    GpuDeviceStats d;
-    d.arch = r.str();
-    d.vps = r.u32();
-    d.jobs = r.u64();
-    d.kernels = r.u64();
-    d.compute_busy_us = r.f64();
-    d.copy_busy_us = r.f64();
-    d.energy_j = r.f64();
-    result.gpus.per_device.push_back(std::move(d));
-  }
-  const std::uint64_t n_outputs = r.u64();
-  result.app_outputs.reserve(n_outputs);
-  for (std::uint64_t i = 0; i < n_outputs; ++i) result.app_outputs.push_back(r.byte_vec());
-  result.latency = load_histogram(r);
-  result.requests_completed = r.u64();
-  if (r.boolean()) {
-    result.metrics = std::make_shared<trace::Metrics>(load_metrics(r));
-  }
+  r(result);
   return result;
-}
-
-void save_capture(Writer& w, const FleetCapture& c) {
-  w.f64(c.at_us);
-  w.u64(c.events_processed);
-  w.u64(c.digest);
-}
-
-FleetCapture load_capture(Reader& r) {
-  FleetCapture c;
-  c.at_us = r.f64();
-  c.events_processed = r.u64();
-  c.digest = r.u64();
-  return c;
-}
-
-void save_cache_stats(Writer& w, const LaunchCacheStats& s) {
-  w.u64(s.hits);
-  w.u64(s.misses);
-  w.u64(s.bypasses);
-  w.u64(s.bytes_replayed);
-  w.u64(s.evictions);
-  w.u64(s.entries);
-  w.u64(s.bytes);
-}
-
-LaunchCacheStats load_cache_stats(Reader& r) {
-  LaunchCacheStats s;
-  s.hits = r.u64();
-  s.misses = r.u64();
-  s.bypasses = r.u64();
-  s.bytes_replayed = r.u64();
-  s.evictions = r.u64();
-  s.entries = r.u64();
-  s.bytes = r.u64();
-  return s;
 }
 
 std::vector<std::uint8_t> encode_sweep_checkpoint(const SweepCheckpoint& cp) {
   Writer w;
-  w.u64(cp.fingerprint);
-  w.u64(cp.jobs.size());
-  for (const JobCheckpoint& job : cp.jobs) {
-    w.boolean(job.done);
-    if (job.done) {
-      save_scenario_result(w, job.result);
-    } else {
-      w.u64(job.captures.size());
-      for (const FleetCapture& c : job.captures) save_capture(w, c);
-    }
-  }
-  w.byte_vec(cp.cache_blob);
-  save_cache_stats(w, cp.cache_delta);
+  w(cp);
   return w.take();
 }
 
 SweepCheckpoint decode_sweep_checkpoint(const std::vector<std::uint8_t>& payload) {
   Reader r(payload);
   SweepCheckpoint cp;
-  cp.fingerprint = r.u64();
-  const std::uint64_t n = r.u64();
-  cp.jobs.resize(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    JobCheckpoint& job = cp.jobs[i];
-    job.done = r.boolean();
-    if (job.done) {
-      job.result = load_scenario_result(r);
-    } else {
-      const std::uint64_t nc = r.u64();
-      job.captures.reserve(nc);
-      for (std::uint64_t c = 0; c < nc; ++c) job.captures.push_back(load_capture(r));
-    }
-  }
-  cp.cache_blob = r.byte_vec();
-  cp.cache_delta = load_cache_stats(r);
+  r(cp);
   if (!r.done()) {
     throw SnapshotError("sweep checkpoint has " + std::to_string(r.remaining()) +
                         " trailing bytes");

@@ -15,25 +15,14 @@ namespace sigvp::snapshot {
 // Bit-exact round trips: every double travels by bit pattern, every map in
 // its deterministic iteration order, so save(load(x)) == x byte-for-byte —
 // the property the resume path's "final JSON identical to an uninterrupted
-// run" contract reduces to.
-
-void save_histogram(Writer& w, const trace::Histogram& h);
-trace::Histogram load_histogram(Reader& r);
+// run" contract reduces to. Each persisted record's field list is written
+// once, in state.cpp, and drives both directions.
 
 void save_metrics(Writer& w, const trace::Metrics& m);
 trace::Metrics load_metrics(Reader& r);
 
-void save_fault_stats(Writer& w, const FaultStats& s);
-FaultStats load_fault_stats(Reader& r);
-
 void save_scenario_result(Writer& w, const ScenarioResult& result);
 ScenarioResult load_scenario_result(Reader& r);
-
-void save_capture(Writer& w, const FleetCapture& c);
-FleetCapture load_capture(Reader& r);
-
-void save_cache_stats(Writer& w, const LaunchCacheStats& s);
-LaunchCacheStats load_cache_stats(Reader& r);
 
 // --- sweep checkpoint ---------------------------------------------------------
 

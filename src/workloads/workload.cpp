@@ -7,6 +7,34 @@
 
 namespace sigvp::workloads {
 
+cuda::LaunchSpec make_launch_spec(const Workload& w, std::size_t stage, std::uint64_t n,
+                                  const std::vector<std::uint64_t>& addrs, std::uint64_t jitter,
+                                  ExecMode mode, bool coalescable) {
+  cuda::LaunchSpec spec;
+  spec.request.mode = mode;
+  if (w.stages.empty()) {
+    spec.request.kernel = &w.kernel;
+    spec.request.dims = w.dims(n);
+    spec.request.args = w.args(addrs, n);
+    if (mode == ExecMode::kAnalytic) {
+      spec.request.analytic_profile = w.profile(n);
+      spec.request.mem_behavior = w.behavior(n);
+    }
+    if (coalescable && w.coalesce) spec.coalesce = w.coalesce(n);
+    return spec;
+  }
+  const PipelineStage& st = w.stages[stage % w.stages.size()];
+  spec.request.kernel = &st.kernel;
+  spec.request.dims = st.dims(n);
+  spec.request.args = st.args(addrs, n, jitter);
+  if (mode == ExecMode::kAnalytic) {
+    spec.request.analytic_profile = st.profile(n);
+    spec.request.mem_behavior = st.behavior(n);
+  }
+  if (coalescable && st.coalesce) spec.coalesce = st.coalesce(n);
+  return spec;
+}
+
 void fill_f32_pattern(std::vector<std::uint8_t>& buf, float lo, float hi, std::uint64_t seed) {
   Rng rng(seed);
   for (std::size_t off = 0; off + 4 <= buf.size(); off += 4) {

@@ -115,6 +115,15 @@ struct Workload {
   AppTraits traits;
 };
 
+/// The launch of stage `stage % stages.size()` of a pipeline workload
+/// (kernel chaining), or of its single kernel when it has no stages, at
+/// size `n` over the device buffers `addrs`. Analytic launches carry the
+/// analytic profile and memory behaviour; the coalescing descriptor is
+/// attached only when `coalescable`.
+cuda::LaunchSpec make_launch_spec(const Workload& w, std::size_t stage, std::uint64_t n,
+                                  const std::vector<std::uint64_t>& addrs, std::uint64_t jitter,
+                                  ExecMode mode, bool coalescable);
+
 /// Deterministic input-fill helpers for `Workload::fill_inputs` — the same
 /// bytes for a given (seed, size) on every backend and platform (seeded
 /// xorshift from util/rng), which is what makes the cross-backend

@@ -166,7 +166,7 @@ TEST(Device, D2DMovesDataOnDevice) {
   const std::uint64_t a = dev.malloc(64);
   const std::uint64_t b = dev.malloc(64);
   dev.memory().write<double>(a, 42.0);
-  dev.memcpy_d2d(0, b, a, 64);
+  dev.memcpy_d2d_batch(0, {{b, a, 64}});
   EXPECT_DOUBLE_EQ(dev.memory().read<double>(b), 42.0);
 }
 

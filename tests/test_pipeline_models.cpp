@@ -97,7 +97,7 @@ TEST(BatchedD2D, OneSetupCostForManyChunks) {
   SimTime separate = 0.0;
   for (int c = 0; c < 16; ++c) {
     const std::uint64_t off = static_cast<std::uint64_t>(c) * 4096;
-    separate = dev2.memcpy_d2d(0, b2 + off, a2 + off, 4096);
+    separate = dev2.memcpy_d2d_batch(0, {{b2 + off, a2 + off, 4096}});
   }
   // Batched: one 0.8 µs setup; separate: sixteen.
   EXPECT_LT(batched, separate * 0.5);

@@ -14,11 +14,13 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
 #include "fault/crash.hpp"
+#include "gpu/arch.hpp"
 #include "gpu/launch_cache.hpp"
 #include "run/json_writer.hpp"
 #include "run/sweep.hpp"
@@ -425,6 +427,149 @@ TEST(SnapshotState, SweepCheckpointCodecRejectsTrailingBytes) {
 
   enc.push_back(0);  // trailing garbage must not be silently ignored
   EXPECT_THROW(snapshot::decode_sweep_checkpoint(enc), snapshot::SnapshotError);
+}
+
+// --- pinned format ------------------------------------------------------------
+
+/// A private launch cache holding two vectorAdd entries: one over patterned
+/// inputs (nonzero pre-image blocks) and one over zeroed memory (null
+/// blocks), so an export carries a block table and both kinds of reference.
+std::unique_ptr<LaunchCache> pinned_cache() {
+  const auto suite = workloads::make_suite();
+  const workloads::Workload& w = workloads::find(suite, "vectorAdd");
+  const std::uint64_t n = 300;
+  constexpr std::uint64_t kMem = 1 << 20;
+  std::vector<std::uint64_t> addrs;
+  for (std::size_t i = 0; i < w.buffers(n).size(); ++i) addrs.push_back(4096 + i * 8192);
+  auto cache = LaunchCache::create_shard();
+  cache->set_enabled(true);
+  for (int pattern = 0; pattern < 2; ++pattern) {
+    AddressSpace mem(kMem, "pinned");
+    for (std::uint64_t i = 0; pattern == 0 && i < n; ++i) {
+      mem.write<float>(addrs[0] + 4 * i, 0.5f + static_cast<float>(i));
+      mem.write<float>(addrs[1] + 4 * i, 2.0f * static_cast<float>(i));
+    }
+    cache->evaluate(make_quadro4000(), w.kernel, w.dims(n), w.args(addrs, n), mem);
+  }
+  return cache;
+}
+
+std::vector<std::uint8_t> pinned_cache_blob() {
+  snapshot::Writer w;
+  pinned_cache()->export_state(w);
+  return w.take();
+}
+
+/// A sweep checkpoint in which every field is non-default.
+snapshot::SweepCheckpoint pinned_checkpoint() {
+  ScenarioResult r;
+  r.makespan_us = 1234.5;
+  r.app_done_us = {1000.25, 1234.5};
+  r.jobs_dispatched = 11;
+  r.reorders = 12;
+  r.coalesced_groups = 13;
+  r.coalesced_jobs = 14;
+  r.ipc_messages = 15;
+  r.gpu_dynamic_energy_j = 0.125;
+  r.gpu_compute_busy_us = 900.5;
+  r.gpu_copy_busy_us = 100.75;
+  FaultStats& f = r.fault;
+  f.active = true;
+  f.messages_dropped = 21;
+  f.messages_duplicated = 22;
+  f.latency_spikes = 23;
+  f.acks_dropped = 24;
+  f.launch_failures = 25;
+  f.engine_hangs = 26;
+  f.device_resets = 27;
+  f.ops_killed_by_reset = 28;
+  f.vp_stalls = 29;
+  f.retransmits = 30;
+  f.duplicates_suppressed = 31;
+  f.launch_retries = 32;
+  f.reset_requeues = 33;
+  f.group_resplits = 34;
+  f.vps_quarantined = 35;
+  f.vp_restarts = 36;
+  f.fallbacks = 37;
+  f.fallback_jobs = 38;
+  f.unrecovered_jobs = 39;
+  f.recovery_latency_total_us = 40.5;
+  f.recovery_latency_max_us = 20.25;
+  f.recovery_events = 41;
+  r.fleet = FleetStats{.domains = 4, .lookahead_us = 2.5, .sync_rounds = 51,
+                       .fabric_messages = 52, .fabric_hops = 53, .fleet_done_us = 1240.0,
+                       .resident_bytes = 54, .cache_hits = 55, .cache_misses = 56};
+  r.gpus.devices = 2;
+  r.gpus.migrations = 61;
+  r.gpus.migrated_bytes = 62;
+  r.gpus.per_device = {
+      GpuDeviceStats{"quadro4000", 3, 63, 64, 500.5, 60.25, 0.0625},
+      GpuDeviceStats{"gtx480", 5, 65, 66, 400.5, 40.25, -0.0},
+  };
+  r.app_outputs = {{1, 2, 3}, {}, {255}};
+  r.latency.record(3.0);
+  r.latency.record(4e7);
+  r.requests_completed = 71;
+  r.metrics = std::make_shared<trace::Metrics>();
+  r.metrics->counter("jobs").value = 81;
+  r.metrics->gauge("depth").record_max(8.5);
+  r.metrics->histogram("lat", {1.0, 10.0}).record(5.0);
+
+  snapshot::SweepCheckpoint cp;
+  cp.fingerprint = 0x0123456789ABCDEFull;
+  cp.jobs.resize(2);
+  cp.jobs[0].done = true;
+  cp.jobs[0].result = std::move(r);
+  cp.jobs[1].captures = {FleetCapture{300.0, 91, 0xFEED}, FleetCapture{600.0, 92, 0xBEEF}};
+  cp.cache_blob = pinned_cache_blob();
+  cp.cache_delta = LaunchCacheStats{.hits = 101, .misses = 102, .bypasses = 103,
+                                    .bytes_replayed = 104, .evictions = 105, .entries = 106,
+                                    .bytes = 107};
+  return cp;
+}
+
+std::uint64_t digest_of(const std::vector<std::uint8_t>& bytes) {
+  return snapshot::fnv1a64(bytes.data(), bytes.size());
+}
+
+TEST(SnapshotState, CheckpointAndCacheEncodingsMatchPinnedDigests) {
+  // Recorded from the v6 codecs; any change to a persisted byte moves them.
+  // A kernel or cost-model change that alters the cached stats, profile or
+  // write-set bytes moves the cache digest too and needs a re-pin, but the
+  // checkpoint and cache layouts themselves must not move within v6.
+  const snapshot::SweepCheckpoint cp = pinned_checkpoint();
+  EXPECT_EQ(digest_of(cp.cache_blob), 0x21B89B507B953649ull);
+  const std::vector<std::uint8_t> enc = snapshot::encode_sweep_checkpoint(cp);
+  EXPECT_EQ(digest_of(enc), 0x3BD2BA9E5BFCD153ull);
+
+  // Decoding and re-encoding reproduces every byte.
+  EXPECT_EQ(snapshot::encode_sweep_checkpoint(snapshot::decode_sweep_checkpoint(enc)), enc);
+  const std::unique_ptr<LaunchCache> imported = LaunchCache::create_shard();
+  snapshot::Reader r(cp.cache_blob);
+  imported->import_state(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(imported->stats().entries, 2u);
+  snapshot::Writer w;
+  imported->export_state(w);
+  EXPECT_EQ(w.buffer(), cp.cache_blob);
+}
+
+TEST(SnapshotState, EveryStrictPrefixOfACheckpointOrCacheExportIsRejected) {
+  const snapshot::SweepCheckpoint cp = pinned_checkpoint();
+  const std::vector<std::uint8_t> enc = snapshot::encode_sweep_checkpoint(cp);
+  for (std::size_t len = 0; len < enc.size(); ++len) {
+    const std::vector<std::uint8_t> prefix(enc.begin(), enc.begin() + len);
+    EXPECT_THROW(snapshot::decode_sweep_checkpoint(prefix), snapshot::SnapshotError)
+        << "checkpoint prefix of " << len << " bytes";
+  }
+  const std::unique_ptr<LaunchCache> cache = LaunchCache::create_shard();
+  for (std::size_t len = 0; len < cp.cache_blob.size(); ++len) {
+    snapshot::Reader r(cp.cache_blob.data(), len);
+    EXPECT_THROW(cache->import_state(r), snapshot::SnapshotError)
+        << "cache export prefix of " << len << " bytes";
+    cache->clear();
+  }
 }
 
 // --- fleet-capture replay verification ----------------------------------------
