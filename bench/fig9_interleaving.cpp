@@ -5,136 +5,22 @@
 //  (b) speedup as a function of the number of interleaved programs with
 //      Tk = Tm; expected model: speedup = 3N / (2 + N)          (Eq. 8)
 
-#include <algorithm>
 #include <iostream>
 
-#include "ir/builder.hpp"
-#include "sched/dispatcher.hpp"
+#include "fig9_interleaving.hpp"
 #include "util/table.hpp"
-
-namespace sigvp {
-namespace {
-
-KernelIR make_synthetic_kernel() {
-  KernelBuilder b("synthetic", 0);
-  b.block("entry");
-  b.ret();
-  return b.build();
-}
-
-LaunchDims synth_dims() {
-  LaunchDims d;
-  d.block_x = 256;
-  d.grid_x = 8;
-  return d;
-}
-
-/// FP32 instruction count that makes the synthetic kernel run ~target_us on
-/// the Quadro model (linear fit through two probes).
-std::uint64_t sigma_for_duration(const KernelIR& k, double target_us) {
-  auto dur = [&](double x) {
-    DynamicProfile p;
-    p.instr_counts[InstrClass::kFp32] = static_cast<std::uint64_t>(x);
-    return evaluate_analytic(make_quadro4000(), k, synth_dims(), p,
-                             MemoryBehavior{1024, 64, 0.9, 0.97})
-        .duration_us;
-  };
-  const double x1 = 1e6, x2 = 2e6;
-  const double d1 = dur(x1), d2 = dur(x2);
-  const double slope = (d2 - d1) / (x2 - x1);
-  const double x = x1 + (target_us - d1) / slope;
-  return static_cast<std::uint64_t>(std::max(1e4, x));
-}
-
-struct Measurement {
-  SimTime makespan_us = 0.0;
-};
-
-/// N programs, each {H2D, kernel, D2H}, pushed through the Re-scheduler.
-Measurement run(std::size_t n_programs, double tk_us, double tm_us, bool interleave,
-                const KernelIR& kernel, std::uint64_t sigma_fp32) {
-  EventQueue q;
-  GpuDevice dev(q, make_quadro4000(), 4ull << 30, "gpu");
-  // This experiment isolates engine overlap (the paper's Eq. 7/8 model has
-  // no dispatch-overhead term), so the host-side service time is zeroed.
-  DispatchConfig cfg;
-  cfg.interleave = interleave;
-  cfg.dispatch_overhead_us = 0.0;
-  Dispatcher disp(q, dev, cfg);
-
-  const double copy_bw_bytes_per_us = make_quadro4000().copy_bandwidth_gbps * 1e3;
-  const std::uint64_t bytes = static_cast<std::uint64_t>(
-      std::max(1.0, (tm_us - make_quadro4000().copy_latency_us) * copy_bw_bytes_per_us));
-  (void)tk_us;
-
-  SimTime makespan = 0.0;
-  for (std::size_t p = 0; p < n_programs; ++p) {
-    disp.register_vp();
-  }
-  for (std::size_t p = 0; p < n_programs; ++p) {
-    const std::uint64_t buf = dev.malloc(bytes);
-    auto note = [&makespan](SimTime end, const KernelExecStats*) {
-      makespan = std::max(makespan, end);
-    };
-    Job h2d;
-    h2d.vp_id = static_cast<std::uint32_t>(p);
-    h2d.seq_in_vp = 0;
-    h2d.kind = JobKind::kMemcpyH2D;
-    h2d.device_addr = buf;
-    h2d.bytes = bytes;
-    h2d.on_complete = note;
-    disp.submit(std::move(h2d));
-
-    Job kj;
-    kj.vp_id = static_cast<std::uint32_t>(p);
-    kj.seq_in_vp = 1;
-    kj.kind = JobKind::kKernel;
-    kj.launch.request.kernel = &kernel;
-    kj.launch.request.dims = synth_dims();
-    kj.launch.request.mode = ExecMode::kAnalytic;
-    kj.launch.request.analytic_profile.instr_counts[InstrClass::kFp32] = sigma_fp32;
-    kj.launch.request.mem_behavior = MemoryBehavior{1024, 64, 0.9, 0.97};
-    kj.on_complete = note;
-    disp.submit(std::move(kj));
-
-    Job d2h;
-    d2h.vp_id = static_cast<std::uint32_t>(p);
-    d2h.seq_in_vp = 2;
-    d2h.kind = JobKind::kMemcpyD2H;
-    d2h.device_addr = buf;
-    d2h.bytes = bytes;
-    d2h.on_complete = note;
-    disp.submit(std::move(d2h));
-  }
-  q.run();
-  return Measurement{makespan};
-}
-
-double expected_speedup(std::size_t n, double tk_us, double tm_us) {
-  const double serial = static_cast<double>(n) * (2.0 * tm_us + tk_us);
-  const double pipelined =
-      2.0 * tm_us + static_cast<double>(n) * std::max(tm_us, tk_us);
-  return serial / pipelined;
-}
-
-}  // namespace
-}  // namespace sigvp
 
 int main() {
   using namespace sigvp;
-  const KernelIR kernel = make_synthetic_kernel();
-  const double tm_us = us_from_ms(13.44);  // the paper's fixed memcpy time
+  const double tm_us = us_from_ms(fig9::kTmMs);
 
   std::cout << "== Fig. 9(a): Kernel Interleaving speedup vs kernel length "
             << "(2 programs, Tm = 13.44 ms) ==\n\n";
   TablePrinter a({"Kernel time (ms)", "Speedup (measured)", "Speedup (expected, Eq.7)"});
   for (double tk_ms : {2.0, 5.0, 10.0, 13.44, 20.0, 40.0, 60.0, 80.0, 100.0}) {
     const double tk_us = us_from_ms(tk_ms);
-    const std::uint64_t sigma = sigma_for_duration(kernel, tk_us);
-    const auto serial = run(2, tk_us, tm_us, false, kernel, sigma);
-    const auto inter = run(2, tk_us, tm_us, true, kernel, sigma);
-    a.add_row({fmt_ms(tk_ms), fmt_ratio(serial.makespan_us / inter.makespan_us),
-               fmt_ratio(expected_speedup(2, tk_us, tm_us))});
+    a.add_row({fmt_ms(tk_ms), fmt_ratio(fig9::speedup(2, tk_us, tm_us)),
+               fmt_ratio(fig9::expected_speedup(2, tk_us, tm_us))});
   }
   a.print(std::cout);
   std::cout << "\n(The peak sits near Tk = Tm = 13.44 ms — the latency-hiding "
@@ -143,12 +29,8 @@ int main() {
   std::cout << "\n== Fig. 9(b): speedup vs number of interleaved programs "
             << "(Tk = Tm) ==\n\n";
   TablePrinter b({"Programs", "Speedup (measured)", "Expected 3N/(2+N) (Eq.8)"});
-  const std::uint64_t sigma_eq = sigma_for_duration(kernel, tm_us);
   for (std::size_t n : {2u, 4u, 8u, 16u, 32u}) {
-    const auto serial = run(n, tm_us, tm_us, false, kernel, sigma_eq);
-    const auto inter = run(n, tm_us, tm_us, true, kernel, sigma_eq);
-    b.add_row({fmt_int(static_cast<long long>(n)),
-               fmt_ratio(serial.makespan_us / inter.makespan_us),
+    b.add_row({fmt_int(static_cast<long long>(n)), fmt_ratio(fig9::speedup(n, tm_us, tm_us)),
                fmt_ratio(3.0 * static_cast<double>(n) / (2.0 + static_cast<double>(n)))});
   }
   b.print(std::cout);

@@ -20,19 +20,6 @@ class Runtime {
   std::uint64_t malloc(std::uint64_t bytes) { return driver_.malloc(bytes); }
   void free(std::uint64_t addr) { driver_.free(addr); }
 
-  // --- asynchronous API (callback at simulated completion) -------------------
-  void memcpy_h2d_async(std::uint64_t dst, const void* src, std::uint64_t bytes,
-                        DoneCallback cb = {}) {
-    driver_.memcpy_h2d(dst, src, bytes, std::move(cb));
-  }
-  void memcpy_d2h_async(void* dst, std::uint64_t src, std::uint64_t bytes,
-                        DoneCallback cb = {}) {
-    driver_.memcpy_d2h(dst, src, bytes, std::move(cb));
-  }
-  void launch_async(const LaunchSpec& spec, KernelDoneCallback cb = {}) {
-    driver_.launch(spec, std::move(cb));
-  }
-
   // --- blocking API (runs the event loop until completion) -------------------
   void memcpy_h2d(std::uint64_t dst, const void* src, std::uint64_t bytes);
   void memcpy_d2h(void* dst, std::uint64_t src, std::uint64_t bytes);

@@ -5,9 +5,7 @@
 #include <optional>
 #include <utility>
 
-#include "interp/decoded.hpp"
-#include "interp/interpreter.hpp"
-#include "ir/translation.hpp"
+#include "interp/tier2.hpp"
 #include "snapshot/serial.hpp"
 #include "util/check.hpp"
 
@@ -64,21 +62,6 @@ std::uint64_t arch_fingerprint(const GpuArch& a) {
 
 bool is_pointer(std::uint64_t mask, std::size_t param) {
   return param < 64 && ((mask >> param) & 1) != 0;
-}
-
-/// The kernel's pointer-parameter mask (0 when the translation-invariance
-/// proof refuses it), proved once per structural fingerprint for the whole
-/// process. Keyed by fingerprint, never by KernelIR address: a freed
-/// kernel's address can be reused by a different one.
-std::uint64_t pointer_mask_of(const KernelIR& kernel, std::uint64_t fingerprint) {
-  static std::mutex mutex;
-  static std::unordered_map<std::uint64_t, std::uint64_t> proved;
-  std::lock_guard<std::mutex> lock(mutex);
-  auto it = proved.find(fingerprint);
-  if (it == proved.end()) {
-    it = proved.emplace(fingerprint, prove_translation_invariant(kernel).mask).first;
-  }
-  return it->second;
 }
 
 /// Pointer arguments are left out: they locate the launch, the entry's
@@ -255,13 +238,6 @@ struct LaunchCache::Entry {
   }
 };
 
-struct LaunchCache::Shard {
-  std::mutex mutex;
-  /// base key -> entries; one bucket holds multiple entries differing only
-  /// in read-set content (key-collision safety).
-  std::unordered_map<std::uint64_t, std::vector<std::shared_ptr<const Entry>>> buckets;
-};
-
 LaunchCache::BlockRef LaunchCache::BlockStore::intern(const std::uint8_t* p, std::size_t n) {
   if (all_zero(p, n)) return nullptr;
   const std::uint64_t hash = mem_hash_bytes(p, n, kMemHashSeed);
@@ -292,8 +268,7 @@ constexpr std::uint64_t kDefaultMaxEntries = 1024;
 constexpr std::uint64_t kDefaultMaxBytes = 512ull << 20;  // resident footprint bytes
 }  // namespace
 
-LaunchCache::LaunchCache()
-    : shards_(kNumShards), max_entries_(kDefaultMaxEntries), max_bytes_(kDefaultMaxBytes) {
+LaunchCache::LaunchCache() : max_entries_(kDefaultMaxEntries), max_bytes_(kDefaultMaxBytes) {
   enabled_ = env_flag("SIGVP_LAUNCH_CACHE", true);
   verify_ = env_flag("SIGVP_LAUNCH_CACHE_VERIFY", false);
 }
@@ -311,19 +286,15 @@ std::unique_ptr<LaunchCache> LaunchCache::create_shard() {
 
 void LaunchCache::set_capacity(std::uint64_t max_entries, std::uint64_t max_bytes) {
   SIGVP_REQUIRE(max_entries > 0 && max_bytes > 0, "launch cache capacity must be positive");
-  std::lock_guard<std::mutex> lock(fifo_mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   max_entries_ = max_entries;
   max_bytes_ = max_bytes;
 }
 
 void LaunchCache::clear() {
-  std::lock_guard<std::mutex> fifo_lock(fifo_mutex_);
-  for (Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.buckets.clear();
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  buckets_.clear();
   fifo_.clear();
-  fifo_head_ = 0;
   resident_entries_ = 0;
   resident_bytes_ = 0;
 }
@@ -335,7 +306,7 @@ LaunchCacheStats LaunchCache::stats() const {
   out.bypasses = bypasses_.load(std::memory_order_relaxed);
   out.bytes_replayed = bytes_replayed_.load(std::memory_order_relaxed);
   out.evictions = evictions_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(fifo_mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   out.entries = resident_entries_;
   out.bytes = resident_bytes_;
   return out;
@@ -349,9 +320,11 @@ LaunchEvaluation LaunchCache::evaluate(const GpuArch& arch, const KernelIR& kern
     // byte-identical to a build without the cache.
     return evaluate_functional(arch, kernel, dims, args, memory);
   }
-  if (bypass == Bypass::kNone && Interpreter::uses_global_atomics(kernel)) {
-    bypass = Bypass::kAtomics;
-  }
+  // The engine's program carries the kernel's fingerprint, atomics flag and
+  // pointer mask; a miss runs that same program.
+  const std::shared_ptr<const interp_detail::Tier2Program> prog =
+      Tier2Engine::instance().program(kernel, dims.threads_per_block());
+  if (bypass == Bypass::kNone && prog->has_global_atomics) bypass = Bypass::kAtomics;
   if (bypass != Bypass::kNone) {
     bypasses_.fetch_add(1, std::memory_order_relaxed);
     LaunchEvaluation out = evaluate_functional(arch, kernel, dims, args, memory);
@@ -359,21 +332,18 @@ LaunchEvaluation LaunchCache::evaluate(const GpuArch& arch, const KernelIR& kern
     return out;
   }
 
-  const std::uint64_t fingerprint = interp_detail::kernel_fingerprint(kernel);
-  const std::uint64_t mask = pointer_mask_of(kernel, fingerprint);
-  const std::uint64_t base_key = base_key_of(arch, fingerprint, mask, dims, args);
-  const std::size_t shard_idx = (base_key >> 58) % kNumShards;
-  Shard& shard = shards_[shard_idx];
+  const std::uint64_t mask = prog->pointer_mask;
+  const std::uint64_t base_key = base_key_of(arch, prog->fingerprint, mask, dims, args);
 
-  // Snapshot the bucket under the shard lock, validate outside it: comparing
-  // read sets with caller memory can be expensive, and entries (and the
-  // blocks they hold) are immutable shared_ptrs, so a concurrent eviction
-  // cannot free them mid-validate.
+  // Copy the bucket under the lock, validate outside it: comparing read
+  // sets with caller memory can be expensive, and entries (and the blocks
+  // they hold) are immutable shared_ptrs, so a concurrent eviction cannot
+  // free them mid-validate.
   std::vector<std::shared_ptr<const Entry>> candidates;
   {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.buckets.find(base_key);
-    if (it != shard.buckets.end()) candidates = it->second;
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = buckets_.find(base_key);
+    if (it != buckets_.end()) candidates = it->second;
   }
   for (const std::shared_ptr<const Entry>& e : candidates) {
     if (e->pointer_mask != mask) continue;
@@ -424,58 +394,44 @@ LaunchEvaluation LaunchCache::execute_and_fill(const GpuArch& arch, const Kernel
   entry->profile = out.profile;
   entry->writes = extract_delta(memory, merge_ranges(capture, &ChunkCapture::writes));
   entry->set_footprint();
-  insert(base_key, std::move(entry));
+  insert(std::move(entry));
   return out;
 }
 
-void LaunchCache::insert(std::uint64_t base_key, std::shared_ptr<const Entry> entry) {
-  const std::size_t shard_idx = (base_key >> 58) % kNumShards;
-  // Lock order everywhere: fifo_mutex_ first, then one shard mutex at a
-  // time — fills and evictions serialize on the FIFO, lookups only touch
-  // shard locks.
-  std::lock_guard<std::mutex> fifo_lock(fifo_mutex_);
-  {
-    Shard& shard = shards_[shard_idx];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    std::vector<std::shared_ptr<const Entry>>& bucket = shard.buckets[base_key];
-    for (const std::shared_ptr<const Entry>& e : bucket) {
-      // Interned blocks are canonical, so equal pre-images hold equal
-      // block pointers.
-      if (e->args == entry->args && e->read_ranges == entry->read_ranges &&
-          e->pre_image == entry->pre_image) {
-        return;  // a concurrent miss on the same launch already filled it
-      }
+void LaunchCache::insert(std::shared_ptr<const Entry> entry) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<std::shared_ptr<const Entry>>& bucket = buckets_[entry->base_key];
+  for (const std::shared_ptr<const Entry>& e : bucket) {
+    // Interned blocks are canonical, so equal pre-images hold equal block
+    // pointers.
+    if (e->args == entry->args && e->read_ranges == entry->read_ranges &&
+        e->pre_image == entry->pre_image) {
+      return;  // a concurrent miss on the same launch already filled it
     }
-    bucket.push_back(entry);
   }
-  fifo_.push_back({base_key, shard_idx, entry.get()});
+  fifo_.push_back(entry.get());
   resident_entries_ += 1;
   resident_bytes_ += entry->footprint;
+  bucket.push_back(std::move(entry));
 
   while (resident_entries_ > 0 &&
          (resident_entries_ > max_entries_ || resident_bytes_ > max_bytes_)) {
-    SIGVP_ASSERT(fifo_head_ < fifo_.size(), "launch cache FIFO out of sync");
-    const FifoRef victim = fifo_[fifo_head_++];
-    Shard& shard = shards_[victim.shard];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.buckets.find(victim.base_key);
-    SIGVP_ASSERT(it != shard.buckets.end(), "launch cache victim bucket missing");
-    auto& bucket = it->second;
-    auto pos = std::find_if(bucket.begin(), bucket.end(),
+    SIGVP_ASSERT(!fifo_.empty(), "launch cache FIFO out of sync");
+    const Entry* victim = fifo_.front();
+    fifo_.pop_front();
+    auto it = buckets_.find(victim->base_key);
+    SIGVP_ASSERT(it != buckets_.end(), "launch cache victim bucket missing");
+    auto& victims = it->second;
+    auto pos = std::find_if(victims.begin(), victims.end(),
                             [&](const std::shared_ptr<const Entry>& e) {
-                              return e.get() == victim.entry;
+                              return e.get() == victim;
                             });
-    SIGVP_ASSERT(pos != bucket.end(), "launch cache victim entry missing");
+    SIGVP_ASSERT(pos != victims.end(), "launch cache victim entry missing");
     resident_entries_ -= 1;
     resident_bytes_ -= (*pos)->footprint;
-    bucket.erase(pos);
-    if (bucket.empty()) shard.buckets.erase(it);
+    victims.erase(pos);
+    if (victims.empty()) buckets_.erase(it);
     evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Compact the FIFO once the dead prefix dominates.
-  if (fifo_head_ > 64 && fifo_head_ * 2 > fifo_.size()) {
-    fifo_.erase(fifo_.begin(), fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));
-    fifo_head_ = 0;
   }
 }
 
@@ -514,15 +470,15 @@ void fields(IO& io, Rec<IO, DynamicProfile>& p) {
 }  // namespace snapshot
 
 void LaunchCache::export_state(snapshot::Writer& w) const {
-  // Holding fifo_mutex_ pins every resident entry: insert/evict also take
-  // it first, so the raw FifoRef pointers stay valid for the whole walk.
-  std::lock_guard<std::mutex> lock(fifo_mutex_);
+  // Holding mutex_ pins every resident entry: insert and evict take it too,
+  // so the FIFO's raw pointers stay valid for the whole walk.
+  std::lock_guard<std::mutex> lock(mutex_);
   // Each distinct nonzero block once, in first-use order; an entry refers
   // to its blocks by table position + 1, and to an all-zero block by 0.
   std::unordered_map<const Block*, std::uint64_t> ids;
   std::vector<const Block*> table;
-  for (std::size_t i = fifo_head_; i < fifo_.size(); ++i) {
-    for (const BlockRef& b : fifo_[i].entry->pre_image) {
+  for (const Entry* e : fifo_) {
+    for (const BlockRef& b : e->pre_image) {
       if (b && ids.emplace(b.get(), table.size() + 1).second) table.push_back(b.get());
     }
   }
@@ -530,11 +486,10 @@ void LaunchCache::export_state(snapshot::Writer& w) const {
   for (const Block* b : table) w.byte_vec(b->bytes);
   w(resident_entries_);
   std::vector<std::uint64_t> block_ids;
-  for (std::size_t i = fifo_head_; i < fifo_.size(); ++i) {
-    const Entry& e = *fifo_[i].entry;
+  for (const Entry* e : fifo_) {
     block_ids.clear();
-    for (const BlockRef& b : e.pre_image) block_ids.push_back(b ? ids.at(b.get()) : 0);
-    Entry::fields(w, e, block_ids);
+    for (const BlockRef& b : e->pre_image) block_ids.push_back(b ? ids.at(b.get()) : 0);
+    Entry::fields(w, *e, block_ids);
   }
 }
 
@@ -573,8 +528,7 @@ void LaunchCache::import_state(snapshot::Reader& r) {
       throw snapshot::SnapshotError("launch cache entry: write-set ranges/bytes out of sync");
     }
     entry->set_footprint();
-    const std::uint64_t key = entry->base_key;
-    insert(key, std::move(entry));  // re-takes fifo order, dedups duplicates
+    insert(std::move(entry));  // re-takes fifo order, dedups duplicates
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -62,10 +63,11 @@ struct LaunchCacheStats {
 ///               launch read (reconstructed on the fill path from an undo
 ///               log, since reads interleave with writes), concatenated and
 ///               cut into kBlockBytes blocks
-/// The pointer parameters come from prove_translation_invariant (proved
-/// once per kernel fingerprint; a refused kernel has none, so all its
-/// arguments are keyed). An entry keeps its fill-time arguments. A
-/// candidate matches when every scalar is equal and every pointer moved by
+/// The fingerprint, the atomics flag and the pointer parameters come from
+/// the engine's lowered program for the launch (Tier2Engine::program); the
+/// pointer parameters are prove_translation_invariant's (a refused kernel
+/// has none, so all its arguments are keyed). An entry keeps its fill-time
+/// arguments. A candidate matches when every scalar is equal and every pointer moved by
 /// one common shift δ, a multiple of the L2 line; the lookup then compares
 /// the caller's bytes at each read range + δ with the pre-image and only
 /// hits when every byte is equal — so launches with equal keys but different
@@ -161,7 +163,6 @@ class LaunchCache {
 
  private:
   struct Entry;
-  struct Shard;
   struct Block;
   using BlockRef = std::shared_ptr<const Block>;
 
@@ -169,8 +170,7 @@ class LaunchCache {
   /// only indexes it: intern shares a block after comparing its bytes. The
   /// index holds weak references, so equal bytes intern to one canonical
   /// block for as long as some entry holds it. intern takes only the
-  /// store's own mutex and is never called under fifo_mutex_ or a shard
-  /// mutex.
+  /// store's own mutex and is never called under the cache's mutex_.
   class BlockStore {
    public:
     /// The canonical block holding the n bytes at p; null when all are zero.
@@ -182,7 +182,7 @@ class LaunchCache {
     std::size_t swept_size_ = 0;  // index size after the last sweep of dead slots
   };
 
-  LaunchCache();  // out-of-line: Shard/Entry are incomplete here
+  LaunchCache();  // out-of-line: Entry is incomplete here
   LaunchCache(const LaunchCache&) = delete;
   LaunchCache& operator=(const LaunchCache&) = delete;
 
@@ -193,24 +193,19 @@ class LaunchCache {
   void verify_hit(const Entry& entry, std::uint64_t shift, const GpuArch& arch,
                   const KernelIR& kernel, const LaunchDims& dims, const KernelArgs& args,
                   const AddressSpace& memory) const;
-  void insert(std::uint64_t base_key, std::shared_ptr<const Entry> entry);
-
-  static constexpr std::size_t kNumShards = 16;
+  void insert(std::shared_ptr<const Entry> entry);
 
   BlockStore blocks_;
-  std::vector<Shard> shards_;
 
-  /// Global FIFO of live entries in fill order, plus residency totals — one
-  /// queue (not per-shard) so eviction order is independent of how keys
-  /// hash across shards. Lock order: fifo_mutex_ before any shard mutex.
-  mutable std::mutex fifo_mutex_;
-  struct FifoRef {
-    std::uint64_t base_key = 0;
-    std::size_t shard = 0;
-    const Entry* entry = nullptr;  // identity only; shard owns the ref
-  };
-  std::vector<FifoRef> fifo_;
-  std::size_t fifo_head_ = 0;  // amortized pop-front
+  /// One lock over the buckets, the FIFO, the residency totals and the
+  /// capacity. A fleet domain's private cache is used by one thread at a
+  /// time; the process cache's concurrent users hold it for a hash lookup
+  /// plus a bucket copy, or for an insert with its evictions.
+  mutable std::mutex mutex_;
+  /// base key -> entries; one bucket holds multiple entries differing only
+  /// in read-set content (key-collision safety).
+  std::unordered_map<std::uint64_t, std::vector<std::shared_ptr<const Entry>>> buckets_;
+  std::deque<const Entry*> fifo_;  // live entries in fill order; buckets own them
   std::uint64_t resident_entries_ = 0;
   std::uint64_t resident_bytes_ = 0;
   std::uint64_t max_entries_;

@@ -43,39 +43,26 @@ run::ThreadPool& interp_pool() {
   return pool;
 }
 
-/// [first_block, last_block) of canonical chunk `c` out of `chunks`, over a
-/// grid of `num_blocks` row-major linear block ids. Pure function of the
-/// grid — worker count never enters.
-struct ChunkRange {
-  std::uint64_t first = 0;
-  std::uint64_t last = 0;
-};
-
-ChunkRange chunk_range(std::uint64_t num_blocks, std::size_t chunks, std::size_t c) {
-  ChunkRange r;
-  r.first = num_blocks * c / chunks;
-  r.last = num_blocks * (c + 1) / chunks;
-  return r;
-}
-
 /// Executes canonical chunk `c` — its blocks serially in row-major order,
 /// seen by the chunk's access observer — accumulating λ/barrier counts
-/// into `chunk_profile` (full-size block_visits; merged by the caller in
-/// chunk order). When tracing, records a host-domain span for the chunk:
-/// how the simulator's own threads spent their wall-clock; it never feeds
-/// the deterministic metrics.
+/// into the runner's `profile` (full-size block_visits). When tracing,
+/// records a host-domain span for the chunk: how the simulator's own
+/// threads spent their wall-clock; it never feeds the deterministic metrics.
 void run_chunk(const Tier2Program& prog, const KernelIR& ir, const LaunchDims& dims,
                const KernelArgs& args, AddressSpace& global, const Interpreter::Options& options,
-               std::size_t c, Tier2Arena& arena, DynamicProfile& chunk_profile) {
+               std::size_t c, Tier2Arena& arena, DynamicProfile& profile) {
   ChunkObserver* const observer = options.observers.empty() ? nullptr : &options.observers[c];
   trace::Tracer* tracer = trace::Tracer::active();
   const double host_t0 = tracer != nullptr ? tracer->host_now_us() : 0.0;
-  const ChunkRange range = chunk_range(dims.num_blocks(), Interpreter::canonical_chunks(dims), c);
-  for (std::uint64_t lin = range.first; lin < range.last; ++lin) {
+  // Chunk c is row-major linear blocks [n·c/chunks, n·(c+1)/chunks): a pure
+  // function of the grid, the worker count never enters.
+  const std::uint64_t n = dims.num_blocks();
+  const std::size_t chunks = Interpreter::canonical_chunks(dims);
+  for (std::uint64_t lin = n * c / chunks; lin < n * (c + 1) / chunks; ++lin) {
     const auto bx = static_cast<std::uint32_t>(lin % dims.grid_x);
     const auto by = static_cast<std::uint32_t>(lin / dims.grid_x);
     interp_detail::run_tier2_block(prog, ir, dims, args, global, observer,
-                                   options.max_instrs_per_thread, arena, chunk_profile, bx, by);
+                                   options.max_instrs_per_thread, arena, profile, bx, by);
   }
   if (tracer != nullptr) {
     tracer->complete(tracer->host_pid(), tracer->host_tid(), "tier2",
@@ -103,68 +90,62 @@ void finalize_from_visits(const std::vector<DecodedBlock>& blocks, DynamicProfil
 }
 
 /// Runs one lowered launch end to end and returns the finalized profile.
+///
+/// Runners pull chunk indices from one counter, each into its own profile
+/// and arena. Profiles hold only integer sums, so any assignment of chunks
+/// to runners merges to the same profile. One runner runs inline; with
+/// more, all of them go through run::parallel_for on the interpreter pool
+/// (the caller helps), which waits for this launch's runners only.
 DynamicProfile execute_launch(const KernelIR& ir, const Tier2Program& prog,
                               const LaunchDims& dims, const KernelArgs& args,
                               AddressSpace& global, const Interpreter::Options& options) {
-  DynamicProfile profile;
-  profile.block_visits.assign(ir.blocks.size(), 0);
-
   const std::size_t chunks = Interpreter::canonical_chunks(dims);
 
-  // Resolve the worker budget. Global atomics make cross-chunk memory order
-  // observable, so they force serial chunk execution (which is exactly the
-  // reference's row-major serial order).
-  std::size_t workers = run::inner_parallel_workers(options.workers);
-  if (prog.has_global_atomics) workers = 1;
-  workers = std::min(workers, chunks);
+  // Global atomics make cross-chunk memory order observable, so they run on
+  // one runner, which takes the chunks in canonical order: exactly the
+  // reference's row-major serial order.
+  std::size_t runners = run::inner_parallel_workers(options.workers);
+  if (prog.has_global_atomics) runners = 1;
+  runners = std::min(runners, chunks);
 
-  if (workers <= 1) {
-    // Serial path: chunks in canonical order on the calling thread. The
-    // observer still sees per-chunk streams so results match the parallel
-    // path.
+  struct Runner {
     Tier2Arena arena;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      run_chunk(prog, ir, dims, args, global, options, c, arena, profile);
-    }
-    finalize_from_visits(prog.blocks, profile);
-    return profile;
-  }
-
-  // Parallel path: `workers` runner tasks pull chunk indices from a shared
-  // counter. Each chunk accumulates into a private profile (and updates its
-  // own observer); merges happen below in canonical chunk order.
-  std::vector<DynamicProfile> chunk_profiles(chunks);
-  for (DynamicProfile& p : chunk_profiles) p.block_visits.assign(ir.blocks.size(), 0);
+    DynamicProfile profile;
+  };
+  std::vector<Runner> state(runners);
   std::vector<std::exception_ptr> chunk_errors(chunks);
   std::atomic<std::size_t> next_chunk{0};
   std::atomic<bool> failed{false};
-
-  run::ThreadPool& pool = interp_pool();
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.submit([&] {
-      Tier2Arena arena;  // reused across every chunk this runner executes
-      for (;;) {
-        const std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
-        if (c >= chunks || failed.load(std::memory_order_relaxed)) return;
-        try {
-          run_chunk(prog, ir, dims, args, global, options, c, arena, chunk_profiles[c]);
-        } catch (...) {
-          chunk_errors[c] = std::current_exception();
-          failed.store(true, std::memory_order_relaxed);
-        }
+  const auto runner = [&](std::size_t w) {
+    Runner& r = state[w];
+    r.profile.block_visits.assign(ir.blocks.size(), 0);
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks) return;
+      try {
+        run_chunk(prog, ir, dims, args, global, options, c, r.arena, r.profile);
+      } catch (...) {
+        chunk_errors[c] = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
       }
-    });
+    }
+  };
+  if (runners == 1) {
+    runner(0);
+  } else {
+    run::parallel_for(interp_pool(), runners, runner);
   }
-  pool.wait_idle();
 
-  // Deterministic error reporting: the lowest-numbered failing chunk wins,
-  // independent of which worker hit it first.
+  // Deterministic error reporting: the lowest-numbered failing chunk wins.
+  // Chunks are taken in increasing order and a runner runs every chunk it
+  // takes, so every chunk below a failing one has run.
   for (const std::exception_ptr& e : chunk_errors) {
     if (e) std::rethrow_exception(e);
   }
 
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const DynamicProfile& p = chunk_profiles[c];
+  DynamicProfile profile = std::move(state[0].profile);
+  for (std::size_t w = 1; w < runners; ++w) {
+    const DynamicProfile& p = state[w].profile;
     for (std::size_t b = 0; b < profile.block_visits.size(); ++b) {
       profile.block_visits[b] += p.block_visits[b];
     }
@@ -205,6 +186,7 @@ DynamicProfile Interpreter::run(const KernelIR& ir, const LaunchDims& dims,
                 ir.name + ": observers must be empty or one per canonical chunk");
   Tier2Engine& engine = Tier2Engine::instance();
   const std::shared_ptr<const Tier2Program> prog = engine.program(ir, dims.threads_per_block());
+  engine.note_launch();
 
   if (engine.verify()) {
     // SIGVP_TIER_VERIFY divergence oracle: snapshot memory (a copy of the

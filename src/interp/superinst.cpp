@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "ir/translation.hpp"
 #include "util/check.hpp"
 
 namespace sigvp::interp_detail {
@@ -103,6 +104,7 @@ std::shared_ptr<const Tier2Program> lower_program(const KernelIR& ir, unsigned s
   out->num_regs = prog.num_regs;
   out->lane_stride = (1u << stride_shift) + kLanePad;
   out->fingerprint = prog.fingerprint;
+  out->pointer_mask = prove_translation_invariant(ir).mask;
   out->has_global_atomics = Interpreter::uses_global_atomics(ir);
   out->block_first_pc.resize(prog.blocks.size());
   out->code.reserve(prog.code.size());

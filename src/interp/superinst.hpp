@@ -190,7 +190,8 @@ struct Tier2Program {
   std::uint32_t num_regs = 1;
   std::uint32_t lane_stride = 1;  // SoA slots per register: 2^shift + kLanePad
   std::uint64_t fingerprint = 0;
-  std::uint32_t fused_pairs = 0;  // superinstructions formed by the peephole
+  std::uint64_t pointer_mask = 0;  // prove_translation_invariant; 0 when refused
+  std::uint32_t fused_pairs = 0;   // superinstructions formed by the peephole
   bool has_global_atomics = false;
 
   std::size_t mem_bytes() const {

@@ -147,7 +147,6 @@ void run_t2_thread(T2Ctx& m, T2Thread& t, const std::uint64_t max_instrs) {
   RegValue* const r = m.slab + t.lane;  // r[slot] = this thread's register
   std::uint64_t n = t.instrs_executed;
 
-#if defined(__GNUC__) || defined(__clang__)
   static const void* const table[] = {
 #define SIGVP_T2_LABEL(op, name, ...) &&t2_##name,
       SIGVP_OPCODES(SIGVP_T2_LABEL)
@@ -158,17 +157,7 @@ void run_t2_thread(T2Ctx& m, T2Thread& t, const std::uint64_t max_instrs) {
   };
 #define T2_CASE(name) t2_##name:
 #define T2_GO() goto* table[d->sop]
-#define T2_END()
   T2_GO();
-#else
-#define T2_CASE(name) case SOp::k_##name:
-#define T2_GO() goto t2_dispatch
-#define T2_END() \
-  default: break; \
-  }
-t2_dispatch:
-  switch (static_cast<SOp>(d->sop)) {
-#endif
 
 #define T2_TICK() \
   do { if (++n > max_instrs) [[unlikely]] throw_budget_exhausted(*m.ir); } while (0)
@@ -438,8 +427,6 @@ t2_dispatch:
     T2_NEXT();
   }
 
-  T2_END()
-
 #undef T2_LD_GLOBAL
 #undef T2_ST_GLOBAL
 #undef T2_LD_SHARED
@@ -452,7 +439,6 @@ t2_dispatch:
 #undef T2_TICK
 #undef T2_CASE
 #undef T2_GO
-#undef T2_END
 }
 
 }  // namespace
@@ -614,7 +600,6 @@ void Tier2Engine::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   programs_.clear();
   fifo_.clear();
-  fifo_head_ = 0;
   cur_bytes_ = 0;
   launches_.store(0, std::memory_order_relaxed);
   compiles_.store(0, std::memory_order_relaxed);
@@ -625,13 +610,11 @@ void Tier2Engine::reset() {
 
 std::shared_ptr<const interp_detail::Tier2Program> Tier2Engine::program(
     const KernelIR& ir, std::uint64_t threads_per_block) {
-  launches_.fetch_add(1, std::memory_order_relaxed);
-  const Key key{&ir, stride_shift_for(threads_per_block)};
-  const std::uint64_t fp = interp_detail::kernel_fingerprint(ir);
+  const Key key{interp_detail::kernel_fingerprint(ir), stride_shift_for(threads_per_block)};
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = programs_.find(key);
-    if (it != programs_.end() && it->second->fingerprint == fp) return it->second;
+    if (it != programs_.end()) return it->second;
   }
   // Lower outside the lock: concurrent launches of distinct kernels lower in
   // parallel. Lowering is deterministic, so a rare duplicate lowering of the
@@ -642,17 +625,9 @@ std::shared_ptr<const interp_detail::Tier2Program> Tier2Engine::program(
       interp_detail::lower_program(ir, key.second);
 
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = programs_.find(key);
-  if (it != programs_.end()) {
-    if (it->second->fingerprint == fp) return it->second;  // lost the race
-    // Stale fingerprint: replace in place, keeping the key's original FIFO
-    // position so eviction order stays a function of first insertion.
-    cur_bytes_ -= it->second->mem_bytes();
-    it->second = prog;
-  } else {
-    programs_.emplace(key, prog);
-    fifo_.push_back(key);
-  }
+  const auto [it, inserted] = programs_.emplace(key, prog);
+  if (!inserted) return it->second;  // lost the race
+  fifo_.push_back(key);
   cur_bytes_ += prog->mem_bytes();
   compiles_.fetch_add(1, std::memory_order_relaxed);
   fused_superinsts_.fetch_add(prog->fused_pairs, std::memory_order_relaxed);
@@ -662,19 +637,14 @@ std::shared_ptr<const interp_detail::Tier2Program> Tier2Engine::program(
                      {trace::arg("fused", static_cast<int>(prog->fused_pairs)),
                       trace::arg("instrs", static_cast<int>(prog->code.size()))});
   }
+  // Every key in the FIFO is resident: a key is queued once per insert and
+  // leaves the map only here.
   while (programs_.size() > kMaxEntries || cur_bytes_ > kMaxBytes) {
-    if (fifo_head_ >= fifo_.size()) break;  // invariant: never reached
-    auto victim = programs_.find(fifo_[fifo_head_++]);
-    if (victim != programs_.end()) {
-      cur_bytes_ -= victim->second->mem_bytes();
-      programs_.erase(victim);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  // Amortized compaction of the consumed FIFO prefix.
-  if (fifo_head_ > 64 && fifo_head_ * 2 > fifo_.size()) {
-    fifo_.erase(fifo_.begin(), fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));
-    fifo_head_ = 0;
+    auto victim = programs_.find(fifo_.front());
+    fifo_.pop_front();
+    cur_bytes_ -= victim->second->mem_bytes();
+    programs_.erase(victim);
+    evictions_.fetch_add(1, std::memory_order_relaxed);
   }
   return prog;
 }

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -23,7 +24,7 @@ struct Tier2Stats {
   std::uint64_t launches_tier2 = 0;    ///< launches executed (every launch)
   std::uint64_t launches_warming = 0;  ///< always 0; kept for perfbench's JSON
   std::uint64_t launches_tier1 = 0;    ///< always 0; kept for perfbench's JSON
-  std::uint64_t compiles = 0;          ///< (kernel, stride) decodes + lowers
+  std::uint64_t compiles = 0;          ///< (fingerprint, stride) decodes + lowers
   std::uint64_t fused_superinsts = 0;  ///< static fused pairs across compiles
   std::uint64_t verify_launches = 0;   ///< launches cross-checked on the reference
   std::uint64_t evictions = 0;         ///< program-cache FIFO evictions
@@ -48,15 +49,14 @@ struct Tier2Stats {
 /// the SIGVP_TIER_VERIFY flag. Every Interpreter::run launch executes lowered
 /// threaded code obtained here (DESIGN.md §15).
 ///
-/// The cache holds one decoded-and-lowered program per (kernel, SoA stride),
-/// keyed by kernel identity (address) and invalidated by structural
-/// fingerprint: rebuilding a kernel in place (same KernelIR object, new
-/// body) re-lowers on the next launch. It is bounded by a deterministic
+/// The cache holds one decoded-and-lowered program per (kernel structural
+/// fingerprint, SoA stride): structurally equal kernels share one program,
+/// and a kernel rebuilt in place (same KernelIR object, new body) simply
+/// looks up its new fingerprint. It is bounded by a deterministic
 /// entries/bytes cap with FIFO eviction in insertion order (the launch
-/// cache's policy); an in-place refresh keeps the entry's FIFO position, and
-/// an evicted program is merely lowered again on its next launch. Entries
-/// are shared_ptrs, so eviction never pulls a program out from under a
-/// running launch.
+/// cache's policy); an evicted program is merely lowered again on its next
+/// lookup. Entries are shared_ptrs, so eviction never pulls a program out
+/// from under a running launch.
 class Tier2Engine {
  public:
   static constexpr std::size_t kMaxEntries = 1024;
@@ -75,10 +75,13 @@ class Tier2Engine {
   void reset();
 
   /// The program a launch of `ir` with `threads_per_block` threads per block
-  /// executes: cached, or decoded and lowered now. Counts the launch.
+  /// executes: cached, or decoded and lowered now. It also carries the
+  /// kernel's fingerprint, global-atomics flag and pointer-parameter mask,
+  /// which the launch cache keys on.
   std::shared_ptr<const interp_detail::Tier2Program> program(const KernelIR& ir,
                                                              std::uint64_t threads_per_block);
 
+  void note_launch() { launches_.fetch_add(1, std::memory_order_relaxed); }
   void note_verified() { verify_launches_.fetch_add(1, std::memory_order_relaxed); }
 
  private:
@@ -92,11 +95,10 @@ class Tier2Engine {
   std::atomic<std::uint64_t> verify_launches_{0};
   std::atomic<std::uint64_t> evictions_{0};
 
-  using Key = std::pair<const KernelIR*, unsigned>;  // (kernel, stride shift)
-  mutable std::mutex mutex_;  // guards programs_, fifo_, fifo_head_, cur_bytes_
+  using Key = std::pair<std::uint64_t, unsigned>;  // (fingerprint, stride shift)
+  mutable std::mutex mutex_;                       // guards programs_, fifo_, cur_bytes_
   std::map<Key, std::shared_ptr<const interp_detail::Tier2Program>> programs_;
-  std::vector<Key> fifo_;  // keys in insertion order
-  std::size_t fifo_head_ = 0;
+  std::deque<Key> fifo_;  // resident keys in insertion order
   std::size_t cur_bytes_ = 0;
 };
 

@@ -23,13 +23,4 @@ std::uint64_t KernelIR::static_size() const {
   return n;
 }
 
-bool KernelIR::uses_shared_memory() const {
-  for (const BasicBlock& b : blocks) {
-    for (const Instr& in : b.instrs) {
-      if (in.op == Opcode::kBar || is_shared_memory_op(in.op)) return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace sigvp

@@ -55,9 +55,6 @@ struct KernelIR {
 
   /// Total static instruction count.
   std::uint64_t static_size() const;
-
-  /// True if any instruction is a shared-memory access or a barrier.
-  bool uses_shared_memory() const;
 };
 
 }  // namespace sigvp

@@ -23,9 +23,4 @@ void Engine::submit(SimTime duration, std::function<void(SimTime)> on_done) {
   }
 }
 
-double Engine::utilization(SimTime horizon) const {
-  if (horizon <= 0.0) return 0.0;
-  return std::min(1.0, busy_time_ / horizon);
-}
-
 }  // namespace sigvp

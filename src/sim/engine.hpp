@@ -33,9 +33,6 @@ class Engine {
   std::uint64_t jobs_submitted() const { return jobs_submitted_; }
   const std::string& name() const { return name_; }
 
-  /// Fraction of [0, horizon] this engine was busy; 0 for a zero horizon.
-  double utilization(SimTime horizon) const;
-
  private:
   EventQueue& queue_;
   std::string name_;

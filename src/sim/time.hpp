@@ -10,7 +10,6 @@ namespace sigvp {
 using SimTime = double;
 
 constexpr SimTime us_from_ms(double ms) { return ms * 1e3; }
-constexpr SimTime us_from_s(double s) { return s * 1e6; }
 constexpr double ms_from_us(SimTime us) { return us / 1e3; }
 constexpr double s_from_us(SimTime us) { return us / 1e6; }
 

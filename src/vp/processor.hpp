@@ -62,9 +62,6 @@ struct VpConfig {
   double guest_ips(const HostCpuConfig& host) const {
     return host.effective_ips / bt_slowdown;
   }
-  double guest_memcpy_gbps(const HostCpuConfig& host) const {
-    return host.memcpy_gbps / bt_slowdown;
-  }
 };
 
 }  // namespace sigvp

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "interp/decoded.hpp"
@@ -33,8 +34,9 @@ struct RunResult {
 };
 
 /// Fresh memory, deterministic inputs, one launch at `w.test_n` with the
-/// given worker count; returns the full memory image and the profile.
-RunResult run_workload(const Workload& w, std::size_t workers) {
+/// given worker count (or on the reference executor); returns the full
+/// memory image and the profile.
+RunResult run_workload(const Workload& w, std::size_t workers, bool reference = false) {
   AddressSpace mem(kSpace, "m");
   FreeListAllocator alloc(4096, mem.size() - 4096);
   const auto bufs = w.buffers(w.test_n);
@@ -54,8 +56,11 @@ RunResult run_workload(const Workload& w, std::size_t workers) {
   Interpreter interp;
   Interpreter::Options options;
   options.workers = workers;
+  const LaunchDims dims = w.dims(w.test_n);
+  const KernelArgs args = w.args(addrs, w.test_n);
   RunResult out;
-  out.profile = interp.run(w.kernel, w.dims(w.test_n), w.args(addrs, w.test_n), mem, options);
+  out.profile = reference ? Interpreter::run_reference(w.kernel, dims, args, mem)
+                          : interp.run(w.kernel, dims, args, mem, options);
   out.memory.resize(mem.size());
   mem.copy_out(out.memory.data(), 0, out.memory.size());
   return out;
@@ -389,6 +394,60 @@ TEST(InterpParallel, RebuiltKernelExecutesNewBodyThroughTheCache) {
   }
   Interpreter().run(ir, LaunchDims{}, args, mem);
   EXPECT_EQ(mem.read<std::int64_t>(64), 222);
+}
+
+TEST(InterpParallel, StructurallyEqualKernelsShareOneProgram) {
+  // The program table is keyed by structural fingerprint: two distinct
+  // KernelIR objects with one body (names differ) lower once.
+  Tier2Engine& engine = Tier2Engine::instance();
+  engine.reset();
+  const KernelIR a = make_store_kernel("share-a");
+  const KernelIR b = make_store_kernel("share-b");
+  const auto pa = engine.program(a, 8);
+  const auto pb = engine.program(b, 8);
+  EXPECT_EQ(pa.get(), pb.get());
+  EXPECT_EQ(engine.stats().compiles, 1u);
+  EXPECT_EQ(engine.stats().lowered_entries, 1u);
+  EXPECT_EQ(engine.stats().launches_tier2, 0u);  // a lookup is not a launch
+
+  // Both run correctly on the shared program.
+  for (const KernelIR* k : {&a, &b}) {
+    AddressSpace mem(1 << 16, "m");
+    KernelArgs args;
+    args.push_ptr(64);
+    args.push_i64(8);
+    LaunchDims dims;
+    dims.block_x = 8;
+    Interpreter().run(*k, dims, args, mem);
+    for (std::int64_t i = 0; i < 8; ++i) EXPECT_EQ(mem.read<std::int64_t>(64 + 8 * i), i);
+  }
+  EXPECT_EQ(engine.stats().compiles, 1u);
+  EXPECT_EQ(engine.stats().launches_tier2, 2u);
+  engine.reset();
+}
+
+TEST(InterpParallel, ConcurrentTopLevelLaunchesEachMatchTheReference) {
+  // Two callers on their own threads share the interpreter pool at once;
+  // each waits for its own runners only and gets the reference's bytes and
+  // profile.
+  const std::vector<Workload> suite = workloads::make_suite();
+  const std::vector<const Workload*> kernels = {&workloads::find(suite, "matrixMul"),
+                                                &workloads::find(suite, "convolutionSeparable")};
+  std::vector<RunResult> reference;
+  for (const Workload* w : kernels) reference.push_back(run_workload(*w, 1, true));
+  for (int round = 0; round < 3; ++round) {
+    std::vector<RunResult> got(kernels.size());
+    std::vector<std::thread> callers;
+    for (std::size_t i = 0; i < kernels.size(); ++i) {
+      callers.emplace_back([&, i] { got[i] = run_workload(*kernels[i], 4); });
+    }
+    for (std::thread& t : callers) t.join();
+    for (std::size_t i = 0; i < kernels.size(); ++i) {
+      const std::string label = kernels[i]->app + " round " + std::to_string(round);
+      EXPECT_TRUE(got[i].memory == reference[i].memory) << label << ": memory diverged";
+      expect_profiles_identical(reference[i].profile, got[i].profile, label);
+    }
+  }
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <memory>
 #include <utility>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -501,6 +502,79 @@ TEST_F(LaunchCacheTest, EvictionIsDeterministicInsertionOrder) {
     EXPECT_EQ(cache().stats().evictions, ev0 + 4);
     EXPECT_EQ(cache().stats().entries, 4u);
   }
+}
+
+/// Every buffer's bytes plus a digest of the whole space: what a launch's
+/// outcome in memory is compared by.
+std::vector<std::uint8_t> buffer_bytes(const LaunchFixture& fx, const AddressSpace& mem) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i < fx.bufs.size(); ++i) {
+    const std::size_t at = out.size();
+    out.resize(at + fx.bufs[i].bytes);
+    mem.copy_out(out.data() + at, fx.addrs[i], fx.bufs[i].bytes);
+  }
+  const std::uint64_t digest = mem.content_digest(kMemHashSeed);
+  const auto* d = reinterpret_cast<const std::uint8_t*>(&digest);
+  out.insert(out.end(), d, d + sizeof(digest));
+  return out;
+}
+
+TEST(LaunchCacheConcurrency, ThreadsSharingOneCacheGetRecomputedOutcomes) {
+  // Six threads evaluate three kernels × three input variants on one
+  // private cache that holds four entries, so fills evict while other
+  // threads look up. Every outcome must equal plain evaluate_functional,
+  // every lookup is a hit or a miss, and residency never passes the cap.
+  const auto suite = workloads::make_suite();
+  const GpuArch arch = make_quadro4000();
+  const std::vector<LaunchFixture> fixtures = {LaunchFixture(suite, "vectorAdd"),
+                                               LaunchFixture(suite, "matrixMul"),
+                                               LaunchFixture(suite, "convolutionSeparable")};
+  constexpr std::uint32_t kSeeds = 3;
+  constexpr std::uint64_t kCapacity = 4;
+  constexpr std::size_t kThreads = 6;
+  constexpr std::size_t kLookupsPerThread = 18;
+
+  struct Expected {
+    std::vector<std::uint8_t> memory;
+    LaunchEvaluation eval;
+  };
+  std::vector<Expected> expected;  // index: fixture * kSeeds + seed
+  for (const LaunchFixture& fx : fixtures) {
+    for (std::uint32_t seed = 0; seed < kSeeds; ++seed) {
+      AddressSpace mem = fx.make_memory(seed + 1);
+      LaunchEvaluation eval = evaluate_functional(arch, fx.w->kernel, fx.dims, fx.args, mem);
+      expected.push_back({buffer_bytes(fx, mem), std::move(eval)});
+    }
+  }
+
+  const std::unique_ptr<LaunchCache> cache = LaunchCache::create_shard();
+  cache->set_enabled(true);
+  cache->set_verify(false);
+  cache->set_capacity(kCapacity, 512ull << 20);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kLookupsPerThread; ++i) {
+        const std::size_t k = (t * 5 + i) % expected.size();
+        const LaunchFixture& fx = fixtures[k / kSeeds];
+        AddressSpace mem = fx.make_memory(static_cast<std::uint32_t>(k % kSeeds) + 1);
+        const LaunchEvaluation got = cache->evaluate(arch, fx.w->kernel, fx.dims, fx.args, mem);
+        EXPECT_NE(got.cache, LaunchCacheOutcome::kBypass);
+        EXPECT_TRUE(buffer_bytes(fx, mem) == expected[k].memory) << fx.w->app << " #" << k;
+        EXPECT_TRUE(got.stats == expected[k].eval.stats) << fx.w->app << " #" << k;
+        EXPECT_TRUE(got.profile == expected[k].eval.profile) << fx.w->app << " #" << k;
+        EXPECT_LE(cache->stats().entries, kCapacity);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  const LaunchCacheStats s = cache->stats();
+  EXPECT_EQ(s.hits + s.misses, kThreads * kLookupsPerThread);
+  EXPECT_EQ(s.bypasses, 0u);
+  EXPECT_LE(s.entries, kCapacity);
+  EXPECT_GT(s.evictions, 0u);
+  EXPECT_GT(s.hits, 0u);
 }
 
 TEST_F(LaunchCacheTest, ExplicitFaultBypassNeverFillsOrHits) {

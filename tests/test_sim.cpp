@@ -145,13 +145,14 @@ TEST(Engine, JobSubmittedLaterStartsAtSubmissionTime) {
   EXPECT_DOUBLE_EQ(end, 105.0);
 }
 
-TEST(Engine, UtilizationIsBusyOverHorizon) {
+TEST(Engine, BusyTimeSumsJobDurations) {
   EventQueue q;
   Engine e(q, "test");
   e.submit(25.0, {});
+  e.submit(10.0, {});
   q.run();
-  EXPECT_DOUBLE_EQ(e.utilization(100.0), 0.25);
-  EXPECT_DOUBLE_EQ(e.utilization(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(e.busy_time(), 35.0);
+  EXPECT_EQ(e.jobs_submitted(), 2u);
 }
 
 TEST(Engine, RejectsNegativeDuration) {
