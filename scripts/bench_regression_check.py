@@ -45,6 +45,7 @@ HOST_FIELDS = (
     "*.host_cores",
     "*.reps",
     "app_suite.workers",               # sweep workers (results are invariant)
+    "fault_tolerance.workers",         # sweep workers (results are invariant)
     "fleet_scale.scale_shards",        # shard threads: min(8, host cores)
     # Concurrent jobs on one process-wide cache: which job fills an entry
     # first depends on thread scheduling. Their sum, `lookups`, is exact.

@@ -22,12 +22,18 @@ enum class FaultSite : std::uint64_t {
   kResponseDelay = 6,  // completion hit by a latency spike
   kAckDrop = 7,        // delivery acknowledgement lost (forces a retransmit)
   kLaunchFail = 8,     // transient kernel-launch failure on the host GPU
-  kEngineHang = 9,     // compute engine stalls mid-launch
   /// Whole-process death (ProcessCrash). Not recoverable inside a run: it is
   /// injected by the CrashPlan (fault/crash.hpp) at counter-hashed sites and
   /// survived only through the checkpoint/restore path (src/snapshot).
   kProcessCrash = 10,
 };
+
+/// How long an injected fault holds its resource: a latency spike delays
+/// one message, a transient launch failure holds the compute engine until
+/// the abort, a device reset keeps both engines down.
+inline constexpr SimTime kLatencySpikeUs = 500.0;
+inline constexpr SimTime kLaunchFailLatencyUs = 25.0;
+inline constexpr SimTime kDeviceResetLatencyUs = 1500.0;
 
 /// Declarative description of every fault a scenario run will experience.
 /// All rates are per-opportunity probabilities in [0, 1]; deterministic
@@ -41,21 +47,15 @@ struct FaultConfig {
   // --- IPC transport faults (IpcManager) -------------------------------------
   double drop_rate = 0.0;
   double dup_rate = 0.0;
-  double latency_spike_rate = 0.0;
-  SimTime latency_spike_us = 500.0;
+  double latency_spike_rate = 0.0;  // each spike adds kLatencySpikeUs
 
   // --- host GPU faults (GpuDevice) -------------------------------------------
   /// Transient kernel-launch failure: the launch aborts after
-  /// `launch_fail_latency_us` on the compute engine and must be retried.
+  /// kLaunchFailLatencyUs on the compute engine and must be retried.
   double launch_fail_rate = 0.0;
-  SimTime launch_fail_latency_us = 25.0;
-  /// Compute-engine hang: the launch takes `engine_hang_us` longer.
-  double engine_hang_rate = 0.0;
-  SimTime engine_hang_us = 2000.0;
   /// Full device resets at these simulated times: every in-flight job is
-  /// killed and both engines are unavailable for `device_reset_latency_us`.
+  /// killed and both engines are unavailable for kDeviceResetLatencyUs.
   std::vector<SimTime> device_reset_at_us;
-  SimTime device_reset_latency_us = 1500.0;
 
   // --- VP faults --------------------------------------------------------------
   /// VP that stops consuming completion notifications (wedged guest stack),
@@ -66,8 +66,7 @@ struct FaultConfig {
 
   bool enabled() const {
     return drop_rate > 0.0 || dup_rate > 0.0 || latency_spike_rate > 0.0 ||
-           launch_fail_rate > 0.0 || engine_hang_rate > 0.0 ||
-           !device_reset_at_us.empty() || stall_vp >= 0;
+           launch_fail_rate > 0.0 || !device_reset_at_us.empty() || stall_vp >= 0;
   }
 };
 
@@ -131,7 +130,7 @@ class FaultPlan {
   SimTime message_delay(bool response, std::uint64_t index) const {
     return roll(response ? FaultSite::kResponseDelay : FaultSite::kRequestDelay, index,
                 cfg_.latency_spike_rate)
-               ? cfg_.latency_spike_us
+               ? kLatencySpikeUs
                : 0.0;
   }
   bool drop_ack(std::uint64_t index) const {
@@ -139,11 +138,6 @@ class FaultPlan {
   }
   bool fail_launch(std::uint64_t launch_index) const {
     return roll(FaultSite::kLaunchFail, launch_index, cfg_.launch_fail_rate);
-  }
-  SimTime engine_hang(std::uint64_t launch_index) const {
-    return roll(FaultSite::kEngineHang, launch_index, cfg_.engine_hang_rate)
-               ? cfg_.engine_hang_us
-               : 0.0;
   }
 
  private:

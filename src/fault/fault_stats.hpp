@@ -23,7 +23,6 @@ struct FaultStats {
   std::uint64_t latency_spikes = 0;
   std::uint64_t acks_dropped = 0;
   std::uint64_t launch_failures = 0;   // transient kernel-launch aborts
-  std::uint64_t engine_hangs = 0;
   std::uint64_t device_resets = 0;
   std::uint64_t ops_killed_by_reset = 0;  // in-flight device ops killed
   std::uint64_t vp_stalls = 0;         // VP endpoints that wedged
@@ -71,7 +70,6 @@ struct FaultStats {
     latency_spikes += o.latency_spikes;
     acks_dropped += o.acks_dropped;
     launch_failures += o.launch_failures;
-    engine_hangs += o.engine_hangs;
     device_resets += o.device_resets;
     ops_killed_by_reset += o.ops_killed_by_reset;
     vp_stalls += o.vp_stalls;

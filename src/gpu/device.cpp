@@ -145,16 +145,15 @@ SimTime GpuDevice::launch(StreamId stream, const LaunchRequest& request, KernelC
   SIGVP_REQUIRE(stream < streams_.size(), "unknown stream");
   SIGVP_REQUIRE(request.kernel != nullptr, "launch without a kernel");
 
-  // One fault-decision index per launch, consumed for both the transient
-  // failure roll and the engine-hang roll. Injected failures are offered
-  // only to call sites that can recover (they passed `on_fault`).
+  // One fault-decision index per launch, consumed whether or not the call
+  // site can recover. Injected failures are offered only to call sites that
+  // can (they passed `on_fault`).
   std::uint64_t roll = 0;
   if (fault_tracking()) roll = launch_roll_index_++;
   last_launch_faulted_ = fault_tracking() && on_fault && fault_plan_->fail_launch(roll);
   if (last_launch_faulted_) {
-    const SimTime end = schedule_on(compute_engine_, streams_[stream],
-                                    fault_plan_->config().launch_fail_latency_us);
-    compute_busy_ += fault_plan_->config().launch_fail_latency_us;
+    const SimTime end = schedule_on(compute_engine_, streams_[stream], kLaunchFailLatencyUs);
+    compute_busy_ += kLaunchFailLatencyUs;
     ++fault_stats_->launch_failures;
     SIGVP_DEBUG("gpu") << name_ << " TRANSIENT LAUNCH FAILURE of "
                        << request.kernel->name << " at t=" << queue_.now();
@@ -173,7 +172,7 @@ SimTime GpuDevice::launch(StreamId stream, const LaunchRequest& request, KernelC
     // identical (kernel, dims, args, input bytes) launch from another VP,
     // iteration, or sweep job replays the recorded write-set instead of
     // re-interpreting. Under an active fault plan the cache is bypassed —
-    // injected hangs and resets must observe real executions.
+    // injected aborts and resets must observe real executions.
     const LaunchCache::Bypass bypass =
         fault_tracking() ? LaunchCache::Bypass::kFault : LaunchCache::Bypass::kNone;
     LaunchCache& cache = launch_cache_ != nullptr ? *launch_cache_ : LaunchCache::instance();
@@ -186,14 +185,7 @@ SimTime GpuDevice::launch(StreamId stream, const LaunchRequest& request, KernelC
                               request.mem_behavior);
   }
 
-  SimTime duration = stats.duration_us;
-  if (fault_tracking()) {
-    const SimTime hang = fault_plan_->engine_hang(roll);
-    if (hang > 0.0) {
-      duration += hang;
-      ++fault_stats_->engine_hangs;
-    }
-  }
+  const SimTime duration = stats.duration_us;
   const SimTime end = schedule_on(compute_engine_, streams_[stream], duration);
   compute_busy_ += duration;
   dynamic_energy_j_ += stats.dynamic_energy_j;

@@ -87,9 +87,6 @@ class GpuDevice {
     tid_copy_in_ = copy_in;
     tid_copy_out_ = copy_out;
   }
-  std::uint32_t trace_tid_compute() const { return tid_compute_; }
-  std::uint32_t trace_tid_copy_in() const { return tid_copy_in_; }
-  std::uint32_t trace_tid_copy_out() const { return tid_copy_out_; }
 
   /// Routes functional launches through a private launch-cache shard instead
   /// of the process singleton (null = singleton; the default). Sharded
@@ -107,7 +104,6 @@ class GpuDevice {
 
   // --- streams ---------------------------------------------------------------
   StreamId create_stream();
-  std::size_t num_streams() const { return streams_.size(); }
   SimTime stream_idle_at(StreamId stream) const;
 
   // --- asynchronous operations ------------------------------------------------
@@ -153,7 +149,6 @@ class GpuDevice {
   /// fault tracking is off). Submission is single-threaded per scenario, so
   /// "submit, then read last_op_id()" is race-free.
   std::uint64_t last_op_id() const { return last_op_id_; }
-  std::size_t ops_in_flight() const { return live_ops_.size(); }
 
   /// True when the most recent `launch()` was aborted by an injected
   /// transient failure (synchronous check — the coalescer uses it to skip
@@ -185,7 +180,6 @@ class GpuDevice {
   SimTime copy_busy_us() const { return copy_busy_; }
   SimTime compute_busy_us() const { return compute_busy_; }
   std::uint64_t kernels_launched() const { return kernels_launched_; }
-  std::uint64_t copies_submitted() const { return copies_submitted_; }
   const KernelExecStats& last_kernel_stats() const;
 
   /// Average power over [0, horizon]: static + dynamic energy / horizon.

@@ -53,11 +53,6 @@ void IpcManager::set_escalation(std::function<void(std::uint32_t, Job)> escalate
   escalate_ = std::move(escalate);
 }
 
-bool IpcManager::vp_failed(std::uint32_t vp_id) const {
-  SIGVP_REQUIRE(vp_id < vps_.size(), "unknown VP endpoint");
-  return fault_active() && health_ != nullptr && health_->failed(vp_id);
-}
-
 bool IpcManager::fallback_turn(std::uint32_t vp_id, std::uint64_t seq) const {
   SIGVP_REQUIRE(vp_id < vps_.size(), "unknown VP endpoint");
   const VpEndpoint& vp = vps_[vp_id];

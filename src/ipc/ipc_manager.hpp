@@ -104,9 +104,6 @@ class IpcManager {
   /// wrapping already applied, so its completion still flows back through
   /// notify_vp gating.
   void set_escalation(std::function<void(std::uint32_t vp_id, Job job)> escalate);
-  /// True when `vp_id`'s retry budget was exhausted and its traffic has been
-  /// degraded to the fallback path.
-  bool vp_failed(std::uint32_t vp_id) const;
   /// Fallback drain gate: true when `seq` is the lowest unreleased sequence
   /// number of `vp_id`, i.e. the only position at which a fallback job may
   /// execute without breaking the VP's program order.
@@ -129,7 +126,6 @@ class IpcManager {
 
   // --- stats ------------------------------------------------------------------
   std::uint64_t messages_sent() const { return messages_sent_; }
-  SimTime transport_time_total() const { return transport_time_total_; }
   const IpcCostModel& cost_model() const { return cost_; }
 
   /// Deterministic size-based estimate of resident host memory: struct plus

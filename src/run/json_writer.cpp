@@ -128,7 +128,6 @@ std::string sweep_to_json(const SweepResult& sweep, const std::string& bench_nam
          << ", \"latency_spikes\": " << f.latency_spikes
          << ", \"acks_dropped\": " << f.acks_dropped
          << ", \"launch_failures\": " << f.launch_failures
-         << ", \"engine_hangs\": " << f.engine_hangs
          << ", \"device_resets\": " << f.device_resets
          << ", \"ops_killed_by_reset\": " << f.ops_killed_by_reset
          << ", \"vp_stalls\": " << f.vp_stalls

@@ -75,8 +75,10 @@ bool Coalescer::can_merge(const std::vector<Job>& jobs) {
   return true;
 }
 
-SimTime Coalescer::execute(std::vector<Job> jobs, const GroupFaultHooks* hooks) {
+std::vector<std::uint64_t> Coalescer::execute(std::vector<Job> jobs,
+                                              GpuDevice::LaunchFailCallback on_abort) {
   SIGVP_REQUIRE(can_merge(jobs), "coalescer invoked on a non-mergeable group");
+  const bool tolerant = static_cast<bool>(on_abort);
   const cuda::CoalesceInfo& shape = jobs.front().launch.coalesce;
   const LaunchRequest& proto = jobs.front().launch.request;
 
@@ -160,26 +162,23 @@ SimTime Coalescer::execute(std::vector<Job> jobs, const GroupFaultHooks* hooks) 
 
   // 3. Launch once. The stats box is filled at kernel completion, which in
   //    simulated time precedes every scatter completion scheduled below.
-  //    With recovery hooks installed the launch may be aborted by an
-  //    injected transient failure (on_abort fires, no scatters happen).
+  //    Only a tolerant group's launch can be aborted (on_abort fires, no
+  //    scatters happen).
   auto stats_box = std::make_shared<KernelExecStats>();
-  GpuDevice::LaunchFailCallback on_fault;
-  if (hooks != nullptr && hooks->on_abort) on_fault = hooks->on_abort;
   device_.launch(stream_, merged,
                  [stats_box](SimTime, const KernelExecStats& s) { *stats_box = s; },
-                 std::move(on_fault));
-  if (hooks != nullptr && device_.last_launch_faulted()) {
-    if (hooks->on_abort_op) hooks->on_abort_op(device_.last_op_id());
-    const SimTime abort_end = device_.stream_idle_at(stream_);
+                 std::move(on_abort));
+  if (device_.last_launch_faulted()) {
     for (const Arena& a : arenas) device_.free(a.base);
-    return abort_end;
+    return {device_.last_op_id()};
   }
 
   // 4. Scatter outputs back; every job's results are available when its
-  //    scatter lands. Without hooks the scatter is one batched DMA per
-  //    arena (the cheap shape); with hooks each member gets its own DMA so
-  //    a reset kills members individually.
-  if (hooks == nullptr) {
+  //    scatter lands. A plain group scatters one batched DMA per arena (the
+  //    cheap shape); a tolerant one gives each member its own DMA so a reset
+  //    kills members individually.
+  std::vector<std::uint64_t> ops;
+  if (!tolerant) {
     for (const Arena& a : arenas) {
       if (!a.is_output) continue;
       std::vector<GpuDevice::CopyDesc> descs;
@@ -195,8 +194,7 @@ SimTime Coalescer::execute(std::vector<Job> jobs, const GroupFaultHooks* hooks) 
     }
   } else {
     std::uint64_t offset_elems = 0;
-    for (std::size_t ji = 0; ji < jobs.size(); ++ji) {
-      const Job& j = jobs[ji];
+    for (const Job& j : jobs) {
       const std::uint64_t chunk_elems = j.launch.coalesce.elems;
       std::vector<GpuDevice::CopyDesc> descs;
       for (const Arena& a : arenas) {
@@ -214,29 +212,26 @@ SimTime Coalescer::execute(std::vector<Job> jobs, const GroupFaultHooks* hooks) 
           [cb = j.on_complete, stats_box](SimTime end) {
             if (cb) cb(end, stats_box.get());
           });
-      if (hooks->on_member_op) hooks->on_member_op(ji, device_.last_op_id());
+      ops.push_back(device_.last_op_id());
       offset_elems += chunk_elems;
     }
   }
 
   const SimTime group_end = device_.stream_idle_at(stream_);
-  std::vector<SimTime> job_done(jobs.size(), group_end);
-
   for (const Arena& a : arenas) device_.free(a.base);
 
   ++groups_;
   jobs_merged_ += jobs.size();
 
-  if (hooks == nullptr) {
-    for (std::size_t ji = 0; ji < jobs.size(); ++ji) {
-      if (!jobs[ji].on_complete) continue;
-      queue_.schedule_at(job_done[ji],
-                         [cb = jobs[ji].on_complete, stats_box, when = job_done[ji]] {
-                           cb(when, stats_box.get());
-                         });
+  if (!tolerant) {
+    for (const Job& j : jobs) {
+      if (!j.on_complete) continue;
+      queue_.schedule_at(group_end, [cb = j.on_complete, stats_box, group_end] {
+        cb(group_end, stats_box.get());
+      });
     }
   }
-  return group_end;
+  return ops;
 }
 
 }  // namespace sigvp

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "gpu/device.hpp"
@@ -36,31 +35,24 @@ class Coalescer {
   /// at least two jobs, uniform exec mode, uniform buffer layout.
   static bool can_merge(const std::vector<Job>& jobs);
 
-  /// Recovery hooks for fault-tolerant group execution (dispatcher-owned).
-  /// With hooks installed the group runs in its fault-tolerant shape: the
-  /// merged launch may be aborted by an injected transient failure, and the
-  /// output scatters are per-member DMAs instead of one batched DMA, so a
-  /// device reset mid-group kills only the members whose results had not
-  /// yet landed (partial failure, not all-or-nothing).
-  struct GroupFaultHooks {
-    /// Fires at the abort's completion time when the merged launch was hit
-    /// by an injected transient failure. No scatters were submitted and no
-    /// member completion will fire: the group must be re-queued.
-    GpuDevice::LaunchFailCallback on_abort;
-    /// Reports the tracked op id of the aborted merged launch, so a device
-    /// reset racing the abort can still recover the group.
-    std::function<void(std::uint64_t op_id)> on_abort_op;
-    /// Reports the tracked op id of member `index`'s scatter — the op whose
-    /// completion carries the member's on_complete and whose reset kill
-    /// must re-queue that member.
-    std::function<void(std::size_t index, std::uint64_t op_id)> on_member_op;
-  };
-
   /// Merges and executes the group. Each job's on_complete fires at the
   /// simulated time its scattered results are available, with the merged
-  /// launch's stats. Returns the completion time of the whole group.
-  /// `hooks` (optional) switches execution to the fault-tolerant shape.
-  SimTime execute(std::vector<Job> jobs, const GroupFaultHooks* hooks = nullptr);
+  /// launch's stats.
+  ///
+  /// A non-empty `on_abort` (fault mode) switches the group to its
+  /// fault-tolerant shape. The merged launch may then be aborted by an
+  /// injected transient failure: no scatter is submitted, no member
+  /// completion fires, and `on_abort` fires at the abort's end instead, so
+  /// the group must be re-queued. And each member's output scatter is its
+  /// own DMA carrying its completion, instead of one batched DMA, so a
+  /// device reset mid-group kills only the members whose results had not
+  /// yet landed (partial failure, not all-or-nothing).
+  ///
+  /// Returns the tracked op ids a reset could kill, for the caller's
+  /// recovery: the aborted merged launch's alone, or each member's scatter
+  /// in member order. Empty without `on_abort`.
+  std::vector<std::uint64_t> execute(std::vector<Job> jobs,
+                                     GpuDevice::LaunchFailCallback on_abort = {});
 
   std::uint64_t groups_executed() const { return groups_; }
   std::uint64_t jobs_merged() const { return jobs_merged_; }

@@ -16,7 +16,14 @@ namespace sigvp {
 
 namespace {
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-}
+
+/// Fault mode: a job on the device, kept so that its op's reset kill or
+/// launch abort can re-queue it.
+struct KeptJob {
+  Job job;
+  std::uint64_t op = 0;  // the tracked op carrying the job's completion
+};
+}  // namespace
 
 Dispatcher::Dispatcher(EventQueue& queue, GpuDevice& device, DispatchConfig config)
     : Dispatcher(queue, std::vector<GpuDevice*>{&device}, config, PlacementConfig{}) {}
@@ -87,8 +94,10 @@ SimTime Dispatcher::lane_backlog(std::size_t d, std::uint64_t queued) const {
 }
 
 void Dispatcher::maybe_migrate(std::uint32_t vp) {
+  // Fault injection requires a single lane (set_fault), so it never meets
+  // migration.
   if (lanes_.size() < 2 || placement_.policy != PlacementPolicy::kAffinity ||
-      !placement_.allow_migration || fault_active()) {
+      !placement_.allow_migration) {
     return;
   }
   // Only a fully idle VP may move: nothing queued, nothing in flight, no
@@ -150,7 +159,7 @@ bool Dispatcher::coalescable(const Job& job) const {
   // Quarantine policy: a VP with too many recovery incidents loses Kernel
   // Coalescing eligibility — a flaky VP must not drag healthy peers into
   // its retries.
-  if (fault_active() && health_ != nullptr && health_->quarantined(job.vp_id)) return false;
+  if (fault_active() && health_->quarantined(job.vp_id)) return false;
   return true;
 }
 
@@ -426,37 +435,67 @@ void Dispatcher::dispatch_single(Job job) {
 }
 
 void Dispatcher::submit_to_device(Job job) {
-  if (fault_active()) {
-    submit_to_device_tolerant(std::move(job));
+  const std::uint32_t vp = job.vp_id;
+  if (fault_active() && health_->failed(vp)) {
+    // The VP was degraded while this job sat in service: follow its peers
+    // to the fallback instead of touching the device.
+    --in_flight_;
+    --vp_inflight_[vp];
+    escalate(std::move(job));
+    pump();
     return;
   }
   GpuDevice& device = *lane_of(job).device;
-  const GpuDevice::StreamId stream = vp_streams_[job.vp_id];
-  const std::uint32_t vp = job.vp_id;
-  switch (job.kind) {
+  const GpuDevice::StreamId stream = vp_streams_[vp];
+  // Fault mode keeps the job, completion included, so that a reset kill or a
+  // launch abort can re-queue it; otherwise the completion moves into the
+  // op's callback.
+  std::shared_ptr<KeptJob> kept;
+  decltype(Job::on_complete) cb;
+  if (fault_active()) {
+    kept = std::make_shared<KeptJob>(KeptJob{std::move(job)});
+  } else {
+    cb = std::move(job.on_complete);
+  }
+  const Job& j = kept ? kept->job : job;
+  auto done = [this, vp, kept, cb = std::move(cb)](SimTime end, const KernelExecStats* stats) {
+    if (kept) kill_actions_.erase(kept->op);
+    const auto& complete = kept ? kept->job.on_complete : cb;
+    if (complete) complete(end, stats);
+    on_job_finished(vp);
+  };
+  switch (j.kind) {
     case JobKind::kMemcpyH2D:
-      device.memcpy_h2d(stream, job.device_addr, job.host_src, job.bytes,
-                        [this, vp, cb = std::move(job.on_complete)](SimTime end) {
-                          if (cb) cb(end, nullptr);
-                          on_job_finished(vp);
-                        });
+      device.memcpy_h2d(stream, j.device_addr, j.host_src, j.bytes,
+                        [done = std::move(done)](SimTime end) { done(end, nullptr); });
       break;
     case JobKind::kMemcpyD2H:
-      device.memcpy_d2h(stream, job.host_dst, job.device_addr, job.bytes,
-                        [this, vp, cb = std::move(job.on_complete)](SimTime end) {
-                          if (cb) cb(end, nullptr);
-                          on_job_finished(vp);
-                        });
+      device.memcpy_d2h(stream, j.host_dst, j.device_addr, j.bytes,
+                        [done = std::move(done)](SimTime end) { done(end, nullptr); });
       break;
-    case JobKind::kKernel:
-      device.launch(stream, job.launch.request,
-                    [this, vp, cb = std::move(job.on_complete)](
-                        SimTime end, const KernelExecStats& stats) {
-                      if (cb) cb(end, &stats);
-                      on_job_finished(vp);
-                    });
+    case JobKind::kKernel: {
+      GpuDevice::LaunchFailCallback on_fault;
+      if (kept) {
+        on_fault = [this, kept](SimTime) {
+          kill_actions_.erase(kept->op);
+          on_launch_failed(std::move(kept->job));
+        };
+      }
+      auto on_done = [done = std::move(done)](SimTime end, const KernelExecStats& stats) {
+        done(end, &stats);
+      };
+      device.launch(stream, j.launch.request, std::move(on_done), std::move(on_fault));
       break;
+    }
   }
+  if (!kept) return;
+  // Submission is single-threaded, so the op just submitted is last_op_id().
+  kept->op = device.last_op_id();
+  kill_actions_[kept->op] = [this, kept] {
+    rollback_dispatch(kept->job);
+    ++fault_stats_->reset_requeues;
+    requeue(kept->job);
+  };
 }
 
 void Dispatcher::dispatch_group(std::vector<Job> group) {
@@ -486,12 +525,13 @@ void Dispatcher::dispatch_group(std::vector<Job> group) {
     }
   }
   // Fault mode: retain pre-wrap member copies so a merged-launch abort or a
-  // reset kill can re-queue members with their original completions.
+  // reset kill can re-queue members with their original completions. `ops`
+  // receives the tracked op ids the coalescer returns.
   std::shared_ptr<std::vector<Job>> retained;
-  std::shared_ptr<std::vector<std::uint64_t>> member_ops;
+  std::shared_ptr<std::vector<std::uint64_t>> ops;
   if (fault_active()) {
     retained = std::make_shared<std::vector<Job>>(group);
-    member_ops = std::make_shared<std::vector<std::uint64_t>>(group.size(), 0);
+    ops = std::make_shared<std::vector<std::uint64_t>>();
   }
   for (std::size_t idx = 0; idx < group.size(); ++idx) {
     Job& j = group[idx];
@@ -501,9 +541,8 @@ void Dispatcher::dispatch_group(std::vector<Job> group) {
     // Chain the dispatcher's accounting after the job's own completion.
     auto original = std::move(j.on_complete);
     const std::uint32_t vp = j.vp_id;
-    j.on_complete = [this, vp, idx, member_ops, original](SimTime end,
-                                                          const KernelExecStats* stats) {
-      if (member_ops) kill_actions_.erase((*member_ops)[idx]);
+    j.on_complete = [this, vp, idx, ops, original](SimTime end, const KernelExecStats* stats) {
+      if (ops) kill_actions_.erase((*ops)[idx]);
       if (original) original(end, stats);
       SIGVP_ASSERT(vp_group_inflight_[vp] > 0, "group completion for an idle VP");
       --vp_group_inflight_[vp];
@@ -515,42 +554,44 @@ void Dispatcher::dispatch_group(std::vector<Job> group) {
   Coalescer* coalescer = lane.coalescer.get();
   lane.service->submit(
       config_.dispatch_overhead_us,
-      [this, coalescer, retained, member_ops,
+      [this, coalescer, retained, ops,
        group = std::make_shared<std::vector<Job>>(std::move(group))](SimTime) mutable {
-        if (!fault_active()) {
-          coalescer->execute(std::move(*group));
-          pump();
-          return;
-        }
-        // Wire the group's recovery hooks: the merged-launch abort (or a
-        // reset racing it) re-splits the whole group; a reset killing a
-        // member's scatter re-queues just that member.
-        auto abort_op = std::make_shared<std::uint64_t>(0);
-        Coalescer::GroupFaultHooks hooks;
-        hooks.on_abort = [this, retained, abort_op](SimTime) {
-          kill_actions_.erase(*abort_op);
-          resplit_group(retained);
-        };
-        hooks.on_abort_op = [this, retained, abort_op](std::uint64_t op) {
-          *abort_op = op;
-          kill_actions_[op] = [this, retained] { resplit_group(retained); };
-        };
-        hooks.on_member_op = [this, retained, member_ops](std::size_t idx,
-                                                          std::uint64_t op) {
-          (*member_ops)[idx] = op;
-          kill_actions_[op] = [this, retained, idx] {
-            Job j = (*retained)[idx];
-            SIGVP_ASSERT(vp_group_inflight_[j.vp_id] > 0,
-                         "reset kill for a member of an idle VP");
-            --vp_group_inflight_[j.vp_id];
-            rollback_dispatch(j);
-            ++fault_stats_->reset_requeues;
-            requeue(std::move(j));
+        GpuDevice::LaunchFailCallback on_abort;
+        if (ops) {
+          on_abort = [this, retained, ops](SimTime) {
+            kill_actions_.erase(ops->front());
+            resplit_group(retained);
           };
-        };
-        coalescer->execute(std::move(*group), &hooks);
+        }
+        std::vector<std::uint64_t> submitted =
+            coalescer->execute(std::move(*group), std::move(on_abort));
+        if (ops) {
+          *ops = std::move(submitted);
+          register_group_kills(retained, *ops);
+        }
         pump();
       });
+}
+
+void Dispatcher::register_group_kills(const std::shared_ptr<std::vector<Job>>& retained,
+                                      const std::vector<std::uint64_t>& ops) {
+  if (ops.size() != retained->size()) {
+    // The one op back is the aborted merged launch: a reset killing it
+    // re-splits the whole group.
+    kill_actions_[ops.front()] = [this, retained] { resplit_group(retained); };
+    return;
+  }
+  // A reset killing a member's scatter re-queues just that member.
+  for (std::size_t idx = 0; idx < ops.size(); ++idx) {
+    kill_actions_[ops[idx]] = [this, retained, idx] {
+      Job j = (*retained)[idx];
+      SIGVP_ASSERT(vp_group_inflight_[j.vp_id] > 0, "reset kill for a member of an idle VP");
+      --vp_group_inflight_[j.vp_id];
+      rollback_dispatch(j);
+      ++fault_stats_->reset_requeues;
+      requeue(std::move(j));
+    };
+  }
 }
 
 void Dispatcher::on_job_finished(std::uint32_t vp_id) {
@@ -589,7 +630,7 @@ void Dispatcher::inject_device_reset() {
   // be no pending completion left to re-enter pump(), so one is scheduled
   // for the moment the engines come back.
   const SimTime recovered_at =
-      lanes_[0].device->reset(fault_plan_->config().device_reset_latency_us);
+      lanes_[0].device->reset(kDeviceResetLatencyUs);
   pump();
   events_.schedule_at(recovered_at, [this] { pump(); });
 }
@@ -647,76 +688,28 @@ void Dispatcher::purge_vp(std::uint32_t vp_id) {
   for (Job& j : purged) escalate(std::move(j));
 }
 
-void Dispatcher::submit_to_device_tolerant(Job job) {
+void Dispatcher::on_launch_failed(Job job) {
   const std::uint32_t vp = job.vp_id;
-  if (health_ != nullptr && health_->failed(vp)) {
-    // The VP was degraded while this job sat in service: follow its peers
-    // to the fallback instead of touching the device.
-    --in_flight_;
-    --vp_inflight_[vp];
-    escalate(std::move(job));
-    pump();
-    return;
-  }
-  GpuDevice& device = *lane_of(job).device;
-  const GpuDevice::StreamId stream = vp_streams_[vp];
-  auto boxed = std::make_shared<Job>(std::move(job));
-  auto op_box = std::make_shared<std::uint64_t>(0);
-  auto done = [this, vp, boxed, op_box](SimTime end, const KernelExecStats* stats) {
-    kill_actions_.erase(*op_box);
-    if (boxed->on_complete) boxed->on_complete(end, stats);
-    on_job_finished(vp);
-  };
-  switch (boxed->kind) {
-    case JobKind::kMemcpyH2D:
-      device.memcpy_h2d(stream, boxed->device_addr, boxed->host_src, boxed->bytes,
-                        [done](SimTime end) { done(end, nullptr); });
-      break;
-    case JobKind::kMemcpyD2H:
-      device.memcpy_d2h(stream, boxed->host_dst, boxed->device_addr, boxed->bytes,
-                        [done](SimTime end) { done(end, nullptr); });
-      break;
-    case JobKind::kKernel:
-      device.launch(stream, boxed->launch.request,
-                    [done](SimTime end, const KernelExecStats& stats) { done(end, &stats); },
-                    [this, boxed, op_box](SimTime) {
-                      kill_actions_.erase(*op_box);
-                      on_launch_failed(boxed);
-                    });
-      break;
-  }
-  // Submission is single-threaded, so the op just submitted is last_op_id().
-  *op_box = device.last_op_id();
-  kill_actions_[*op_box] = [this, boxed] {
-    rollback_dispatch(*boxed);
-    ++fault_stats_->reset_requeues;
-    requeue(*boxed);
-  };
-}
-
-void Dispatcher::on_launch_failed(std::shared_ptr<Job> job) {
-  const std::uint32_t vp = job->vp_id;
-  ++job->attempts;
-  if (health_) health_->report_incident(vp);
-  if (job->attempts > recovery_.max_launch_retries) {
+  ++job.attempts;
+  health_->report_incident(vp);
+  if (job.attempts > recovery_.max_launch_retries) {
     // Bounded-retry budget exhausted: degrade the VP (purging its queued
     // successors to the fallback) and escalate this job after them — the
     // fallback drain re-sorts everything by sequence number.
     --in_flight_;
     --vp_inflight_[vp];
-    if (health_) health_->mark_failed(vp);
-    escalate(std::move(*job));
+    health_->mark_failed(vp);
+    escalate(std::move(job));
     pump();
     return;
   }
   ++fault_stats_->launch_retries;
-  rollback_dispatch(*job);
-  requeue(std::move(*job));
+  rollback_dispatch(job);
+  requeue(std::move(job));
   pump();
 }
 
 void Dispatcher::resplit_group(std::shared_ptr<std::vector<Job>> members) {
-  if (members->empty()) return;  // already re-split by a racing reset kill
   ++fault_stats_->group_resplits;
   SIGVP_DEBUG("dispatcher") << "merged launch aborted: re-splitting " << members->size()
                             << " members to singles at t=" << events_.now();
@@ -729,7 +722,6 @@ void Dispatcher::resplit_group(std::shared_ptr<std::vector<Job>> members) {
     j.launch.coalesce.eligible = false;
     requeue(std::move(j));
   }
-  members->clear();
   pump();
 }
 

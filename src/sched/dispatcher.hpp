@@ -80,6 +80,13 @@ struct DispatchConfig {
 /// (PlacementConfig's migration model) before it becomes runnable again.
 /// A 1-device dispatcher is byte-identical to every release before
 /// multi-GPU existed.
+///
+/// Fault recovery (an active FaultPlan) rides the same paths rather than
+/// copies of them: single jobs reach the device through the one
+/// submit_to_device, groups through Coalescer::execute, and in fault mode
+/// each keeps its jobs and registers a reset-kill action for every op id the
+/// submission produced (the coalescer returns its op ids). Besides these,
+/// the plan adds only the kFaultOrder hold and coalescable()'s quarantine.
 class Dispatcher {
  public:
   /// Single-device dispatcher (the legacy shape: one lane, no placement).
@@ -117,7 +124,7 @@ class Dispatcher {
   void set_escalation(std::function<void(std::uint32_t vp_id, Job job)> escalate);
   /// Injected full device reset (FaultConfig::device_reset_at_us): every
   /// in-flight op is killed, its job re-queued in per-VP sequence order, and
-  /// the device is down for the configured recovery latency.
+  /// the device is down for kDeviceResetLatencyUs.
   void inject_device_reset();
   /// Removes every queued job of `vp_id` and escalates them in sequence
   /// order — called when the VP is degraded to the fallback path.
@@ -152,7 +159,6 @@ class Dispatcher {
   const DispatchConfig& config() const { return config_; }
 
   // --- placement --------------------------------------------------------------
-  std::size_t num_lanes() const { return lanes_.size(); }
   /// Jobs dispatched through device `d`'s lane.
   std::uint64_t lane_jobs(std::size_t d) const { return lanes_.at(d).jobs_dispatched; }
   /// Number of VPs currently assigned to device `d`.
@@ -256,6 +262,9 @@ class Dispatcher {
   void dispatch_at(std::size_t index);
   void dispatch_single(Job job);
   void dispatch_group(std::vector<Job> group);
+  /// The one device submission path. In fault mode it also escalates jobs
+  /// of a failed VP, keeps each submitted job for re-queueing, registers
+  /// the op's reset-kill action and arms the launch-abort retry.
   void submit_to_device(Job job);
   void on_job_finished(std::uint32_t vp_id);
   /// Kernel jobs with a coalescing descriptor: the jobs a window timer can
@@ -283,18 +292,22 @@ class Dispatcher {
   bool fault_active() const { return fault_plan_ != nullptr && fault_plan_->enabled(); }
   /// Coalescing eligibility under the health policy: quarantined VPs lose it.
   bool coalescable(const Job& job) const;
-  /// Fault-mode device submission: registers a kill action for the op so a
-  /// reset re-queues the job, and arms the transient-launch retry path.
-  void submit_to_device_tolerant(Job job);
-  /// Transient merged/single launch abort: bounded retry, then escalation.
-  void on_launch_failed(std::shared_ptr<Job> job);
+  /// Transient launch abort of a single job: bounded retry, then escalation.
+  void on_launch_failed(Job job);
   /// Undoes the dispatch-time accounting of `job` so it can be re-queued.
   void rollback_dispatch(const Job& job);
   void requeue(Job job);
   /// Kill handler: a device reset destroyed op `op_id`; re-queue its job.
   void on_op_killed(std::uint64_t op_id);
+  /// Registers the reset-kill actions for the op ids a fault-mode group
+  /// execution returned (Coalescer::execute): the aborted launch's re-splits
+  /// the group, each member scatter's re-queues that member.
+  void register_group_kills(const std::shared_ptr<std::vector<Job>>& retained,
+                            const std::vector<std::uint64_t>& ops);
   /// Merged-launch abort: re-queue every retained member as a single
   /// (coalescing eligibility cleared) — the paper group's partial failure.
+  /// Runs once per group: its callers are the abort op's completion and that
+  /// op's reset kill, and an op either completes or is killed.
   void resplit_group(std::shared_ptr<std::vector<Job>> members);
   /// Hands `job` to the escalation sink (fallback path).
   void escalate(Job job);

@@ -7,14 +7,6 @@
 
 namespace sigvp {
 
-const char* placement_policy_name(PlacementPolicy policy) {
-  switch (policy) {
-    case PlacementPolicy::kRoundRobin: return "round-robin";
-    case PlacementPolicy::kAffinity: return "affinity";
-  }
-  return "?";
-}
-
 SimTime migration_cost_us(const PlacementConfig& config, std::uint64_t ws_bytes) {
   // bytes / (GB/s) = ns per byte × bytes; convert to µs.
   const double restage_us = static_cast<double>(ws_bytes) / (config.migration_gbps * 1e3);

@@ -20,8 +20,6 @@ enum class PlacementPolicy : std::uint8_t {
   kAffinity,
 };
 
-const char* placement_policy_name(PlacementPolicy policy);
-
 /// Placement knobs of a multi-GPU host set. Semantic configuration: it
 /// changes which device serves which VP, so every field is part of the
 /// scenario fingerprint. Ignored entirely when at most one device is

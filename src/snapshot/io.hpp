@@ -34,7 +34,10 @@ inline constexpr char kSnapshotMagic[8] = {'S', 'V', 'P', 'S', 'N', 'A', 'P', '1
 /// Version 6: launch-cache entries carry their exact pre-image (a table of
 /// distinct nonzero blocks, then per entry one block reference per block)
 /// instead of a 64-bit input hash, so version-5 cache payloads are rejected.
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+/// Version 7: the FaultStats record drops `engine_hangs` and scenario
+/// fingerprints drop the engine-hang and fault-latency settings (the
+/// latencies are constants), so version-6 checkpoints are rejected.
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
 /// Writes `payload` wrapped in the container, via write-temp + fsync +
 /// atomic rename — a crash at any instant leaves either the previous file

@@ -28,11 +28,10 @@ void fields(Reader& r, trace::Metrics& m) { m = load_metrics(r); }
 template <typename IO>
 void fields(IO& io, Rec<IO, FaultStats>& s) {
   io(s.active, s.messages_dropped, s.messages_duplicated, s.latency_spikes, s.acks_dropped,
-     s.launch_failures, s.engine_hangs, s.device_resets, s.ops_killed_by_reset, s.vp_stalls,
-     s.retransmits, s.duplicates_suppressed, s.launch_retries, s.reset_requeues,
-     s.group_resplits, s.vps_quarantined, s.vp_restarts, s.fallbacks, s.fallback_jobs,
-     s.unrecovered_jobs, s.recovery_latency_total_us, s.recovery_latency_max_us,
-     s.recovery_events);
+     s.launch_failures, s.device_resets, s.ops_killed_by_reset, s.vp_stalls, s.retransmits,
+     s.duplicates_suppressed, s.launch_retries, s.reset_requeues, s.group_resplits,
+     s.vps_quarantined, s.vp_restarts, s.fallbacks, s.fallback_jobs, s.unrecovered_jobs,
+     s.recovery_latency_total_us, s.recovery_latency_max_us, s.recovery_events);
 }
 
 template <typename IO>
@@ -206,13 +205,8 @@ std::uint64_t scenario_fingerprint(const std::string& name, const std::string& g
   w.f64(config.fault.drop_rate);
   w.f64(config.fault.dup_rate);
   w.f64(config.fault.latency_spike_rate);
-  w.f64(config.fault.latency_spike_us);
   w.f64(config.fault.launch_fail_rate);
-  w.f64(config.fault.launch_fail_latency_us);
-  w.f64(config.fault.engine_hang_rate);
-  w.f64(config.fault.engine_hang_us);
   w.f64_vec(config.fault.device_reset_at_us);
-  w.f64(config.fault.device_reset_latency_us);
   w.i64(config.fault.stall_vp);
   w.u32(config.fault.stall_after_completions);
   w.f64(config.recovery.ack_timeout_us);

@@ -82,7 +82,6 @@ class EmulationDriver final : public cuda::DeviceDriver {
   void launch(const cuda::LaunchSpec& spec, cuda::KernelDoneCallback cb) override;
   void synchronize(cuda::DoneCallback cb) override;
 
-  AddressSpace& emulated_memory() { return *memory_; }
   const EmulationConfig& config() const { return config_; }
 
   /// Class-weighted work of a kernel in equivalent host instructions.

@@ -22,40 +22,6 @@ constexpr std::uint32_t kGraphDegree = 8;
 constexpr std::uint32_t kMlInnerDim = 32;
 constexpr std::uint32_t kSoftmaxGroup = 32;
 
-LaunchDims dims1d(std::uint64_t n, std::uint32_t block = 256) {
-  LaunchDims d;
-  d.block_x = block;
-  d.grid_x = static_cast<std::uint32_t>(std::max<std::uint64_t>(1, (n + block - 1) / block));
-  return d;
-}
-
-/// λ profile of a guarded elementwise kernel with one counted inner loop
-/// (blocks labeled <loop>.head/.body/.exit), as in src/workloads/loops.cpp.
-DynamicProfile guarded_loop_profile(const KernelIR& ir, const LaunchDims& dims,
-                                    std::uint64_t active, const std::string& loop,
-                                    std::uint64_t trips) {
-  const std::uint64_t total = dims.total_threads();
-  return profile_from_visits(ir, {{"entry", total},
-                                  {"body", active},
-                                  {loop + ".head", active * (trips + 1)},
-                                  {loop + ".body", active * trips},
-                                  {loop + ".exit", active},
-                                  {"exit", total - active}});
-}
-
-cuda::CoalesceInfo linear_coalesce(const std::string& key, std::uint64_t elems,
-                                   std::vector<cuda::CoalesceInfo::BufferArg> buffers,
-                                   std::uint32_t size_arg, std::uint32_t block = 256) {
-  cuda::CoalesceInfo c;
-  c.eligible = true;
-  c.key = key;
-  c.elems = elems;
-  c.buffers = std::move(buffers);
-  c.size_arg_index = size_arg;
-  c.block_x = block;
-  return c;
-}
-
 void fill_f32_formula(std::vector<std::uint8_t>& buf, std::uint64_t count,
                       const std::function<float(std::uint64_t)>& f) {
   for (std::uint64_t i = 0; i < count && (i + 1) * 4 <= buf.size(); ++i) {

@@ -5,30 +5,6 @@
 
 namespace sigvp::workloads {
 
-namespace {
-
-LaunchDims dims1d(std::uint64_t n, std::uint32_t block = 256) {
-  LaunchDims d;
-  d.block_x = block;
-  d.grid_x = static_cast<std::uint32_t>(std::max<std::uint64_t>(1, (n + block - 1) / block));
-  return d;
-}
-
-cuda::CoalesceInfo linear_coalesce(const std::string& key, std::uint64_t n,
-                                   std::vector<cuda::CoalesceInfo::BufferArg> buffers,
-                                   std::uint32_t size_arg, std::uint32_t block = 256) {
-  cuda::CoalesceInfo c;
-  c.eligible = true;
-  c.key = key;
-  c.elems = n;
-  c.buffers = std::move(buffers);
-  c.size_arg_index = size_arg;
-  c.block_x = block;
-  return c;
-}
-
-}  // namespace
-
 Workload make_vector_add() {
   KernelBuilder b("vectorAdd", 4);
   const auto pa = b.reg(), pb = b.reg(), pc = b.reg(), n = b.reg(), gid = b.reg();

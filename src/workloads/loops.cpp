@@ -5,31 +5,6 @@
 
 namespace sigvp::workloads {
 
-namespace {
-
-LaunchDims dims1d(std::uint64_t n, std::uint32_t block = 256) {
-  LaunchDims d;
-  d.block_x = block;
-  d.grid_x = static_cast<std::uint32_t>(std::max<std::uint64_t>(1, (n + block - 1) / block));
-  return d;
-}
-
-/// λ profile of a guarded elementwise kernel with one inner loop of fixed
-/// trip count `trips` (loop blocks labeled <loop>.head/.body/.exit).
-DynamicProfile guarded_loop_profile(const KernelIR& ir, const LaunchDims& dims,
-                                    std::uint64_t active, const std::string& loop,
-                                    std::uint64_t trips) {
-  const std::uint64_t total = dims.total_threads();
-  return profile_from_visits(ir, {{"entry", total},
-                                  {"body", active},
-                                  {loop + ".head", active * (trips + 1)},
-                                  {loop + ".body", active * trips},
-                                  {loop + ".exit", active},
-                                  {"exit", total - active}});
-}
-
-}  // namespace
-
 Workload make_matrix_mul() {
   // C = A x B over FP64 squares — the kernel of the paper's Table 1
   // experiment (320x320 doubles, 300 invocations) and of Fig. 12/13.

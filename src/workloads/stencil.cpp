@@ -5,17 +5,6 @@
 
 namespace sigvp::workloads {
 
-namespace {
-
-LaunchDims dims1d(std::uint64_t n, std::uint32_t block = 256) {
-  LaunchDims d;
-  d.block_x = block;
-  d.grid_x = static_cast<std::uint32_t>(std::max<std::uint64_t>(1, (n + block - 1) / block));
-  return d;
-}
-
-}  // namespace
-
 Workload make_sobel_filter() {
   // 3x3 Sobel edge detector over an 8-bit image; integer-dominated, which is
   // why the paper observes a comparatively low speedup for it.

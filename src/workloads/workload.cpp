@@ -1,5 +1,6 @@
 #include "workloads/workload.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/check.hpp"
@@ -122,6 +123,38 @@ DynamicProfile guarded_profile(const KernelIR& ir, const LaunchDims& dims,
   SIGVP_REQUIRE(active <= total, "more active threads than launched threads");
   return profile_from_visits(
       ir, {{"entry", total}, {"body", active}, {"exit", total - active}});
+}
+
+DynamicProfile guarded_loop_profile(const KernelIR& ir, const LaunchDims& dims,
+                                    std::uint64_t active, const std::string& loop,
+                                    std::uint64_t trips) {
+  const std::uint64_t total = dims.total_threads();
+  return profile_from_visits(ir, {{"entry", total},
+                                  {"body", active},
+                                  {loop + ".head", active * (trips + 1)},
+                                  {loop + ".body", active * trips},
+                                  {loop + ".exit", active},
+                                  {"exit", total - active}});
+}
+
+LaunchDims dims1d(std::uint64_t n, std::uint32_t block) {
+  LaunchDims d;
+  d.block_x = block;
+  d.grid_x = static_cast<std::uint32_t>(std::max<std::uint64_t>(1, (n + block - 1) / block));
+  return d;
+}
+
+cuda::CoalesceInfo linear_coalesce(const std::string& key, std::uint64_t elems,
+                                   std::vector<cuda::CoalesceInfo::BufferArg> buffers,
+                                   std::uint32_t size_arg, std::uint32_t block) {
+  cuda::CoalesceInfo c;
+  c.eligible = true;
+  c.key = key;
+  c.elems = elems;
+  c.buffers = std::move(buffers);
+  c.size_arg_index = size_arg;
+  c.block_x = block;
+  return c;
 }
 
 void emit_guard(KernelBuilder& b, KernelBuilder::Reg gid, KernelBuilder::Reg n) {

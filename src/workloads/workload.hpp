@@ -156,6 +156,25 @@ DynamicProfile profile_from_visits(
 /// "body", "exit"): entry = all threads, body = active, exit = inactive.
 DynamicProfile guarded_profile(const KernelIR& ir, const LaunchDims& dims, std::uint64_t active);
 
+/// λ vector for the guarded scaffold with one inner loop of fixed trip
+/// count `trips` per active thread (loop blocks labeled <loop>.head/.body/
+/// .exit between "body" and the return).
+DynamicProfile guarded_loop_profile(const KernelIR& ir, const LaunchDims& dims,
+                                    std::uint64_t active, const std::string& loop,
+                                    std::uint64_t trips);
+
+/// One-dimensional launch of at least one block of `block` threads covering
+/// `n` threads.
+LaunchDims dims1d(std::uint64_t n, std::uint32_t block = 256);
+
+/// Coalescing descriptor of a kernel whose buffers are indexed linearly by
+/// the global thread index: `elems` elements, the listed buffer arguments,
+/// the element-count argument at `size_arg`, merged launches in blocks of
+/// `block`.
+cuda::CoalesceInfo linear_coalesce(const std::string& key, std::uint64_t elems,
+                                   std::vector<cuda::CoalesceInfo::BufferArg> buffers,
+                                   std::uint32_t size_arg, std::uint32_t block = 256);
+
 /// The canonical guard prologue: loads no parameters, computes
 /// gid = ctaid.x·ntid.x + tid.x into `gid`, and branches to "exit" when
 /// gid >= regs[n]. Opens the "body" block. The caller must already have

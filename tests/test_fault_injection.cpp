@@ -414,6 +414,59 @@ TEST(FaultInjection, DeviceResetDuringCoalescedGroupRequeuesKilledMembers) {
   expect_vadd_outputs(rig, bufs, kN);
 }
 
+TEST(FaultInjection, DeviceResetDuringMergedLaunchAbortResplitsTheGroupOnce) {
+  // The merged launch aborts (as in CoalescedGroupResplitsOnMergedLaunchAbort)
+  // and a device reset lands while the abort still holds the compute engine:
+  // the reset kills the abort op, whose kill action re-splits the group, and
+  // the abort's own callback never fires.
+  const workloads::Workload va = workloads::make_vector_add();
+  constexpr std::size_t kVps = 4;
+  constexpr std::uint64_t kN = 64;
+
+  FaultConfig f;
+  f.seed = 7;
+  f.launch_fail_rate = 0.45;  // seeded: the merged launch aborts, retries pass
+  RecoveryConfig rec;
+  rec.max_launch_retries = 64;
+  rec.quarantine_threshold = 1000;
+
+  DispatchConfig cfg;
+  cfg.interleave = true;
+  cfg.coalesce = true;
+  cfg.coalesce_eager_peers = kVps - 1;
+  FaultRig rig(cfg, kVps, f, rec);
+
+  std::vector<Completion> log;
+  std::vector<std::vector<std::uint64_t>> bufs(kVps);
+  for (std::uint32_t vp = 0; vp < kVps; ++vp) {
+    rig.disp.submit(functional_vadd(va, rig, vp, 0, kN, &bufs[vp], &log));
+  }
+  // The group dispatches at t = 0 and its merged launch is submitted then.
+  SimTime reset_at = 0.0;
+  rig.q.schedule_at(1.0, [&rig, &reset_at] {
+    ASSERT_TRUE(rig.dev.last_launch_faulted());
+    const SimTime abort_end = rig.dev.compute_engine_free_at();
+    ASSERT_GT(abort_end, rig.q.now());
+    reset_at = (rig.q.now() + abort_end) / 2.0;
+    rig.q.schedule_at(reset_at, [&rig] { rig.disp.inject_device_reset(); });
+  });
+  rig.q.run();
+
+  EXPECT_GT(reset_at, 0.0);
+  EXPECT_TRUE(rig.disp.idle());
+  EXPECT_EQ(rig.stats.device_resets, 1u);
+  EXPECT_GE(rig.stats.ops_killed_by_reset, 1u);
+  EXPECT_GE(rig.stats.launch_failures, 1u);
+  EXPECT_EQ(rig.stats.group_resplits, 1u);
+  EXPECT_EQ(rig.stats.unrecovered_jobs, 0u);
+  expect_per_vp_order(log, kVps, 1);
+  expect_vadd_outputs(rig, bufs, kN);
+  // No kill action is left: the dispatcher's resident size counts one per
+  // pending action, so an idle rig that never dispatched matches it.
+  FaultRig fresh(cfg, kVps, f, rec);
+  EXPECT_EQ(rig.disp.resident_bytes(), fresh.disp.resident_bytes());
+}
+
 // --- quarantine threshold edges --------------------------------------------------
 
 TEST(FaultInjection, QuarantineTriggersExactlyAtThreshold) {

@@ -497,7 +497,7 @@ TEST(SchedulerProperties, DispatchDigestsMatchRecordedScan) {
   EXPECT_GT(migrations, 0u);
 
   const DiffResult fleet = run_fleet_differential();
-  EXPECT_EQ(fleet.digest, 0x06c36592d7e73973ull);
+  EXPECT_EQ(fleet.digest, 0x7e0e4d918fda1ef3ull);
   EXPECT_EQ(fleet.events, 1888u);
 }
 

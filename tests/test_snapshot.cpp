@@ -480,7 +480,6 @@ snapshot::SweepCheckpoint pinned_checkpoint() {
   f.latency_spikes = 23;
   f.acks_dropped = 24;
   f.launch_failures = 25;
-  f.engine_hangs = 26;
   f.device_resets = 27;
   f.ops_killed_by_reset = 28;
   f.vp_stalls = 29;
@@ -534,14 +533,14 @@ std::uint64_t digest_of(const std::vector<std::uint8_t>& bytes) {
 }
 
 TEST(SnapshotState, CheckpointAndCacheEncodingsMatchPinnedDigests) {
-  // Recorded from the v6 codecs; any change to a persisted byte moves them.
+  // Recorded from the v7 codecs; any change to a persisted byte moves them.
   // A kernel or cost-model change that alters the cached stats, profile or
   // write-set bytes moves the cache digest too and needs a re-pin, but the
-  // checkpoint and cache layouts themselves must not move within v6.
+  // checkpoint and cache layouts themselves must not move within v7.
   const snapshot::SweepCheckpoint cp = pinned_checkpoint();
   EXPECT_EQ(digest_of(cp.cache_blob), 0x21B89B507B953649ull);
   const std::vector<std::uint8_t> enc = snapshot::encode_sweep_checkpoint(cp);
-  EXPECT_EQ(digest_of(enc), 0x3BD2BA9E5BFCD153ull);
+  EXPECT_EQ(digest_of(enc), 0x0F2964814DC2A0ADull);
 
   // Decoding and re-encoding reproduces every byte.
   EXPECT_EQ(snapshot::encode_sweep_checkpoint(snapshot::decode_sweep_checkpoint(enc)), enc);
@@ -871,6 +870,12 @@ TEST(SnapshotSweep, VersionFiveCheckpointIsRejected) {
   // their pre-image, which exact validation needs; a resume must refuse
   // them, not misparse.
   expect_checkpoints_of_version_rejected(5);
+}
+
+TEST(SnapshotSweep, VersionSixCheckpointIsRejected) {
+  // Version-6 fault-stats records carry an `engine_hangs` field that
+  // version 7 dropped; a resume must refuse them, not misparse.
+  expect_checkpoints_of_version_rejected(6);
 }
 
 TEST(SnapshotSweep, CheckpointForADifferentSweepIsRejected) {
