@@ -16,7 +16,7 @@
 // soak_recovery kill–resume harness.
 //
 //   app_suite [--workers N] [--json PATH] [--trace PATH]
-//             [--snapshot-dir PATH] [--snapshot-every US] [--resume FILE]
+//             [--snapshot-dir PATH]
 
 #include <cstdint>
 #include <iostream>

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(opt.coalesced_groups));
   std::printf("host GPU energy (dynamic): %.1f J\n", opt.gpu_dynamic_energy_j);
 
-  write_sweep_json(sweep, "fleet_simulation", cli.json_path);
+  if (!try_write_sweep_json(sweep, "fleet_simulation", cli.json_path)) return 1;
   std::printf("\n[sweep] %zu scenarios on %zu workers in %.0f ms -> %s\n",
               sweep.jobs.size(), sweep.workers, sweep.wall_ms, cli.json_path.c_str());
   return 0;

@@ -115,12 +115,13 @@ ScenarioResult run_scenario(const ScenarioConfig& config, const std::vector<AppI
   auto slice_at = [&apps, D](std::size_t d) { return apps.size() * d / D; };
 
   // Shard execution: up to `--shards` host threads from the shared fleet
-  // pool advance domains between barriers. Purely an execution knob — the
-  // serial path below visits domains in the same order the merge uses.
+  // pool advance domains between barriers (parallel_for makes at most D
+  // tasks). Purely an execution knob — the serial path below visits
+  // domains in the same order the merge uses.
   std::vector<FleetDomain> doms(D);
-  const std::size_t shard_threads = std::min<std::size_t>(run::fleet_shards(), D);
+  const std::size_t shard_threads = run::fleet_shards();
   auto for_each_domain = [&](auto&& fn) {
-    if (shard_threads > 1) {
+    if (shard_threads > 1 && D > 1) {
       run::parallel_for(run::fleet_pool(shard_threads), D, fn);
     } else {
       for (std::size_t d = 0; d < D; ++d) fn(d);

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <optional>
 #include <utility>
 
 #include "interp/tier2.hpp"
-#include "snapshot/serial.hpp"
 #include "util/check.hpp"
 
 namespace sigvp {
@@ -219,16 +219,6 @@ struct LaunchCache::Entry {
     return true;
   }
 
-  /// The persisted field list (export_state, import_state). `block_ids`
-  /// stands in for pre_image: a block's position in the export's block
-  /// table + 1, or 0 for an all-zero block.
-  template <typename IO>
-  static void fields(IO& io, snapshot::Rec<IO, Entry>& e,
-                     snapshot::Rec<IO, std::vector<std::uint64_t>>& block_ids) {
-    io(e.base_key, e.pointer_mask, e.args.values, e.read_ranges, block_ids, e.stats, e.profile,
-       e.writes.ranges, e.writes.bytes);
-  }
-
   /// Write-set and nonzero pre-image bytes plus a fixed cost per range.
   /// Shared blocks are charged to every entry holding them, so the charge
   /// depends on the entry alone.
@@ -432,103 +422,6 @@ void LaunchCache::insert(std::shared_ptr<const Entry> entry) {
     victims.erase(pos);
     if (victims.empty()) buckets_.erase(it);
     evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-// --- checkpoint export/import ------------------------------------------------
-
-namespace snapshot {
-
-template <typename IO>
-void fields(IO& io, Rec<IO, MemChunk>& c) {
-  io(c.addr, c.size);
-}
-
-template <typename IO>
-void fields(IO& io, Rec<IO, ClassCounts>& c) {
-  io(c.counts);
-}
-
-template <typename IO>
-void fields(IO& io, Rec<IO, CacheStats>& c) {
-  io(c.accesses, c.hits, c.misses);
-}
-
-template <typename IO>
-void fields(IO& io, Rec<IO, KernelExecStats>& s) {
-  io(s.sigma, s.num_blocks, s.serial_blocks, s.issue_cycles, s.block_overhead_cycles,
-     s.stall_cycles_data, s.stall_cycles_other, s.total_cycles, s.duration_us,
-     s.dynamic_energy_j, s.cache);
-}
-
-template <typename IO>
-void fields(IO& io, Rec<IO, DynamicProfile>& p) {
-  io(p.block_visits, p.instr_counts, p.global_load_bytes, p.global_store_bytes,
-     p.barriers_waited, p.sfu_instrs, p.sqrt_instrs);
-}
-
-}  // namespace snapshot
-
-void LaunchCache::export_state(snapshot::Writer& w) const {
-  // Holding mutex_ pins every resident entry: insert and evict take it too,
-  // so the FIFO's raw pointers stay valid for the whole walk.
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Each distinct nonzero block once, in first-use order; an entry refers
-  // to its blocks by table position + 1, and to an all-zero block by 0.
-  std::unordered_map<const Block*, std::uint64_t> ids;
-  std::vector<const Block*> table;
-  for (const Entry* e : fifo_) {
-    for (const BlockRef& b : e->pre_image) {
-      if (b && ids.emplace(b.get(), table.size() + 1).second) table.push_back(b.get());
-    }
-  }
-  w.u64(table.size());
-  for (const Block* b : table) w.byte_vec(b->bytes);
-  w(resident_entries_);
-  std::vector<std::uint64_t> block_ids;
-  for (const Entry* e : fifo_) {
-    block_ids.clear();
-    for (const BlockRef& b : e->pre_image) block_ids.push_back(b ? ids.at(b.get()) : 0);
-    Entry::fields(w, *e, block_ids);
-  }
-}
-
-void LaunchCache::import_state(snapshot::Reader& r) {
-  auto total_size = [](const std::vector<MemChunk>& ranges) {
-    std::uint64_t total = 0;
-    for (const MemChunk& c : ranges) total += c.size;
-    return total;
-  };
-  std::vector<BlockRef> table = {nullptr};  // id 0: the all-zero block
-  for (std::uint64_t i = r.u64(); i > 0; --i) {
-    const std::vector<std::uint8_t> bytes = r.byte_vec();
-    if (bytes.empty() || bytes.size() > kBlockBytes) {
-      throw snapshot::SnapshotError("launch cache: pre-image block of bad size");
-    }
-    table.push_back(blocks_.intern(bytes.data(), bytes.size()));
-  }
-  const std::uint64_t n = r.u64();
-  std::vector<std::uint64_t> block_ids;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    auto entry = std::make_shared<Entry>();
-    Entry::fields(r, *entry, block_ids);
-    const std::uint64_t read_bytes = total_size(entry->read_ranges);
-    if (block_ids.size() != (read_bytes + kBlockBytes - 1) / kBlockBytes) {
-      throw snapshot::SnapshotError("launch cache entry: pre-image does not cover the read set");
-    }
-    for (std::uint64_t b = 0; b < block_ids.size(); ++b) {
-      const std::uint64_t id = block_ids[b];
-      const std::uint64_t size = std::min(kBlockBytes, read_bytes - b * kBlockBytes);
-      if (id >= table.size() || (table[id] && table[id]->bytes.size() != size)) {
-        throw snapshot::SnapshotError("launch cache entry: bad pre-image block reference");
-      }
-      entry->pre_image.push_back(table[id]);
-    }
-    if (entry->writes.total_bytes() != total_size(entry->writes.ranges)) {
-      throw snapshot::SnapshotError("launch cache entry: write-set ranges/bytes out of sync");
-    }
-    entry->set_footprint();
-    insert(std::move(entry));  // re-takes fifo order, dedups duplicates
   }
 }
 

@@ -16,13 +16,8 @@
 
 namespace sigvp {
 
-namespace snapshot {
-class Writer;
-class Reader;
-}
-
-/// Monotonic counters of the process-wide launch cache. `snapshot()` deltas
-/// are what the sweep runner folds into the BENCH JSON `cache` block.
+/// Monotonic counters of the process-wide launch cache. `stats()` deltas
+/// are what the sweep runner reports as the BENCH JSON `cache` block.
 struct LaunchCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -95,6 +90,11 @@ struct LaunchCacheStats {
 ///  - kAtomics: kernels with global atomics (accumulation order is
 ///    observable and their access stream under-reports reads).
 ///
+/// The resident set lives only in this process. A sweep checkpoint holds
+/// finished results, never entries: a resumed sweep starts with a cold
+/// cache and refills it, which changes no result byte (a hit is identical
+/// to recomputation).
+///
 /// Capacity is bounded; eviction is strict global insertion order (FIFO by
 /// fill sequence, never clock- or recency-based), so the resident set after
 /// any fixed launch sequence is reproducible run-to-run. Each entry is
@@ -149,20 +149,6 @@ class LaunchCache {
   /// Monotonic counters + current residency, coherent snapshot.
   LaunchCacheStats stats() const;
 
-  /// Serializes every resident entry — fill-time arguments, pointer mask
-  /// and pre-image included — in global FIFO (fill) order, the order
-  /// eviction replays, so an import rebuilds a byte-identical resident set
-  /// including its future eviction sequence and relocation frames. Each
-  /// distinct nonzero pre-image block is written once.
-  void export_state(snapshot::Writer& w) const;
-
-  /// Re-inserts entries previously written by export_state, preserving
-  /// fill order. Duplicate entries (already resident) are dropped by the
-  /// normal insert dedup, so importing over a warm cache is safe.
-  void import_state(snapshot::Reader& r);
-
- private:
-  struct Entry;
   struct Block;
   using BlockRef = std::shared_ptr<const Block>;
 
@@ -181,6 +167,9 @@ class LaunchCache {
     std::unordered_multimap<std::uint64_t, std::weak_ptr<const Block>> index_;
     std::size_t swept_size_ = 0;  // index size after the last sweep of dead slots
   };
+
+ private:
+  struct Entry;
 
   LaunchCache();  // out-of-line: Entry is incomplete here
   LaunchCache(const LaunchCache&) = delete;

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "trace/metrics.hpp"
-#include "util/check.hpp"
 #include "util/fileio.hpp"
 #include "util/jsonfmt.hpp"
 #include "util/log.hpp"
@@ -13,21 +12,17 @@ namespace sigvp::run {
 
 namespace {
 
-std::string json_escape(const std::string& s) { return json::escape(s); }
-
-void append_number(std::ostringstream& os, double v) { os << json::number(v); }
-
 void append_summary(std::ostringstream& os, const SampleSummary& s) {
   os << "{\"count\": " << s.count << ", \"min_us\": ";
-  append_number(os, s.min);
+  os << json::number(s.min);
   os << ", \"mean_us\": ";
-  append_number(os, s.mean);
+  os << json::number(s.mean);
   os << ", \"p50_us\": ";
-  append_number(os, s.p50);
+  os << json::number(s.p50);
   os << ", \"p95_us\": ";
-  append_number(os, s.p95);
+  os << json::number(s.p95);
   os << ", \"max_us\": ";
-  append_number(os, s.max);
+  os << json::number(s.max);
   os << "}";
 }
 
@@ -51,17 +46,12 @@ bool try_write_json_file(const std::string& text, const std::string& path) {
   return util::write_file_atomic(path, text);
 }
 
-void write_json_file(const std::string& text, const std::string& path) {
-  SIGVP_REQUIRE(try_write_json_file(text, path),
-                "failed writing JSON results file: " + path);
-}
-
 std::string sweep_to_json(const SweepResult& sweep, const std::string& bench_name) {
   std::ostringstream os;
-  os << "{\n  \"bench\": \"" << json_escape(bench_name) << "\",\n";
+  os << "{\n  \"bench\": \"" << json::escape(bench_name) << "\",\n";
   os << "  \"workers\": " << sweep.workers << ",\n";
   os << "  \"wall_ms\": ";
-  append_number(os, sweep.wall_ms);
+  os << json::number(sweep.wall_ms);
   os << ",\n  \"summary\": ";
   append_summary(os, sweep.summarize());
   // Launch-cache activity; emitted only when the cache did something a
@@ -86,39 +76,39 @@ std::string sweep_to_json(const SweepResult& sweep, const std::string& bench_nam
   for (std::size_t i = 0; i < sweep.jobs.size(); ++i) {
     const SweepJobResult& j = sweep.jobs[i];
     const ScenarioResult& r = j.result;
-    os << "    {\"name\": \"" << json_escape(j.name) << "\", \"group\": \""
-       << json_escape(j.group) << "\", \"makespan_us\": ";
-    append_number(os, r.makespan_us);
+    os << "    {\"name\": \"" << json::escape(j.name) << "\", \"group\": \""
+       << json::escape(j.group) << "\", \"makespan_us\": ";
+    os << json::number(r.makespan_us);
     os << ", \"app_done_us\": [";
     for (std::size_t a = 0; a < r.app_done_us.size(); ++a) {
       if (a != 0) os << ", ";
-      append_number(os, r.app_done_us[a]);
+      os << json::number(r.app_done_us[a]);
     }
     os << "], \"jobs_dispatched\": " << r.jobs_dispatched
        << ", \"reorders\": " << r.reorders
        << ", \"coalesced_groups\": " << r.coalesced_groups
        << ", \"coalesced_jobs\": " << r.coalesced_jobs
        << ", \"ipc_messages\": " << r.ipc_messages << ", \"gpu_dynamic_energy_j\": ";
-    append_number(os, r.gpu_dynamic_energy_j);
+    os << json::number(r.gpu_dynamic_energy_j);
     os << ", \"gpu_compute_busy_us\": ";
-    append_number(os, r.gpu_compute_busy_us);
+    os << json::number(r.gpu_compute_busy_us);
     os << ", \"gpu_copy_busy_us\": ";
-    append_number(os, r.gpu_copy_busy_us);
+    os << json::number(r.gpu_copy_busy_us);
     // Per-request latency percentiles (open-loop traffic scenarios only).
     // Emitted only when requests ran, so closed-loop jobs keep their JSON
     // byte-identical to builds without the traffic subsystem.
     if (r.latency.count > 0) {
       os << ", \"requests\": " << r.requests_completed
          << ", \"latency\": {\"count\": " << r.latency.count << ", \"mean_us\": ";
-      append_number(os, r.latency.mean());
+      os << json::number(r.latency.mean());
       os << ", \"p50_us\": ";
-      append_number(os, r.latency.quantile(0.50));
+      os << json::number(r.latency.quantile(0.50));
       os << ", \"p95_us\": ";
-      append_number(os, r.latency.quantile(0.95));
+      os << json::number(r.latency.quantile(0.95));
       os << ", \"p99_us\": ";
-      append_number(os, r.latency.quantile(0.99));
+      os << json::number(r.latency.quantile(0.99));
       os << ", \"max_us\": ";
-      append_number(os, r.latency.max);
+      os << json::number(r.latency.max);
       os << "}";
     }
     if (r.fault.active) {
@@ -142,9 +132,9 @@ std::string sweep_to_json(const SweepResult& sweep, const std::string& bench_nam
          << ", \"fallback_jobs\": " << f.fallback_jobs
          << ", \"unrecovered_jobs\": " << f.unrecovered_jobs
          << ", \"recovery_latency_mean_us\": ";
-      append_number(os, f.recovery_latency_mean_us());
+      os << json::number(f.recovery_latency_mean_us());
       os << ", \"recovery_latency_max_us\": ";
-      append_number(os, f.recovery_latency_max_us);
+      os << json::number(f.recovery_latency_max_us);
       os << "}";
     }
     // Sharded-fleet observables (DESIGN.md §16); absent on the classic
@@ -157,10 +147,10 @@ std::string sweep_to_json(const SweepResult& sweep, const std::string& bench_nam
     if (r.fleet.domains > 0) {
       const FleetStats& fl = r.fleet;
       os << ", \"fleet\": {\"domains\": " << fl.domains << ", \"lookahead_us\": ";
-      append_number(os, fl.lookahead_us);
+      os << json::number(fl.lookahead_us);
       os << ", \"fabric_messages\": " << fl.fabric_messages
          << ", \"fabric_hops\": " << fl.fabric_hops << ", \"fleet_done_us\": ";
-      append_number(os, fl.fleet_done_us);
+      os << json::number(fl.fleet_done_us);
       os << ", \"cache_hits\": " << fl.cache_hits
          << ", \"cache_misses\": " << fl.cache_misses << "}";
     }
@@ -177,11 +167,11 @@ std::string sweep_to_json(const SweepResult& sweep, const std::string& bench_nam
         os << "{\"arch\": \"" << ds.arch << "\", \"vps\": " << ds.vps
            << ", \"jobs\": " << ds.jobs << ", \"kernels\": " << ds.kernels
            << ", \"compute_busy_us\": ";
-        append_number(os, ds.compute_busy_us);
+        os << json::number(ds.compute_busy_us);
         os << ", \"copy_busy_us\": ";
-        append_number(os, ds.copy_busy_us);
+        os << json::number(ds.copy_busy_us);
         os << ", \"energy_j\": ";
-        append_number(os, ds.energy_j);
+        os << json::number(ds.energy_j);
         os << "}";
       }
       os << "]}";
@@ -192,11 +182,6 @@ std::string sweep_to_json(const SweepResult& sweep, const std::string& bench_nam
   }
   os << "  ]\n}\n";
   return os.str();
-}
-
-void write_sweep_json(const SweepResult& sweep, const std::string& bench_name,
-                      const std::string& path) {
-  write_json_file(sweep_to_json(sweep, bench_name), path);
 }
 
 bool try_write_sweep_json(const SweepResult& sweep, const std::string& bench_name,

@@ -32,16 +32,20 @@ namespace sigvp::run {
 /// (SIGVP_TRACE / SIGVP_METRICS=1 / --trace) the document carries a
 /// top-level "metrics" object (counters/gauges/histograms aggregated across
 /// scenarios in canonical input order); default runs omit it.
+///
+/// Every field is a pure function of the job list except the host-domain
+/// ones: `workers`, `wall_ms` and the `"cache"` block. That block (present
+/// when the launch cache hit or bypassed anything) records the lookups of
+/// this process: under `workers > 1` concurrent fills of one launch split
+/// hits and misses by thread timing, and a resumed sweep counts only the
+/// jobs it re-ran.
 std::string sweep_to_json(const SweepResult& sweep, const std::string& bench_name);
 
-/// Writes `sweep_to_json` to `path` (e.g. "BENCH_fig11_suite.json").
-void write_sweep_json(const SweepResult& sweep, const std::string& bench_name,
-                      const std::string& path);
-
-/// Like write_sweep_json but logs the failure and returns false instead of
-/// throwing. Bench mains use this so `--json` to an unwritable path turns
-/// into `return 1`, not an uncaught exception (or — worse — a silent
-/// success, which is what the pre-flush good() check used to produce).
+/// Writes `sweep_to_json` to `path` (e.g. "BENCH_fig11_suite.json"); logs
+/// the failure and returns false instead of throwing. Bench mains use this
+/// so `--json` to an unwritable path turns into `return 1`, not an uncaught
+/// exception (or — worse — a silent success, which is what the pre-flush
+/// good() check used to produce).
 bool try_write_sweep_json(const SweepResult& sweep, const std::string& bench_name,
                           const std::string& path);
 
@@ -58,14 +62,10 @@ std::string number(double v);
 
 }  // namespace json
 
-/// Writes an already-serialized JSON document to `path`, with the same
-/// error contract as `write_sweep_json`.
-void write_json_file(const std::string& text, const std::string& path);
-
-/// Like write_json_file but reports failure instead of throwing — the write
-/// is only considered successful once the stream has flushed and closed
-/// cleanly. Benches use this so `--json` to an unwritable path exits
-/// nonzero instead of silently succeeding.
+/// Writes an already-serialized JSON document to `path` and reports failure
+/// instead of throwing — the write is only considered successful once the
+/// stream has flushed and closed cleanly. Benches use this so `--json` to
+/// an unwritable path exits nonzero instead of silently succeeding.
 bool try_write_json_file(const std::string& text, const std::string& path);
 
 }  // namespace sigvp::run

@@ -58,20 +58,6 @@ std::uint64_t sweep_fingerprint(const std::vector<SweepJob>& jobs) {
   return w.digest();
 }
 
-/// Folds the cache delta a checkpoint carried over into the delta of the
-/// resumed run: counters add, residency levels come from the live (later)
-/// snapshot — the same level-vs-delta split LaunchCacheStats::operator-
-/// uses.
-LaunchCacheStats cache_sum(const LaunchCacheStats& saved, const LaunchCacheStats& live) {
-  LaunchCacheStats out = live;
-  out.hits += saved.hits;
-  out.misses += saved.misses;
-  out.bypasses += saved.bypasses;
-  out.bytes_replayed += saved.bytes_replayed;
-  out.evictions += saved.evictions;
-  return out;
-}
-
 /// Mutable checkpoint of the running sweep, shared by every worker thread.
 /// All mutation happens under `mutex`; publication re-encodes the whole
 /// checkpoint (bench-scale sweeps are small) and lets the store rotate.
@@ -79,7 +65,6 @@ struct CheckpointState {
   std::mutex mutex;
   snapshot::SweepCheckpoint cp;
   snapshot::CheckpointStore* store = nullptr;
-  LaunchCacheStats cache_base;  // process stats at run start (post-import)
 
   void publish_locked() {
     if (store != nullptr) store->publish(snapshot::encode_sweep_checkpoint(cp));
@@ -106,9 +91,7 @@ SweepResult SweepRunner::run(const std::vector<SweepJob>& jobs, const SweepSnaps
   out.jobs.resize(jobs.size());
 
   const bool checkpointing = !snap.dir.empty();
-  const bool resuming_file = !snap.resume_path.empty();
-  const std::uint64_t fingerprint =
-      (checkpointing || resuming_file) ? sweep_fingerprint(jobs) : 0;
+  const std::uint64_t fingerprint = checkpointing ? sweep_fingerprint(jobs) : 0;
 
   std::unique_ptr<snapshot::CheckpointStore> store;
   if (checkpointing) store = std::make_unique<snapshot::CheckpointStore>(snap.dir);
@@ -117,32 +100,29 @@ SweepResult SweepRunner::run(const std::vector<SweepJob>& jobs, const SweepSnaps
   SweepResumeInfo info;
   snapshot::SweepCheckpoint loaded;
   bool have = false;
-  auto try_load = [&](const std::string& path) {
-    try {
-      snapshot::SweepCheckpoint cp =
-          snapshot::decode_sweep_checkpoint(snapshot::load_snapshot_file(path));
-      if (cp.fingerprint != fingerprint) {
-        throw snapshot::SnapshotError("checkpoint is for a different sweep: " + path);
-      }
-      if (cp.jobs.size() != jobs.size()) {
-        throw snapshot::SnapshotError("checkpoint job count mismatch: " + path);
-      }
-      loaded = std::move(cp);
-      have = true;
-      info.resumed_from = path;
-    } catch (const snapshot::SnapshotError& e) {
-      SIGVP_WARN("snapshot") << "rejected " << path << ": " << e.what();
-      info.rejected.push_back(path);
-    }
-  };
-  if (resuming_file) try_load(snap.resume_path);
-  if (!have && store != nullptr) {
+  if (store != nullptr) {
     snapshot::CheckpointStore::Latest latest = store->find_latest_valid();
-    for (const std::string& r : latest.rejected) info.rejected.push_back(r);
-    if (!latest.path.empty()) try_load(latest.path);
+    info.rejected = std::move(latest.rejected);
+    if (!latest.path.empty()) {
+      try {
+        snapshot::SweepCheckpoint cp = snapshot::decode_sweep_checkpoint(latest.payload);
+        if (cp.fingerprint != fingerprint) {
+          throw snapshot::SnapshotError("checkpoint is for a different sweep: " + latest.path);
+        }
+        if (cp.jobs.size() != jobs.size()) {
+          throw snapshot::SnapshotError("checkpoint job count mismatch: " + latest.path);
+        }
+        loaded = std::move(cp);
+        have = true;
+        info.resumed_from = latest.path;
+      } catch (const snapshot::SnapshotError& e) {
+        SIGVP_WARN("snapshot") << "rejected " << latest.path << ": " << e.what();
+        info.rejected.push_back(latest.path);
+      }
+    }
   }
 
-  // Splice finished results and rebuild the launch cache's resident set.
+  // Splice finished results.
   std::vector<char> done(jobs.size(), 0);
   if (have) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -156,30 +136,22 @@ SweepResult SweepRunner::run(const std::vector<SweepJob>& jobs, const SweepSnaps
         ++info.jobs_replayed;
       }
     }
-    if (!loaded.cache_blob.empty()) {
-      snapshot::Reader r(loaded.cache_blob);
-      LaunchCache::instance().import_state(r);
-    }
     SIGVP_INFO("snapshot") << "resumed " << info.jobs_resumed << "/" << jobs.size()
                            << " finished jobs from " << info.resumed_from << " ("
                            << info.jobs_replayed << " replayed under digest verification)";
   }
-  const LaunchCacheStats saved_delta = have ? loaded.cache_delta : LaunchCacheStats{};
 
   CheckpointState state;
   state.store = store.get();
   state.cp.fingerprint = fingerprint;
   state.cp.jobs.resize(jobs.size());
   if (have) {
-    state.cp.cache_blob = loaded.cache_blob;
-    state.cp.cache_delta = loaded.cache_delta;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       if (done[i]) state.cp.jobs[i] = loaded.jobs[i];
     }
   }
 
   const LaunchCacheStats cache_before = LaunchCache::instance().stats();
-  state.cache_base = cache_before;
   const auto wall_start = std::chrono::steady_clock::now();
   {
     // Results land in their input slot, so aggregation order — and therefore
@@ -187,8 +159,8 @@ SweepResult SweepRunner::run(const std::vector<SweepJob>& jobs, const SweepSnaps
     ThreadPool pool(std::min(workers_, std::max<std::size_t>(1, jobs.size())));
     trace::Tracer* tracer = trace::Tracer::active();
     parallel_for(pool, jobs.size(),
-                 [&jobs, &out, tracer, &done, &loaded, have, checkpointing, &snap, &state,
-                  &saved_delta](std::size_t i) {
+                 [&jobs, &out, tracer, &done, &loaded, have, checkpointing, &snap,
+                  &state](std::size_t i) {
       if (done[i]) return;  // spliced from the checkpoint
       // Host-domain span for this sweep job (how the simulator itself spent
       // its wall-clock); never part of the deterministic metrics.
@@ -214,14 +186,6 @@ SweepResult SweepRunner::run(const std::vector<SweepJob>& jobs, const SweepSnaps
         jc.done = true;
         jc.result = out.jobs[i].result;
         jc.captures.clear();
-        // Job-completion boundary: refresh the durable cache state. Only
-        // here — never at capture cadence — so a mid-job crash cannot
-        // double-count the partial cache work of a job that will re-run.
-        snapshot::Writer cw;
-        LaunchCache::instance().export_state(cw);
-        state.cp.cache_blob = cw.take();
-        state.cp.cache_delta =
-            cache_sum(saved_delta, LaunchCache::instance().stats() - state.cache_base);
         state.publish_locked();
       }
       if (tracer != nullptr) {
@@ -233,7 +197,7 @@ SweepResult SweepRunner::run(const std::vector<SweepJob>& jobs, const SweepSnaps
   out.wall_ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                           wall_start)
                     .count();
-  out.cache = cache_sum(saved_delta, LaunchCache::instance().stats() - cache_before);
+  out.cache = LaunchCache::instance().stats() - cache_before;
 
   // Fold per-scenario metrics in canonical input order: counters add and
   // histograms sum bucket-wise, so the merged registry is bit-identical for
@@ -254,11 +218,6 @@ SweepCli parse_sweep_cli(int argc, char** argv, const std::string& default_json)
   if (const char* dir = std::getenv("SIGVP_SNAPSHOT_DIR"); dir != nullptr && *dir != '\0') {
     cli.snapshot_dir = dir;
   }
-  if (const char* every = std::getenv("SIGVP_SNAPSHOT_EVERY");
-      every != nullptr && *every != '\0') {
-    const double us = std::strtod(every, nullptr);
-    if (us > 0.0) cli.snapshot_every_us = us;
-  }
   if (const char* shards = std::getenv("SIGVP_SHARDS"); shards != nullptr && *shards != '\0') {
     cli.shards = static_cast<std::size_t>(std::strtoul(shards, nullptr, 10));
   }
@@ -272,11 +231,6 @@ SweepCli parse_sweep_cli(int argc, char** argv, const std::string& default_json)
       cli.trace_path = argv[++i];
     } else if (arg == "--snapshot-dir" && i + 1 < argc) {
       cli.snapshot_dir = argv[++i];
-    } else if (arg == "--snapshot-every" && i + 1 < argc) {
-      const double us = std::strtod(argv[++i], nullptr);
-      if (us > 0.0) cli.snapshot_every_us = us;
-    } else if (arg == "--resume" && i + 1 < argc) {
-      cli.resume_path = argv[++i];
     } else if (arg == "--shards" && i + 1 < argc) {
       cli.shards = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     }

@@ -35,9 +35,11 @@ struct SweepResult {
   std::size_t workers = 1;
   double wall_ms = 0.0;  // host wall-clock of the whole sweep
 
-  /// Launch-cache activity during this sweep (counter deltas over the run;
-  /// `entries`/`bytes` are residency levels at sweep end). The cache is
-  /// process-wide, so concurrent jobs on different workers share hits.
+  /// Launch-cache activity of this process during the sweep (counter deltas
+  /// over the run; `entries`/`bytes` are residency levels at sweep end).
+  /// Host-domain, like wall_ms: the cache is process-wide, so concurrent
+  /// jobs split hits and misses by thread timing, and a resumed sweep
+  /// counts only the jobs it re-ran.
   LaunchCacheStats cache;
 
   /// Per-scenario sim-domain metrics folded together in canonical input
@@ -57,7 +59,9 @@ struct SweepResult {
   SampleSummary summarize_group(const std::string& group) const;
 };
 
-/// Checkpoint/restore policy of a sweep run (DESIGN.md §14).
+/// Checkpoint/restore policy of a sweep run (DESIGN.md §14). A checkpoint
+/// holds finished results and the capture digests of interrupted jobs; the
+/// launch cache is not persisted, so a resumed sweep starts it cold.
 struct SweepSnapshotOptions {
   /// Checkpoint directory. Non-empty enables both periodic checkpoint
   /// publication AND auto-resume from the newest valid checkpoint found
@@ -69,11 +73,6 @@ struct SweepSnapshotOptions {
   /// checkpoint publication. Must match the cadence of the interrupted run
   /// being resumed — captures are verified position by position.
   SimTime every_us = 5000.0;
-
-  /// Explicit snapshot file to resume from, tried before the `dir` scan.
-  /// If it fails validation it is rejected (logged) and the scan provides
-  /// the fallback.
-  std::string resume_path;
 };
 
 /// What a checkpointed/resumed sweep actually did, for harness assertions.
@@ -109,8 +108,8 @@ class SweepRunner {
   /// workers have drained.
   SweepResult run(const std::vector<SweepJob>& jobs) const;
 
-  /// Checkpoint-aware variant: resumes from `snap.dir`/`snap.resume_path`
-  /// when a valid checkpoint for this exact job list exists, publishes
+  /// Checkpoint-aware variant: resumes from the newest valid checkpoint in
+  /// `snap.dir` when one for this exact job list exists, publishes
   /// rotating checkpoints while running, and reports what happened through
   /// `resume_info` (may be null). With default options this is the plain
   /// run() path.
@@ -128,11 +127,9 @@ class SweepRunner {
 /// parse_sweep_cli enables it immediately so every subsequent scenario is
 /// captured).
 ///
-/// Checkpoint/restore knobs: `--snapshot-dir PATH` (or SIGVP_SNAPSHOT_DIR)
-/// enables rotating checkpoints plus auto-resume, `--snapshot-every US`
-/// (or SIGVP_SNAPSHOT_EVERY) sets the sim-time capture cadence in µs, and
-/// `--resume FILE` names an explicit snapshot file to resume from. Flags
-/// override the environment.
+/// Checkpoint/restore: `--snapshot-dir PATH` (or SIGVP_SNAPSHOT_DIR)
+/// enables rotating checkpoints plus auto-resume; the flag overrides the
+/// environment.
 ///
 /// Fleet sharding: `--shards N` (or SIGVP_SHARDS) sets how many host
 /// threads advance a sharded fleet's simulation domains between
@@ -145,15 +142,11 @@ struct SweepCli {
   std::string json_path;
   std::string trace_path;
   std::string snapshot_dir;
-  SimTime snapshot_every_us = 5000.0;
-  std::string resume_path;
 
   /// The snapshot policy these CLI settings describe.
   SweepSnapshotOptions snapshot_options() const {
     SweepSnapshotOptions snap;
     snap.dir = snapshot_dir;
-    snap.every_us = snapshot_every_us;
-    snap.resume_path = resume_path;
     return snap;
   }
 };

@@ -183,7 +183,7 @@ std::size_t fleet_shards() { return g_fleet_shards.load(std::memory_order_relaxe
 ThreadPool& fleet_pool(std::size_t workers) {
   SIGVP_REQUIRE(workers >= 1, "fleet pool needs at least one worker");
   std::lock_guard<std::mutex> lock(g_fleet_pool_mutex);
-  if (g_fleet_pool == nullptr || g_fleet_pool->size() < workers) {
+  if (g_fleet_pool == nullptr || g_fleet_pool->size() != workers) {
     g_fleet_pool = std::make_unique<ThreadPool>(workers);
   }
   return *g_fleet_pool;

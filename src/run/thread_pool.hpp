@@ -98,15 +98,17 @@ std::size_t inner_parallel_workers(std::size_t requested);
 /// host threads the fleet executor may advance simulation domains on.
 /// Execution-only — it never appears in a scenario fingerprint and never
 /// changes a result byte; `FleetConfig::domains` is the semantic knob.
-/// Default 1 (serial domain advancement).
+/// Default 1 (serial domain advancement). Must not change while a sharded
+/// scenario runs: the next fleet_pool() call would rebuild the pool under it.
 void set_fleet_shards(std::size_t shards);
 std::size_t fleet_shards();
 
-/// The shared fleet ThreadPool: one process-wide pool, lazily (re)built at
-/// `workers` threads, shared by every concurrently-running sharded scenario
-/// (group-based parallel_for makes concurrent use safe). Resizing happens
-/// only when no sharded scenario is running — callers all derive `workers`
-/// from the same fleet_shards() global.
+/// The shared fleet ThreadPool: one process-wide pool of exactly `workers`
+/// threads, rebuilt whenever a call asks for a different size, and shared
+/// by every concurrently-running sharded scenario (group-based parallel_for
+/// makes concurrent use safe). Every scenario asks for fleet_shards(), so
+/// concurrent scenarios agree on the size and never rebuild the pool that
+/// another one is using.
 ThreadPool& fleet_pool(std::size_t workers);
 
 }  // namespace sigvp::run

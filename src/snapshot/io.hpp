@@ -37,7 +37,10 @@ inline constexpr char kSnapshotMagic[8] = {'S', 'V', 'P', 'S', 'N', 'A', 'P', '1
 /// Version 7: the FaultStats record drops `engine_hangs` and scenario
 /// fingerprints drop the engine-hang and fault-latency settings (the
 /// latencies are constants), so version-6 checkpoints are rejected.
-inline constexpr std::uint32_t kSnapshotVersion = 7;
+/// Version 8: a sweep checkpoint no longer carries the launch cache's
+/// resident entries or its stat deltas, so version-7 checkpoints are
+/// rejected.
+inline constexpr std::uint32_t kSnapshotVersion = 8;
 
 /// Writes `payload` wrapped in the container, via write-temp + fsync +
 /// atomic rename — a crash at any instant leaves either the previous file

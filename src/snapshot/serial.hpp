@@ -75,7 +75,6 @@ class Writer {
   }
   void u64_vec(const std::vector<std::uint64_t>& v) { put(v); }
   void f64_vec(const std::vector<double>& v) { put(v); }
-  void byte_vec(const std::vector<std::uint8_t>& v) { put(v); }
 
   /// The field operator a record's `fields` list calls, directed by each
   /// value's type: bool/u32/u64/i64/f64/string as above; a vector or an
@@ -154,9 +153,6 @@ class Reader {
     const std::uint8_t* p = take(n);
     return std::string(reinterpret_cast<const char*>(p), n);
   }
-  std::vector<std::uint64_t> u64_vec() { return read<std::vector<std::uint64_t>>(); }
-  std::vector<double> f64_vec() { return read<std::vector<double>>(); }
-  std::vector<std::uint8_t> byte_vec() { return read<std::vector<std::uint8_t>>(); }
 
   /// The field operator of Writer, reading: each value is overwritten by
   /// what its type's encoding holds. A vector's count is checked against
@@ -180,12 +176,6 @@ class Reader {
     const std::uint8_t* p = data_ + pos_;
     pos_ += n;
     return p;
-  }
-  template <typename T>
-  T read() {
-    T v;
-    get(v);
-    return v;
   }
   void get(bool& v) { v = boolean(); }
   void get(std::uint32_t& v) { v = u32(); }

@@ -64,11 +64,6 @@ void fields(IO& io, Rec<IO, FleetCapture>& c) {
 }
 
 template <typename IO>
-void fields(IO& io, Rec<IO, LaunchCacheStats>& s) {
-  io(s.hits, s.misses, s.bypasses, s.bytes_replayed, s.evictions, s.entries, s.bytes);
-}
-
-template <typename IO>
 void fields(IO& io, Rec<IO, JobCheckpoint>& job) {
   io(job.done);
   if (job.done) {
@@ -80,7 +75,7 @@ void fields(IO& io, Rec<IO, JobCheckpoint>& job) {
 
 template <typename IO>
 void fields(IO& io, Rec<IO, SweepCheckpoint>& cp) {
-  io(cp.fingerprint, cp.jobs, cp.cache_blob, cp.cache_delta);
+  io(cp.fingerprint, cp.jobs);
 }
 
 // --- entry points --------------------------------------------------------------

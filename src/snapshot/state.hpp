@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/scenario.hpp"
-#include "gpu/launch_cache.hpp"
 #include "snapshot/serial.hpp"
 #include "trace/metrics.hpp"
 
@@ -43,13 +42,6 @@ struct SweepCheckpoint {
   /// different job list/config is rejected before any state is trusted.
   std::uint64_t fingerprint = 0;
   std::vector<JobCheckpoint> jobs;
-  /// Launch-cache resident entries (LaunchCache::export_state payload) and
-  /// the stat-counter deltas accumulated by completed jobs, both recorded
-  /// at job-completion boundaries only — capture-cadence publishes reuse
-  /// the last boundary values, so a mid-job crash never double-counts the
-  /// partial cache work of the job that will re-execute.
-  std::vector<std::uint8_t> cache_blob;
-  LaunchCacheStats cache_delta;
 };
 
 std::vector<std::uint8_t> encode_sweep_checkpoint(const SweepCheckpoint& cp);

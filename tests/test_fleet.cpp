@@ -329,6 +329,35 @@ TEST(ShardedFleet, BenchJsonByteIdenticalAcrossShardsAndWorkers) {
   EXPECT_GT(func.fleet.cache_hits + func.fleet.cache_misses, 0u);
 }
 
+TEST(FleetPool, HasExactlyTheRequestedWorkers) {
+  // A smaller request after a larger one must not keep the larger pool: a
+  // 2-shard pass would otherwise run on eight threads.
+  EXPECT_EQ(run::fleet_pool(8).size(), 8u);
+  EXPECT_EQ(run::fleet_pool(2).size(), 2u);
+}
+
+TEST(FleetPool, ConcurrentShardedJobsOfDifferentDomainCountsShareOnePool) {
+  // Concurrent jobs with D = 2, 3 and 4 all ask for fleet_shards() threads,
+  // so none of them rebuilds the pool another job is advancing domains on.
+  const auto suite = workloads::make_suite();
+  const workloads::Workload& w = workloads::find(suite, "vectorAdd");
+  std::vector<run::SweepJob> jobs;
+  for (const std::uint32_t d : {2u, 3u, 4u}) {
+    run::SweepJob job;
+    job.name = "d" + std::to_string(d);
+    job.group = "fleet";
+    job.config = fleet_config(d);
+    job.apps = replicate(w, w.test_n, 2 * d);
+    jobs.push_back(std::move(job));
+  }
+  run::set_fleet_shards(4);
+  run::ThreadPool* const pool = &run::fleet_pool(4);
+  run::SweepRunner(4).run(jobs);
+  EXPECT_EQ(&run::fleet_pool(4), pool);
+  EXPECT_EQ(run::fleet_pool(4).size(), 4u);
+  run::set_fleet_shards(1);
+}
+
 // --- captures, checkpoint, resume --------------------------------------------
 
 TEST(ShardedFleet, CapturesReplayAndDetectTampering) {

@@ -37,7 +37,6 @@
 #include "run/sweep.hpp"
 #include "run/thread_pool.hpp"
 #include "sim/event_queue.hpp"
-#include "snapshot/serial.hpp"
 #include "util/rng.hpp"
 #include "workloads/suite.hpp"
 
@@ -389,69 +388,32 @@ TEST_F(LaunchCacheTest, AnyFlippedReadByteMissesAndTheUnchangedInputStillHits) {
   }
 }
 
-TEST_F(LaunchCacheTest, ExportImportCarriesPreImagesThatStillDecideHits) {
-  // Eight entries whose inputs differ in one byte each, plus one all-zero
-  // input. The export writes each distinct pre-image block once; a fresh
-  // cache importing it holds the same entries (re-export is byte-identical),
-  // hits each of their launches — also relocated — and misses a changed one.
-  const auto suite = workloads::make_suite();
-  const GpuArch arch = make_quadro4000();
-  const LaunchFixture fx(suite, "vectorAdd", 40000);
-  std::vector<AddressSpace> inputs;
-  for (int k = 0; k < 8; ++k) {
-    inputs.push_back(fx.make_memory(3));
-    inputs.back().write<std::uint8_t>(fx.addrs[0] + 977 * k, 0xEE);
-  }
-  inputs.emplace_back(kMemBytes, "zeros");
-  std::vector<std::vector<std::uint8_t>> outputs;
-  for (const AddressSpace& in : inputs) {
-    AddressSpace mem = in;
-    cache().evaluate(arch, fx.w->kernel, fx.dims, fx.args, mem);
-    outputs.push_back(all_bytes(mem));
-  }
-  ASSERT_EQ(cache().stats().entries, inputs.size());
+TEST(LaunchCacheBlockStore, InternsEqualBytesOnceAndZeroBlocksAsNull) {
+  // Entries that read the same bytes share one pre-image block: equal bytes
+  // from distinct buffers intern to one pointer, any other bytes (one bit
+  // or one length apart) to another, and an all-zero block is not stored.
+  LaunchCache::BlockStore store;
+  std::vector<std::uint8_t> a(LaunchCache::kBlockBytes);
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] = static_cast<std::uint8_t>(7 * i + 1);
+  std::vector<std::uint8_t> b = a;
+  const LaunchCache::BlockRef block = store.intern(a.data(), a.size());
+  ASSERT_NE(block, nullptr);
+  EXPECT_EQ(store.intern(b.data(), b.size()), block);
+  b[977] ^= 1;
+  LaunchCache::BlockRef other = store.intern(b.data(), b.size());
+  ASSERT_NE(other, nullptr);
+  EXPECT_NE(other, block);
+  EXPECT_NE(store.intern(a.data(), a.size() - 1), block);
 
-  snapshot::Writer w1;
-  cache().export_state(w1);
-  const std::vector<std::uint8_t> blob = w1.buffer();
-  // Write sets are stored per entry; pre-image blocks once. A dense copy
-  // per entry would add one pre-image per entry instead of about one.
-  const std::uint64_t pre_image_bytes = 2 * fx.bufs[0].bytes;
-  const std::uint64_t write_bytes = fx.bufs[2].bytes;
-  EXPECT_LT(blob.size(), inputs.size() * write_bytes + 2 * pre_image_bytes);
+  const std::vector<std::uint8_t> zeros(LaunchCache::kBlockBytes);
+  EXPECT_EQ(store.intern(zeros.data(), zeros.size()), nullptr);
+  EXPECT_EQ(store.intern(zeros.data(), 17), nullptr);
 
-  const std::unique_ptr<LaunchCache> imported = LaunchCache::create_shard();
-  snapshot::Reader r(blob);
-  imported->import_state(r);
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(imported->stats().entries, cache().stats().entries);
-  EXPECT_EQ(imported->stats().bytes, cache().stats().bytes);
-  snapshot::Writer w2;
-  imported->export_state(w2);
-  EXPECT_EQ(w2.buffer(), blob);
-
-  const LaunchFixture far = moved(fx, 3 << 20);
-  for (std::size_t k = 0; k < inputs.size(); ++k) {
-    SCOPED_TRACE("input " + std::to_string(k));
-    AddressSpace mem = inputs[k];
-    const LaunchCacheStats before = imported->stats();
-    imported->evaluate(arch, fx.w->kernel, fx.dims, fx.args, mem);
-    EXPECT_EQ(imported->stats().hits, before.hits + 1);
-    EXPECT_TRUE(all_bytes(mem) == outputs[k]);
-
-    // The same input at buffers 3 MiB higher hits the same entry.
-    AddressSpace high(kMemBytes, "high");
-    for (std::size_t i = 0; i < 2; ++i) {
-      const std::vector<std::uint8_t> in = bytes_at(inputs[k], fx.addrs[i], fx.bufs[i].bytes);
-      high.copy_in(far.addrs[i], in.data(), in.size());
-    }
-    imported->evaluate(arch, far.w->kernel, far.dims, far.args, high);
-    EXPECT_EQ(imported->stats().hits, before.hits + 2);
-    EXPECT_EQ(bytes_at(high, far.addrs[2], write_bytes), bytes_at(mem, fx.addrs[2], write_bytes));
-  }
-  AddressSpace changed = inputs[0];
-  changed.write<std::uint8_t>(fx.addrs[1] + 5, 0x11);
-  expect_miss_equal_to_recomputation(*imported, arch, fx, changed);
+  // The store holds its blocks weakly: a block dies with its last holder.
+  const std::weak_ptr<const LaunchCache::Block> weak = other;
+  EXPECT_FALSE(weak.expired());
+  other.reset();
+  EXPECT_TRUE(weak.expired());
 }
 
 TEST_F(LaunchCacheTest, EvictionIsDeterministicInsertionOrder) {

@@ -1,9 +1,9 @@
 // Tests of the checkpoint/restore subsystem (DESIGN.md §14): bit-exact
 // serialization, checksummed file container rejection, checkpoint-store
 // rotation and torn-file fallback, crash-plan arming, crash-safe atomic
-// writes, state codecs, fleet-capture replay verification, launch-cache
-// export/import, and the sweep-level resume contract (resumed output
-// bit-identical to a never-interrupted run at any worker count).
+// writes, state codecs, fleet-capture replay verification, and the
+// sweep-level resume contract (resumed output bit-identical to a
+// never-interrupted run at any worker count).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -68,7 +68,7 @@ TEST(SnapshotSerial, RoundTripsEveryPrimitiveBitExactly) {
   w.str(std::string("nul\0inside", 10));
   w.u64_vec({1, 2, 3});
   w.f64_vec({0.5, -0.25});
-  w.byte_vec({9, 8, 7});
+  w(std::vector<std::uint8_t>{9, 8, 7});
 
   snapshot::Reader r(w.buffer());
   EXPECT_EQ(r.u8(), 0xAB);
@@ -87,9 +87,13 @@ TEST(SnapshotSerial, RoundTripsEveryPrimitiveBitExactly) {
   EXPECT_EQ(r.f64(), std::numeric_limits<double>::infinity());
   EXPECT_TRUE(r.boolean());
   EXPECT_EQ(r.str(), std::string("nul\0inside", 10));
-  EXPECT_EQ(r.u64_vec(), (std::vector<std::uint64_t>{1, 2, 3}));
-  EXPECT_EQ(r.f64_vec(), (std::vector<double>{0.5, -0.25}));
-  EXPECT_EQ(r.byte_vec(), (std::vector<std::uint8_t>{9, 8, 7}));
+  std::vector<std::uint64_t> u64s;
+  std::vector<double> f64s;
+  std::vector<std::uint8_t> bytes;
+  r(u64s, f64s, bytes);
+  EXPECT_EQ(u64s, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(f64s, (std::vector<double>{0.5, -0.25}));
+  EXPECT_EQ(bytes, (std::vector<std::uint8_t>{9, 8, 7}));
   EXPECT_TRUE(r.done());
 }
 
@@ -111,7 +115,8 @@ TEST(SnapshotSerial, ReaderThrowsOnTruncationInsteadOfReadingGarbage) {
   snapshot::Writer bad;
   bad.u64(std::numeric_limits<std::uint64_t>::max());
   snapshot::Reader r3(bad.buffer());
-  EXPECT_THROW(r3.u64_vec(), snapshot::SnapshotError);
+  std::vector<std::uint64_t> v;
+  EXPECT_THROW(r3(v), snapshot::SnapshotError);
 }
 
 TEST(SnapshotSerial, DigestIsSensitiveToEveryByte) {
@@ -431,35 +436,6 @@ TEST(SnapshotState, SweepCheckpointCodecRejectsTrailingBytes) {
 
 // --- pinned format ------------------------------------------------------------
 
-/// A private launch cache holding two vectorAdd entries: one over patterned
-/// inputs (nonzero pre-image blocks) and one over zeroed memory (null
-/// blocks), so an export carries a block table and both kinds of reference.
-std::unique_ptr<LaunchCache> pinned_cache() {
-  const auto suite = workloads::make_suite();
-  const workloads::Workload& w = workloads::find(suite, "vectorAdd");
-  const std::uint64_t n = 300;
-  constexpr std::uint64_t kMem = 1 << 20;
-  std::vector<std::uint64_t> addrs;
-  for (std::size_t i = 0; i < w.buffers(n).size(); ++i) addrs.push_back(4096 + i * 8192);
-  auto cache = LaunchCache::create_shard();
-  cache->set_enabled(true);
-  for (int pattern = 0; pattern < 2; ++pattern) {
-    AddressSpace mem(kMem, "pinned");
-    for (std::uint64_t i = 0; pattern == 0 && i < n; ++i) {
-      mem.write<float>(addrs[0] + 4 * i, 0.5f + static_cast<float>(i));
-      mem.write<float>(addrs[1] + 4 * i, 2.0f * static_cast<float>(i));
-    }
-    cache->evaluate(make_quadro4000(), w.kernel, w.dims(n), w.args(addrs, n), mem);
-  }
-  return cache;
-}
-
-std::vector<std::uint8_t> pinned_cache_blob() {
-  snapshot::Writer w;
-  pinned_cache()->export_state(w);
-  return w.take();
-}
-
 /// A sweep checkpoint in which every field is non-default.
 snapshot::SweepCheckpoint pinned_checkpoint() {
   ScenarioResult r;
@@ -521,10 +497,6 @@ snapshot::SweepCheckpoint pinned_checkpoint() {
   cp.jobs[0].done = true;
   cp.jobs[0].result = std::move(r);
   cp.jobs[1].captures = {FleetCapture{300.0, 91, 0xFEED}, FleetCapture{600.0, 92, 0xBEEF}};
-  cp.cache_blob = pinned_cache_blob();
-  cp.cache_delta = LaunchCacheStats{.hits = 101, .misses = 102, .bypasses = 103,
-                                    .bytes_replayed = 104, .evictions = 105, .entries = 106,
-                                    .bytes = 107};
   return cp;
 }
 
@@ -533,25 +505,15 @@ std::uint64_t digest_of(const std::vector<std::uint8_t>& bytes) {
 }
 
 TEST(SnapshotState, CheckpointAndCacheEncodingsMatchPinnedDigests) {
-  // Recorded from the v7 codecs; any change to a persisted byte moves them.
-  // A kernel or cost-model change that alters the cached stats, profile or
-  // write-set bytes moves the cache digest too and needs a re-pin, but the
-  // checkpoint and cache layouts themselves must not move within v7.
+  // Recorded from the v8 codecs; any change to a persisted byte moves it.
+  // The checkpoint holds results and capture digests only, so the layout
+  // must not move within v8.
   const snapshot::SweepCheckpoint cp = pinned_checkpoint();
-  EXPECT_EQ(digest_of(cp.cache_blob), 0x21B89B507B953649ull);
   const std::vector<std::uint8_t> enc = snapshot::encode_sweep_checkpoint(cp);
-  EXPECT_EQ(digest_of(enc), 0x0F2964814DC2A0ADull);
+  EXPECT_EQ(digest_of(enc), 0xFC75DA4A4514935Bull);
 
   // Decoding and re-encoding reproduces every byte.
   EXPECT_EQ(snapshot::encode_sweep_checkpoint(snapshot::decode_sweep_checkpoint(enc)), enc);
-  const std::unique_ptr<LaunchCache> imported = LaunchCache::create_shard();
-  snapshot::Reader r(cp.cache_blob);
-  imported->import_state(r);
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(imported->stats().entries, 2u);
-  snapshot::Writer w;
-  imported->export_state(w);
-  EXPECT_EQ(w.buffer(), cp.cache_blob);
 }
 
 TEST(SnapshotState, EveryStrictPrefixOfACheckpointOrCacheExportIsRejected) {
@@ -561,13 +523,6 @@ TEST(SnapshotState, EveryStrictPrefixOfACheckpointOrCacheExportIsRejected) {
     const std::vector<std::uint8_t> prefix(enc.begin(), enc.begin() + len);
     EXPECT_THROW(snapshot::decode_sweep_checkpoint(prefix), snapshot::SnapshotError)
         << "checkpoint prefix of " << len << " bytes";
-  }
-  const std::unique_ptr<LaunchCache> cache = LaunchCache::create_shard();
-  for (std::size_t len = 0; len < cp.cache_blob.size(); ++len) {
-    snapshot::Reader r(cp.cache_blob.data(), len);
-    EXPECT_THROW(cache->import_state(r), snapshot::SnapshotError)
-        << "cache export prefix of " << len << " bytes";
-    cache->clear();
   }
 }
 
@@ -605,65 +560,6 @@ TEST(SnapshotCapture, ReplayReproducesRecordedDigestsAndDetectsTampering) {
   // The no-capture path is byte-identical to the plain overload.
   const ScenarioResult plain = run_scenario(job.config, job.apps);
   EXPECT_EQ(result_bytes(plain), result_bytes(first));
-}
-
-// --- launch cache export/import -----------------------------------------------
-
-TEST(SnapshotCache, ExportImportRestoresResidentEntriesByteExact) {
-  const auto suite = workloads::make_suite();
-  const workloads::Workload& w = workloads::find(suite, "vectorAdd");
-  workloads::AppTraits t = w.traits;
-  t.iterations = 3;
-  t.launches_per_iter = 1;
-  t.iter_h2d_bytes = 0;
-  t.iter_d2h_bytes = 0;
-  run::SweepJob job;
-  job.name = "cachefill";
-  job.group = "g";
-  job.config.backend = Backend::kSigmaVp;
-  job.config.mode = ExecMode::kFunctional;
-  job.config.functional_io = true;
-  const AppInstance app{.workload = &w, .n = w.test_n, .traits = t};
-  for (std::size_t i = 0; i < 4; ++i) job.apps.push_back(app);
-
-  LaunchCache& cache = LaunchCache::instance();
-  cache.clear();
-  cache.set_enabled(true);
-  const run::SweepResult filled = run::SweepRunner(1).run({job});
-  ASSERT_GT(cache.stats().entries, 0u);
-
-  snapshot::Writer w1;
-  cache.export_state(w1);
-  const std::vector<std::uint8_t> blob = w1.buffer();
-  const std::uint64_t entries = cache.stats().entries;
-  const std::uint64_t bytes = cache.stats().bytes;
-
-  cache.clear();
-  ASSERT_EQ(cache.stats().entries, 0u);
-  snapshot::Reader r(blob);
-  cache.import_state(r);
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(cache.stats().entries, entries);
-  EXPECT_EQ(cache.stats().bytes, bytes);
-
-  // Re-export: identical bytes, so content AND FIFO order survived.
-  snapshot::Writer w2;
-  cache.export_state(w2);
-  EXPECT_EQ(w2.buffer(), blob);
-
-  // The imported entries actually serve: a rerun of the same fleet hits.
-  const LaunchCacheStats before = cache.stats();
-  const run::SweepResult rerun = run::SweepRunner(1).run({job});
-  EXPECT_GT(cache.stats().hits, before.hits);
-  EXPECT_EQ(result_bytes(rerun.jobs[0].result), result_bytes(filled.jobs[0].result));
-
-  // A truncated blob raises instead of silently stopping early.
-  cache.clear();
-  std::vector<std::uint8_t> bad = blob;
-  bad.resize(bad.size() / 2);
-  snapshot::Reader rb(bad);
-  EXPECT_THROW(cache.import_state(rb), snapshot::SnapshotError);
-  cache.clear();
 }
 
 // --- sweep-level resume -------------------------------------------------------
@@ -780,19 +676,7 @@ TEST(SnapshotSweep, KillResumeWithRelocatedCacheEntriesIsBitIdenticalAtAnyWorker
   cache.set_enabled(true);
   const auto golden = sweep_bytes(run::SweepRunner(2).run(jobs));
 
-  // Job a alone from a cold cache: VP 0 fills the one entry, VPs 1-3 hit it
-  // at their own addresses, and so does every later iteration.
-  cache.clear();
-  const LaunchCacheStats s0 = cache.stats();
-  run::SweepRunner(1).run({jobs[0]});
-  EXPECT_EQ(cache.stats().misses - s0.misses, 1u);
-  EXPECT_EQ(cache.stats().hits - s0.hits, 4u * 3u - 1u);
-  snapshot::Writer cw;
-  cache.export_state(cw);
-  const std::vector<std::uint8_t> cache_after_a = cw.take();
-
-  // The checkpoint a kill right after job a leaves: a done, b not started,
-  // the cache holding a's one entry (filled at VP 0's addresses).
+  // The checkpoint a kill right after job a leaves: a done, b not started.
   run::SweepSnapshotOptions snap;
   snap.dir = tmp.str();
   snap.every_us = 300.0;
@@ -801,20 +685,21 @@ TEST(SnapshotSweep, KillResumeWithRelocatedCacheEntriesIsBitIdenticalAtAnyWorker
       snapshot::CheckpointStore(tmp.str()).find_latest_valid().path));
   ASSERT_EQ(cp.jobs.size(), 2u);
   cp.jobs[1] = snapshot::JobCheckpoint{};
-  cp.cache_blob = cache_after_a;
 
   for (const std::size_t workers : {1u, 4u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     snapshot::CheckpointStore(tmp.str()).publish(snapshot::encode_sweep_checkpoint(cp));
-    cache.clear();
-    const LaunchCacheStats before = cache.stats();
+    cache.clear();  // the restarted process starts with a cold cache
     run::SweepResumeInfo ri;
     const run::SweepResult resumed = run::SweepRunner(workers).run(jobs, snap, &ri);
     EXPECT_EQ(ri.jobs_resumed, 1u);
     EXPECT_EQ(sweep_bytes(resumed), golden);
-    // Job b re-ran entirely on the imported, relocated entry.
-    EXPECT_EQ(cache.stats().misses - before.misses, 0u);
-    EXPECT_EQ(cache.stats().hits - before.hits, 3u * 3u);
+    // Job b refills its one entry at VP 0's addresses; its other VPs and
+    // every later iteration hit it relocated. Job a was spliced, so the
+    // sweep's cache block counts job b alone.
+    EXPECT_EQ(resumed.cache.misses, 1u);
+    EXPECT_EQ(resumed.cache.hits, 3u * 3u - 1u);
+    EXPECT_EQ(resumed.cache.entries, 1u);
   }
   cache.clear();
 }
@@ -878,6 +763,13 @@ TEST(SnapshotSweep, VersionSixCheckpointIsRejected) {
   expect_checkpoints_of_version_rejected(6);
 }
 
+TEST(SnapshotSweep, VersionSevenCheckpointIsRejected) {
+  // Version-7 sweep checkpoints end in a launch-cache export and its stat
+  // deltas, which version 8 dropped; a resume must refuse them, not
+  // misparse.
+  expect_checkpoints_of_version_rejected(7);
+}
+
 TEST(SnapshotSweep, CheckpointForADifferentSweepIsRejected) {
   const TempDir tmp("reject");
   const auto suite = workloads::make_app_suite();
@@ -898,35 +790,6 @@ TEST(SnapshotSweep, CheckpointForADifferentSweepIsRejected) {
   EXPECT_EQ(info.jobs_resumed, 0u);
   EXPECT_FALSE(info.rejected.empty());
   EXPECT_EQ(sweep_bytes(fresh), sweep_bytes(fresh_baseline));
-}
-
-TEST(SnapshotSweep, ExplicitResumePathFallsBackToDirScanWhenTorn) {
-  const TempDir tmp("explicit");
-  const auto suite = workloads::make_app_suite();
-  const std::vector<run::SweepJob> jobs = resume_jobs(suite);
-  const auto golden = sweep_bytes(run::SweepRunner(2).run(jobs));
-
-  run::SweepSnapshotOptions snap;
-  snap.dir = tmp.str();
-  snap.every_us = 300.0;
-  run::SweepRunner(2).run(jobs, snap, nullptr);
-
-  // Copy the newest checkpoint aside and tear the copy; --resume points at
-  // the torn file, the directory scan provides the good fallback.
-  snapshot::CheckpointStore store(tmp.str());
-  const std::string good = store.find_latest_valid().path;
-  const std::string torn = (tmp.path / "torn.svps").string();
-  fs::copy_file(good, torn);
-  fs::resize_file(torn, fs::file_size(torn) / 2);
-
-  snap.resume_path = torn;
-  run::SweepResumeInfo info;
-  const run::SweepResult resumed = run::SweepRunner(2).run(jobs, snap, &info);
-  ASSERT_FALSE(info.rejected.empty());
-  EXPECT_EQ(info.rejected[0], torn);
-  EXPECT_EQ(info.resumed_from, good);
-  EXPECT_EQ(info.jobs_resumed, jobs.size());
-  EXPECT_EQ(sweep_bytes(resumed), golden);
 }
 
 }  // namespace

@@ -240,6 +240,15 @@ TEST(SweepCli, ParsesWorkersAndJsonOverrides) {
   cli = run::parse_sweep_cli(5, const_cast<char**>(argv_full), "BENCH_default.json");
   EXPECT_EQ(cli.workers, 7u);
   EXPECT_EQ(cli.json_path, "out.json");
+
+  // --snapshot-dir is the only checkpoint flag; the capture cadence is not
+  // a CLI setting, so an unknown --snapshot-every leaves it at its default.
+  const char* argv_snap[] = {"bench", "--snapshot-dir", "ckpt", "--snapshot-every", "7"};
+  cli = run::parse_sweep_cli(5, const_cast<char**>(argv_snap), "BENCH_default.json");
+  EXPECT_EQ(cli.snapshot_dir, "ckpt");
+  const run::SweepSnapshotOptions snap = cli.snapshot_options();
+  EXPECT_EQ(snap.dir, "ckpt");
+  EXPECT_EQ(snap.every_us, run::SweepSnapshotOptions{}.every_us);
 }
 
 TEST(JsonWriter, EmitsDocumentedSchema) {
@@ -266,7 +275,7 @@ TEST(JsonWriter, EmitsDocumentedSchema) {
   EXPECT_NE(json.find("\"app_done_us\": [1000, 1234.5]"), std::string::npos);
 
   const std::string path = "test_sweep_out.json";
-  run::write_sweep_json(sweep, "unit", path);
+  ASSERT_TRUE(run::try_write_sweep_json(sweep, "unit", path));
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream read_back;
